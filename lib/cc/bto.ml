@@ -101,7 +101,7 @@ let settle t state =
           | Some r -> Timestamp.max r wr.wr_ts
           | None -> wr.wr_ts);
       Stats.Tally.add t.blocking (Engine.now t.hooks.Cc_intf.eng -. wr.wr_enqueued);
-      wr.wr_resolver.Engine.resolve ())
+      Engine.resolve wr.wr_resolver ())
     ready
 
 let insert_sorted_pending state pw =
@@ -202,7 +202,8 @@ let cc_abort t txn =
           in
           state.waiting <- rest;
           List.iter
-            (fun wr -> wr.wr_resolver.Engine.reject (Txn.Aborted Txn.Peer_abort))
+            (fun wr ->
+              Engine.reject wr.wr_resolver (Txn.Aborted Txn.Peer_abort))
             mine;
           settle t state);
   Hashtbl.remove t.footprint (Txn.key txn)

@@ -107,7 +107,7 @@ let grant t entry w =
          entry.holders
    else entry.holders <- (w.w_txn, w.w_mode) :: entry.holders);
   Stats.Tally.add t.blocking (Engine.now t.eng -. w.w_enqueued);
-  w.w_resolver.Engine.resolve ()
+  Engine.resolve w.w_resolver ()
 
 (** Grant eligible queued requests, strictly in queue order (head only, to
     avoid starvation): stop at the first request that cannot be granted. *)
@@ -230,7 +230,7 @@ let release_all t txn ~reject =
                   entry.queue
               in
               entry.queue <- rest;
-              List.iter (fun q -> q.w_resolver.Engine.reject reject) mine;
+              List.iter (fun q -> Engine.reject q.w_resolver reject) mine;
               grant_pass t entry;
               if entry.holders = [] && entry.queue = [] then
                 Page_table.remove t.table page)

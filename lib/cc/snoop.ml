@@ -81,7 +81,7 @@ let detection_round t ~snoop_node =
 
 (** Start the rotating detector process. Runs for the whole simulation. *)
 let start t =
-  Engine.spawn t.eng ~name:"snoop" (fun () ->
+  Engine.spawn t.eng (fun () ->
       let rec turn snoop_node =
         Engine.wait t.detection_interval;
         detection_round t ~snoop_node;

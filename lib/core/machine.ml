@@ -1630,7 +1630,7 @@ let plan_pages (plan : Plan.t) =
     0 plan.Plan.cohorts
 
 let run_terminal t ~index =
-  Engine.spawn t.eng ~name:(Printf.sprintf "terminal-%d" index) (fun () ->
+  Engine.spawn t.eng (fun () ->
       let rec session () =
         let think = Workload.think_time t.workload in
         if think > 0. then
@@ -1722,7 +1722,7 @@ let rec dispatch t a (p : pending) =
   a.in_flight <- a.in_flight + 1;
   Metrics.record_admitted t.metrics;
   Metrics.record_queue_wait t.metrics ~dur:(Engine.now t.eng -. p.enqueued_at);
-  Engine.spawn t.eng ~name:(Printf.sprintf "arrival-%d" p.seq) (fun () ->
+  Engine.spawn t.eng (fun () ->
       await_host_up t;
       let origin_time = Engine.now t.eng in
       Metrics.record_submit t.metrics;
@@ -1812,7 +1812,7 @@ let run_arrival_pump t a =
   let num_terminals = t.params.Params.workload.Params.num_terminals in
   let run = t.params.Params.run in
   let horizon = run.Params.warmup +. run.Params.measure in
-  Engine.spawn t.eng ~name:"arrival-pump" (fun () ->
+  Engine.spawn t.eng (fun () ->
       let rec pump () =
         let now = Engine.now t.eng in
         match Arrival.next_arrival a.spec a.arr_rng ~now ~horizon with

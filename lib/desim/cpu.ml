@@ -173,13 +173,13 @@ let submit_priority t ~instructions k =
 
 let consume t ~instructions =
   if instructions > 0. then
-    Engine.suspend (fun (r : unit Engine.resolver) ->
-        submit t ~instructions (fun () -> r.resolve ()))
+    Engine.suspend (fun r ->
+        submit t ~instructions (fun () -> Engine.resolve r ()))
 
 let consume_priority t ~instructions =
   if instructions > 0. then
-    Engine.suspend (fun (r : unit Engine.resolver) ->
-        submit_priority t ~instructions (fun () -> r.resolve ()))
+    Engine.suspend (fun r ->
+        submit_priority t ~instructions (fun () -> Engine.resolve r ()))
 
 let ps_load t = Heap.size t.ps
 

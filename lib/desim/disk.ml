@@ -64,12 +64,10 @@ let submit_write t k =
   pump t
 
 let read t =
-  Engine.suspend (fun (r : unit Engine.resolver) ->
-      submit_read t (fun () -> r.resolve ()))
+  Engine.suspend (fun r -> submit_read t (fun () -> Engine.resolve r ()))
 
 let write t =
-  Engine.suspend (fun (r : unit Engine.resolver) ->
-      submit_write t (fun () -> r.resolve ()))
+  Engine.suspend (fun r -> submit_write t (fun () -> Engine.resolve r ()))
 
 let queue_length t =
   Queue.length t.reads + Queue.length t.writes + if t.busy then 1 else 0

@@ -3,93 +3,174 @@ open Effect.Deep
 
 exception Not_in_process
 
-(* A scheduled event doubles as its own cancellation handle: the separate
-   handle record used to cost one extra allocation per scheduled event,
-   which the Bechamel engine benches showed as pure churn. *)
-type event = {
-  time : float;
-  seq : int;
-  action : unit -> unit;
-  mutable cancelled : bool;
-}
+(* What an event does when it fires. A process blocked in [wait] or
+   [suspend] is resumed straight from its continuation, so a resumption
+   allocates this one small block and nothing else. Only [Call] events are
+   handed out as handles, so only they carry a cancellation flag. *)
+type action =
+  | Call of { f : unit -> unit; mutable cancelled : bool }
+  | Resume : ('a, unit) continuation * 'a -> action
+  | Reject : (_, unit) continuation * exn -> action
 
-type handle = event
+type handle = action
 
-type 'a resolver = { resolve : 'a -> unit; reject : exn -> unit }
+(* An all-float record is stored flat, so advancing the clock once per
+   event does not box the new time. *)
+type clock = { mutable now : float }
 
+(* The event queue is a binary min-heap on (time, seq), kept in three
+   parallel arrays: times are stored unboxed, and keys are compared inline
+   without following a pointer. [seq] grows with every scheduled event, so
+   (time, seq) is a strict total order and events at equal times fire in
+   scheduling order. The arrays are allocated on the first push. *)
 type t = {
-  mutable now : float;
-  events : event Heap.t;
+  clock : clock;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable acts : action array;
+  mutable len : int;
   mutable seq : int;
   mutable stop_requested : bool;
   mutable processed : int;
 }
 
-(* Effects are parameterized by the engine so that several engines can
-   coexist; the handler installed by [spawn] checks identity. *)
-type _ Effect.t +=
-  | Wait : t * float -> unit Effect.t
-  | Suspend : t * ('a resolver -> unit) -> 'a Effect.t
+type 'a resolver = { eng : t; k : ('a, unit) continuation; mutable used : bool }
 
-let cmp_event a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
+(* The effects carry no engine: the innermost handler, the one [spawn]
+   installed around the performing process, belongs to its engine. *)
+type _ Effect.t +=
+  | Wait : float -> unit Effect.t
+  | Suspend : ('a resolver -> unit) -> 'a Effect.t
 
 let create () =
   {
-    now = 0.;
-    events = Heap.create ~cmp:cmp_event;
+    clock = { now = 0. };
+    times = [||];
+    seqs = [||];
+    acts = [||];
+    len = 0;
     seq = 0;
     stop_requested = false;
     processed = 0;
   }
 
-let now t = t.now
+let now t = t.clock.now
 
-let schedule t ~at action =
-  if at < t.now -. 1e-12 then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: at %g is in the past (now %g)" at t.now);
-  let at = if at < t.now then t.now else at in
+let grow t =
+  let cap = Array.length t.acts in
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let times = Array.make ncap 0. in
+  let seqs = Array.make ncap 0 in
+  let acts = Array.make ncap (Call { f = ignore; cancelled = true }) in
+  Array.blit t.times 0 times 0 t.len;
+  Array.blit t.seqs 0 seqs 0 t.len;
+  Array.blit t.acts 0 acts 0 t.len;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.acts <- acts
+
+(* Sift a hole up from the end. The new event's seq exceeds every queued
+   one, so it passes a parent only when its time is strictly earlier. *)
+let push t at act =
+  if t.len = Array.length t.acts then grow t;
   t.seq <- t.seq + 1;
-  let ev = { time = at; seq = t.seq; action; cancelled = false } in
-  Heap.push t.events ev;
+  let times = t.times and seqs = t.seqs and acts = t.acts in
+  let i = ref t.len in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pt = times.(p) in
+    if at < pt then begin
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(p);
+      acts.(!i) <- acts.(p);
+      i := p
+    end
+    else moving := false
+  done;
+  times.(!i) <- at;
+  seqs.(!i) <- t.seq;
+  acts.(!i) <- act;
+  t.len <- t.len + 1
+
+(* Remove the head: sift a hole down from the root and drop the last
+   event into it. *)
+let drop_head t =
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    let times = t.times and seqs = t.seqs and acts = t.acts in
+    let lt = times.(n) and ls = seqs.(n) and la = acts.(n) in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && (times.(r) < times.(l)
+               || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < lt || (ct = lt && seqs.(c) < ls) then begin
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          acts.(!i) <- acts.(c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    times.(!i) <- lt;
+    seqs.(!i) <- ls;
+    acts.(!i) <- la
+  end
+
+(* Queue [act] at [at], which may lie at most 1e-12 in the past (float
+   rounding of [now +. delay]) and is then clamped to [now]. *)
+let enqueue t ~at act =
+  let now = t.clock.now in
+  if not (at >= now -. 1e-12) then
+    invalid_arg
+      (if Float.is_nan at then "Engine.schedule: time is NaN"
+       else
+         Printf.sprintf "Engine.schedule: at %g is in the past (now %g)" at now);
+  push t (if at < now then now else at) act
+
+let schedule t ~at f =
+  let ev = Call { f; cancelled = false } in
+  enqueue t ~at ev;
   ev
 
-let schedule_after t ~delay action = schedule t ~at:(t.now +. delay) action
+let schedule_after t ~delay f = schedule t ~at:(t.clock.now +. delay) f
 
-let cancel h = h.cancelled <- true
-
-(* Processes find their engine through a "current engine" slot maintained
-   around every resumption, so model code can call [wait]/[suspend] without
-   threading the engine value everywhere. The slot is domain-local: each
-   worker domain of a parallel sweep runs its own engine, and a global ref
-   here would let one domain's resumption clobber another's. *)
-let current : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let cancel = function Call c -> c.cancelled <- true | Resume _ | Reject _ -> ()
 
 let wait delay =
-  match !(Domain.DLS.get current) with
-  | None -> raise Not_in_process
-  | Some eng -> perform (Wait (eng, delay))
+  if Float.is_nan delay then invalid_arg "Engine.wait: delay is NaN";
+  try perform (Wait delay) with Effect.Unhandled _ -> raise Not_in_process
 
 let suspend register =
-  match !(Domain.DLS.get current) with
-  | None -> raise Not_in_process
-  | Some eng -> perform (Suspend (eng, register))
+  try perform (Suspend register) with Effect.Unhandled _ -> raise Not_in_process
 
-let make_resolver (schedule_resume : (unit -> unit) -> unit)
-    (k_resolve : 'a -> unit -> unit) (k_reject : exn -> unit -> unit) :
-    'a resolver =
-  let used = ref false in
-  let once f x =
-    if !used then invalid_arg "Engine: resolver used twice";
-    used := true;
-    schedule_resume (f x)
-  in
-  { resolve = (fun v -> once k_resolve v); reject = (fun e -> once k_reject e) }
+let settle r =
+  if r.used then invalid_arg "Engine: resolver used twice";
+  r.used <- true
 
-let rec run_fiber (t : t) (f : unit -> unit) : unit =
+let resolve r v =
+  settle r;
+  push r.eng r.eng.clock.now (Resume (r.k, v))
+
+let reject r e =
+  settle r;
+  push r.eng r.eng.clock.now (Reject (r.k, e))
+
+let run_fiber t f =
   match_with f ()
     {
       retc = (fun () -> ());
@@ -97,51 +178,19 @@ let rec run_fiber (t : t) (f : unit -> unit) : unit =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Wait (eng, delay) when eng == t ->
+          | Wait delay ->
               Some
-                (fun (k : (a, _) continuation) ->
-                  ignore
-                    (schedule_after t ~delay (fun () -> resume t k ())
-                      : handle))
-          | Suspend (eng, register) when eng == t ->
+                (fun (k : (a, unit) continuation) ->
+                  enqueue t ~at:(t.clock.now +. delay) (Resume (k, ())))
+          | Suspend register ->
               Some
-                (fun (k : (a, _) continuation) ->
-                  let schedule_resume thunk =
-                    ignore (schedule t ~at:t.now thunk : handle)
-                  in
-                  let r =
-                    make_resolver schedule_resume
-                      (fun v () -> resume t k v)
-                      (fun e () -> discontinue_in t k e)
-                  in
-                  register r)
+                (fun (k : (a, unit) continuation) ->
+                  register { eng = t; k; used = false })
           | _ -> None);
     }
 
-and resume : type a. t -> (a, unit) continuation -> a -> unit =
- fun t k v ->
-  let slot = Domain.DLS.get current in
-  let saved = !slot in
-  slot := Some t;
-  Fun.protect ~finally:(fun () -> slot := saved) (fun () -> continue k v)
-
-and discontinue_in : type a. t -> (a, unit) continuation -> exn -> unit =
- fun t k e ->
-  let slot = Domain.DLS.get current in
-  let saved = !slot in
-  slot := Some t;
-  Fun.protect ~finally:(fun () -> slot := saved) (fun () -> discontinue k e)
-
-let spawn t ?name:_ f =
-  ignore
-    (schedule t ~at:t.now (fun () ->
-         let slot = Domain.DLS.get current in
-         let saved = !slot in
-         slot := Some t;
-         Fun.protect
-           ~finally:(fun () -> slot := saved)
-           (fun () -> run_fiber t f))
-      : handle)
+let spawn t f =
+  push t t.clock.now (Call { f = (fun () -> run_fiber t f); cancelled = false })
 
 let stop t = t.stop_requested <- true
 
@@ -149,23 +198,29 @@ let events_processed t = t.processed
 
 let run ?until t =
   t.stop_requested <- false;
-  let continue_ = ref true in
-  while !continue_ && (not t.stop_requested) && not (Heap.is_empty t.events) do
-    let ev = Heap.top t.events in
-    match until with
-    | Some u when ev.time > u ->
-        t.now <- u;
-        continue_ := false
-    | _ ->
-        Heap.drop t.events;
-        if not ev.cancelled then begin
-          t.now <- ev.time;
+  let horizon = match until with Some u -> u | None -> infinity in
+  while (not t.stop_requested) && t.len > 0 && not (t.times.(0) > horizon) do
+    let time = t.times.(0) and act = t.acts.(0) in
+    drop_head t;
+    match act with
+    | Call c ->
+        if not c.cancelled then begin
+          t.clock.now <- time;
           t.processed <- t.processed + 1;
-          ev.action ()
+          c.f ()
         end
+    | Resume (k, v) ->
+        t.clock.now <- time;
+        t.processed <- t.processed + 1;
+        continue k v
+    | Reject (k, e) ->
+        t.clock.now <- time;
+        t.processed <- t.processed + 1;
+        discontinue k e
   done;
+  (* Stopped at [until]: later events stay queued and the clock moves to
+     [until] (also when the queue ran dry before it). *)
   match until with
-  | Some u when (not t.stop_requested) && t.now < u && Heap.is_empty t.events
-    ->
-      t.now <- u
+  | Some u when (not t.stop_requested) && (t.len > 0 || t.clock.now < u) ->
+      t.clock.now <- u
   | _ -> ()

@@ -4,7 +4,11 @@
     function that calls {!wait} to let simulated time pass and {!suspend} to
     block until some other process resolves it. Both are implemented with
     OCaml 5 effect handlers, so there are no threads and the simulation is
-    fully deterministic: events at equal times fire in scheduling order.
+    fully deterministic: events fire in (time, scheduling order), so events
+    at equal times fire in the order they were scheduled.
+
+    A blocked process is resumed straight from its continuation: a
+    resumption costs one small queue entry and no closure.
 
     All times are in simulated seconds. *)
 
@@ -13,13 +17,10 @@ type t
 (** A cancellable scheduled event. *)
 type handle
 
-(** One-shot continuation of a suspended process. Calling [resolve] (or
-    [reject]) more than once on the same resolver raises
+(** One-shot continuation of a suspended process, used through {!resolve}
+    and {!reject}. Using the same resolver twice raises
     [Invalid_argument]. *)
-type 'a resolver = private {
-  resolve : 'a -> unit;  (** resume the process with a value *)
-  reject : exn -> unit;  (** resume the process by raising [exn] in it *)
-}
+type 'a resolver
 
 val create : unit -> t
 
@@ -27,7 +28,8 @@ val create : unit -> t
 val now : t -> float
 
 (** [schedule t ~at f] runs [f] at simulated time [at] (>= now). The
-    returned handle can cancel it before it fires. *)
+    returned handle can cancel it before it fires. Raises
+    [Invalid_argument] when [at] is in the past or NaN. *)
 val schedule : t -> at:float -> (unit -> unit) -> handle
 
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f]. *)
@@ -37,16 +39,26 @@ val cancel : handle -> unit
 
 (** [spawn t f] starts a new process executing [f ()] at the current time
     (it begins running when the scheduler reaches that event). Uncaught
-    exceptions other than those injected via [reject] escape [run]. *)
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
+    exceptions other than those injected via {!reject} escape [run]. *)
+val spawn : t -> (unit -> unit) -> unit
 
-(** Let simulated time advance by [delay]. Only valid inside a process. *)
+(** Let simulated time advance by [delay]. Only valid inside a process;
+    raises [Invalid_argument] when [delay] is NaN. *)
 val wait : float -> unit
 
 (** Block the calling process until another party resolves it. The
     registration function receives the resolver and must stash it somewhere
     (a queue, a lock table, ...). Only valid inside a process. *)
 val suspend : ('a resolver -> unit) -> 'a
+
+(** [resolve r v] resumes the process suspended on [r] with [v], at the
+    current time of its engine (after the events already queued for that
+    time). *)
+val resolve : 'a resolver -> 'a -> unit
+
+(** [reject r e] resumes the process suspended on [r] by raising [e] in
+    it, at the same point in the order as {!resolve}. *)
+val reject : 'a resolver -> exn -> unit
 
 (** Run until the event queue is empty, [until] is reached (events at later
     times stay queued and [now] becomes [until]), or {!stop} is called. *)

@@ -18,34 +18,45 @@ let grow h x =
     h.data <- nd
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.cmp h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+(* Both sifts move a hole instead of swapping: each level costs one write,
+   and [x] is written once where the hole stops. *)
+let sift_up h i x =
+  let data = h.data in
+  let i = ref i in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if h.cmp x data.(parent) < 0 then begin
+      data.(!i) <- data.(parent);
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  data.(!i) <- x
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.len && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+let sift_down h i x =
+  let data = h.data and len = h.len in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= len then moving := false
+    else begin
+      let r = l + 1 in
+      let c = if r < len && h.cmp data.(r) data.(l) < 0 then r else l in
+      if h.cmp data.(c) x < 0 then begin
+        data.(!i) <- data.(c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  data.(!i) <- x
 
 let push h x =
   grow h x;
-  h.data.(h.len) <- x;
   h.len <- h.len + 1;
-  sift_up h (h.len - 1)
+  sift_up h (h.len - 1) x
 
 let peek h = if h.len = 0 then None else Some h.data.(0)
 
@@ -58,10 +69,7 @@ let top h =
 let drop h =
   if h.len = 0 then raise Empty;
   h.len <- h.len - 1;
-  if h.len > 0 then begin
-    h.data.(0) <- h.data.(h.len);
-    sift_down h 0
-  end
+  if h.len > 0 then sift_down h 0 h.data.(h.len)
 
 let pop h =
   if h.len = 0 then None

@@ -1,8 +1,10 @@
-(** Array-based binary min-heap, specialized for discrete-event scheduling.
+(** Array-based binary min-heap over a user-supplied total order.
 
-    Elements are ordered by a user-supplied total order. Ties must be broken
-    by the caller (the simulation engine uses a monotone sequence number) so
-    that event ordering is deterministic. *)
+    The CPU's processor-sharing class keeps its jobs in one, ordered by
+    finish tag. Ties must be broken by the caller (the CPU uses the arrival
+    sequence number) so that the drain order is deterministic. The engine's
+    event queue is not built on this module: it keeps its own monomorphic
+    heap. *)
 
 type 'a t
 
@@ -23,9 +25,9 @@ val peek : 'a t -> 'a option
 exception Empty
 
 (** Smallest element without removing it. Unlike {!peek} this allocates
-    nothing — the event loop and the CPU kernel inspect the head once per
-    event, and the [Some] wrappers were measurable churn in the Bechamel
-    engine benches. Raises {!Empty} when the heap is empty. *)
+    nothing — the CPU kernel inspects the head on every completion check,
+    and the [Some] wrappers were measurable churn. Raises {!Empty} when the
+    heap is empty. *)
 val top : 'a t -> 'a
 
 (** Remove the smallest element (the one {!top} returns). O(log n).

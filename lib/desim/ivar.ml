@@ -13,14 +13,14 @@ let fill t v =
   match t.state with
   | Empty waiters ->
       t.state <- Full v;
-      List.iter (fun (r : _ Engine.resolver) -> r.resolve v) (List.rev waiters)
+      List.iter (fun r -> Engine.resolve r v) (List.rev waiters)
   | Full _ | Poisoned _ -> invalid_arg "Ivar.fill: already resolved"
 
 let poison t e =
   match t.state with
   | Empty waiters ->
       t.state <- Poisoned e;
-      List.iter (fun (r : _ Engine.resolver) -> r.reject e) (List.rev waiters)
+      List.iter (fun r -> Engine.reject r e) (List.rev waiters)
   | Full _ | Poisoned _ -> invalid_arg "Ivar.poison: already resolved"
 
 let read t =
@@ -31,7 +31,7 @@ let read t =
       Engine.suspend (fun r ->
           match t.state with
           | Empty waiters -> t.state <- Empty (r :: waiters)
-          | Full v -> r.resolve v
-          | Poisoned e -> r.reject e)
+          | Full v -> Engine.resolve r v
+          | Poisoned e -> Engine.reject r e)
 
 let peek t = match t.state with Full v -> Some v | Empty _ | Poisoned _ -> None

@@ -20,7 +20,7 @@ let send t m =
     | Some w when not w.live -> wake ()
     | Some w ->
         w.live <- false;
-        w.resolver.resolve (Some m)
+        Engine.resolve w.resolver (Some m)
   in
   wake ()
 
@@ -43,7 +43,7 @@ let recv_timeout t eng ~timeout =
           (Engine.schedule_after eng ~delay:timeout (fun () ->
                if w.live then begin
                  w.live <- false;
-                 w.resolver.resolve None
+                 Engine.resolve w.resolver None
                end)
             : Engine.handle))
 
