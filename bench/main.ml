@@ -418,6 +418,37 @@ let json_number ~key text =
       if !i = start then None
       else float_of_string_opt (String.sub text start (!i - start))
 
+(* The --gate check shared by the gated scenarios: exit 1 when [pin]
+   cannot be read or has no normalized figure, or when [normalized] falls
+   more than 10 % below the pinned one. [bench] prefixes the error lines,
+   [title] heads the report. *)
+let gate_against_pin ~bench ~title ~pin normalized =
+  let text =
+    try In_channel.with_open_text pin In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "%s gate: cannot read pin %s: %s\n%!" bench pin msg;
+      exit 1
+  in
+  match json_number ~key:"normalized_events_per_calib" text with
+  | None ->
+      Printf.eprintf "%s gate: no normalized_events_per_calib in %s\n%!" bench
+        pin;
+      exit 1
+  | Some pinned ->
+      let floor = pinned *. 0.9 in
+      Printf.printf
+        "== %s ==\n\
+         pinned normalized events/sec %.2f (floor %.2f), measured %.2f: %s\n\n\
+         %!"
+        title pinned floor normalized
+        (if normalized >= floor then "PASS" else "FAIL");
+      if normalized < floor then begin
+        Printf.eprintf
+          "%s gate: normalized events/sec regressed >10%% (%.2f < %.2f)\n%!"
+          bench normalized floor;
+        exit 1
+      end
+
 (* ------------------------------------------------------------------ *)
 (* Durability & recovery: under a rate-driven crash plan with the log
    disk on, primary/backup failover (replicas=1) must strictly beat the
@@ -598,36 +629,9 @@ let run_recovery ~out ~gate ~pin =
        %!";
     exit 1
   end;
-  if gate then begin
-    let text =
-      try In_channel.with_open_text pin In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "BENCH_recovery gate: cannot read pin %s: %s\n%!" pin
-          msg;
-        exit 1
-    in
-    match json_number ~key:"normalized_events_per_calib" text with
-    | None ->
-        Printf.eprintf
-          "BENCH_recovery gate: no normalized_events_per_calib in %s\n%!" pin;
-        exit 1
-    | Some pinned ->
-        let floor = pinned *. 0.9 in
-        Printf.printf
-          "== recovery bench gate ==\n\
-           pinned normalized events/sec %.2f (floor %.2f), measured %.2f: %s\n\n\
-           %!"
-          pinned floor normalized
-          (if normalized >= floor then "PASS" else "FAIL");
-        if normalized < floor then begin
-          Printf.eprintf
-            "BENCH_recovery gate: normalized events/sec regressed >10%% \
-             (%.2f < %.2f)\n\
-             %!"
-            normalized floor;
-          exit 1
-        end
-  end
+  if gate then
+    gate_against_pin ~bench:"BENCH_recovery" ~title:"recovery bench gate" ~pin
+      normalized
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep scenario: wall-clock speedup over the pool, per-seed
@@ -717,36 +721,9 @@ let run_parallel ~jobs ~out ~gate ~pin =
       "BENCH_parallel: parallel results diverged from serial execution\n%!";
     exit 1
   end;
-  if gate then begin
-    let text =
-      try In_channel.with_open_text pin In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "BENCH_parallel gate: cannot read pin %s: %s\n%!" pin
-          msg;
-        exit 1
-    in
-    match json_number ~key:"normalized_events_per_calib" text with
-    | None ->
-        Printf.eprintf
-          "BENCH_parallel gate: no normalized_events_per_calib in %s\n%!" pin;
-        exit 1
-    | Some pinned ->
-        let floor = pinned *. 0.9 in
-        Printf.printf
-          "== bench gate ==\n\
-           pinned normalized events/sec %.2f (floor %.2f), measured %.2f: %s\n\n\
-           %!"
-          pinned floor normalized
-          (if normalized >= floor then "PASS" else "FAIL");
-        if normalized < floor then begin
-          Printf.eprintf
-            "BENCH_parallel gate: normalized events/sec regressed >10%% \
-             (%.2f < %.2f)\n\
-             %!"
-            normalized floor;
-          exit 1
-        end
-  end
+  if gate then
+    gate_against_pin ~bench:"BENCH_parallel" ~title:"bench gate" ~pin
+      normalized
 
 (* ------------------------------------------------------------------ *)
 (* Tail-latency telemetry overhead: the HDR histograms ride every

@@ -39,7 +39,7 @@ type t = {
   hooks : Cc_intf.hooks;
   blocking : Stats.Tally.t;
   pages : page_state Page_table.t;
-  footprint : (int * int, Page.t list ref) Hashtbl.t;
+  footprint : Page.t list ref Txn.Table.t;
 }
 
 let create hooks ~blocking =
@@ -47,7 +47,7 @@ let create hooks ~blocking =
     hooks;
     blocking;
     pages = Page_table.create 512;
-    footprint = Hashtbl.create 64;
+    footprint = Txn.Table.create 64;
   }
 
 let state_of t page =
@@ -59,11 +59,10 @@ let state_of t page =
       s
 
 let note_footprint t txn page =
-  let k = Txn.key txn in
-  match Hashtbl.find_opt t.footprint k with
+  match Txn.Table.find_opt t.footprint txn with
   | Some pages ->
       if not (List.exists (Page.equal page) !pages) then pages := page :: !pages
-  | None -> Hashtbl.add t.footprint k (ref [ page ])
+  | None -> Txn.Table.add t.footprint txn (ref [ page ])
 
 let ts_lt a b = Timestamp.compare a b < 0
 let opt_gt opt ts = match opt with Some o -> ts_lt ts o | None -> false
@@ -157,7 +156,7 @@ let cc_write t (txn : Txn.t) page =
   end
 
 let for_footprint t txn f =
-  match Hashtbl.find_opt t.footprint (Txn.key txn) with
+  match Txn.Table.find_opt t.footprint txn with
   | None -> ()
   | Some pages -> List.iter f !pages
 
@@ -184,7 +183,7 @@ let cc_commit t txn =
               if Txn.same_attempt pw.pw_txn txn then pw.pw_committed <- true)
             state.pending;
           settle t state);
-  Hashtbl.remove t.footprint (Txn.key txn)
+  Txn.Table.remove t.footprint txn
 
 let cc_abort t txn =
   for_footprint t txn (fun page ->
@@ -206,7 +205,7 @@ let cc_abort t txn =
               Engine.reject wr.wr_resolver (Txn.Aborted Txn.Peer_abort))
             mine;
           settle t state);
-  Hashtbl.remove t.footprint (Txn.key txn)
+  Txn.Table.remove t.footprint txn
 
 (** Readers blocked behind pending writes wait for those writers: these are
     genuine waits-for edges and are reported for completeness (the Snoop

@@ -1,11 +1,20 @@
 (** Page-level lock manager with shared/exclusive modes, FCFS queuing, and
     read-to-write lock conversion (upgrade) that jumps ahead of ordinary
-    waiters — the locking substrate of both 2PL and wound-wait.
+    waiters — the locking substrate of 2PL (and O2PL, which shares its
+    manager), 2PL with deferred write locks, wound-wait and wait-die.
 
     Policy decisions (what to do when a request must wait) are delegated to
     the caller through the [on_block] callback, which fires after the
     request is enqueued and receives the set of transactions currently
-    blocking it. *)
+    blocking it.
+
+    Beside the page table, the lock table keeps one footprint per
+    transaction attempt: the (page, entry) pairs it holds or awaits a lock
+    on, and its queued requests. Releasing an attempt and listing its
+    exclusive pages touch only its own entries; the block-time deadlock
+    search follows the blockers of waiting attempts on demand, and the
+    waits-for snapshot reads the queued requests through the attempt
+    index (nothing at all when no request waits). *)
 
 open Desim
 open Ddbm_model
@@ -21,23 +30,38 @@ type waiting = {
   w_conversion : bool;
   w_resolver : unit Engine.resolver;
   w_enqueued : float;
+  w_entry : lock_entry;  (** the entry it is queued in *)
+  w_owner : footprint;  (** its attempt's footprint *)
 }
 
-type lock_entry = {
+and lock_entry = {
   mutable holders : (Txn.t * mode) list;
   mutable queue : waiting list;  (** grant order: conversions first *)
+}
+
+(** Everything one attempt holds or awaits at this node. Invariant: a
+    page is in [locks] iff the attempt holds or awaits a lock on it. *)
+and footprint = {
+  mutable locks : (Page.t * lock_entry) list;  (** most recent first *)
+  mutable waits : waiting list;  (** its queued requests *)
 }
 
 type t = {
   eng : Engine.t;
   blocking : Stats.Tally.t;
   table : lock_entry Page_table.t;
-  footprint : (int * int, Page.t list ref) Hashtbl.t;
-      (** pages where a transaction holds or awaits a lock *)
+  attempts : footprint Txn.Table.t;
+  mutable n_waiting : int;  (** queued requests, all attempts *)
 }
 
 let create eng ~blocking =
-  { eng; blocking; table = Page_table.create 512; footprint = Hashtbl.create 64 }
+  {
+    eng;
+    blocking;
+    table = Page_table.create 512;
+    attempts = Txn.Table.create 64;
+    n_waiting = 0;
+  }
 
 let entry_of t page =
   match Page_table.find_opt t.table page with
@@ -47,12 +71,13 @@ let entry_of t page =
       Page_table.add t.table page e;
       e
 
-let note_footprint t txn page =
-  let k = Txn.key txn in
-  match Hashtbl.find_opt t.footprint k with
-  | Some pages -> if not (List.exists (Page.equal page) !pages) then
-        pages := page :: !pages
-  | None -> Hashtbl.add t.footprint k (ref [ page ])
+let footprint_of t txn =
+  match Txn.Table.find_opt t.attempts txn with
+  | Some f -> f
+  | None ->
+      let f = { locks = []; waits = [] } in
+      Txn.Table.add t.attempts txn f;
+      f
 
 let held_mode entry txn =
   List.find_map
@@ -66,7 +91,8 @@ let sole_holder entry txn =
 
 (** Transactions currently preventing [w] from being granted: incompatible
     holders plus incompatible waiters queued ahead of it. *)
-let blockers_of entry (w : waiting) =
+let blockers_of (w : waiting) =
+  let entry = w.w_entry in
   let ahead =
     let rec take acc = function
       | [] -> acc (* w not found: it was granted concurrently *)
@@ -90,16 +116,22 @@ let blockers_of entry (w : waiting) =
   in
   holding @ ahead
 
-let insert_waiter entry w =
+let insert_waiter t w =
+  let entry = w.w_entry in
   if w.w_conversion then begin
     (* conversions go ahead of ordinary requests, FIFO among themselves *)
     let convs, others = List.partition (fun q -> q.w_conversion) entry.queue in
     entry.queue <- convs @ [ w ] @ others
   end
-  else entry.queue <- entry.queue @ [ w ]
+  else entry.queue <- entry.queue @ [ w ];
+  w.w_owner.waits <- w :: w.w_owner.waits;
+  t.n_waiting <- t.n_waiting + 1
 
-let grant t entry w =
+let grant t w =
+  let entry = w.w_entry in
   entry.queue <- List.filter (fun q -> not (q == w)) entry.queue;
+  w.w_owner.waits <- List.filter (fun q -> not (q == w)) w.w_owner.waits;
+  t.n_waiting <- t.n_waiting - 1;
   (if w.w_conversion then
      entry.holders <-
        List.map
@@ -121,17 +153,19 @@ let rec grant_pass t entry =
           List.for_all (fun (_, m) -> mode_compatible m w.w_mode) entry.holders
       in
       if grantable then begin
-        grant t entry w;
+        grant t w;
         grant_pass t entry
       end
 
-(** Outcome of an acquisition attempt before any blocking. *)
-type attempt = Granted | Conflict of { conversion : bool }
+(** Outcome of an acquisition attempt before any blocking: [Held] when
+    the attempt already held a lock on the page (so the page is already
+    in its footprint), [Granted] for a new holder. *)
+type attempt = Held | Granted | Conflict of { conversion : bool }
 
 let try_acquire entry txn mode =
   match held_mode entry txn with
-  | Some X -> Granted (* X covers everything *)
-  | Some S when mode = S -> Granted
+  | Some X -> Held (* X covers everything *)
+  | Some S when mode = S -> Held
   | Some S ->
       (* conversion S -> X: jumps the queue, needs sole holdership only
          (unless the conformance fault hook breaks the check) *)
@@ -140,7 +174,7 @@ let try_acquire entry txn mode =
           List.map
             (fun (h, m) -> if Txn.same_attempt h txn then (h, X) else (h, m))
             entry.holders;
-        Granted
+        Held
       end
       else Conflict { conversion = true }
   | None ->
@@ -189,12 +223,18 @@ let prospective_blockers entry txn mode conversion =
 let request ?pre_block t txn page mode ~on_block =
   let entry = entry_of t page in
   match try_acquire entry txn mode with
-  | Granted -> note_footprint t txn page
+  | Held -> ()
+  | Granted ->
+      let f = footprint_of t txn in
+      f.locks <- (page, entry) :: f.locks
   | Conflict { conversion } ->
       (match pre_block with
       | Some f -> f (prospective_blockers entry txn mode conversion)
       | None -> ());
-      note_footprint t txn page;
+      (* a converting attempt holds S here already, so the page is in its
+         footprint; a fresh request is the attempt's first on the page *)
+      let f = footprint_of t txn in
+      if not conversion then f.locks <- (page, entry) :: f.locks;
       Engine.suspend (fun (r : unit Engine.resolver) ->
           let w =
             {
@@ -203,57 +243,63 @@ let request ?pre_block t txn page mode ~on_block =
               w_conversion = conversion;
               w_resolver = r;
               w_enqueued = Engine.now t.eng;
+              w_entry = entry;
+              w_owner = f;
             }
           in
-          insert_waiter entry w;
-          on_block (blockers_of entry w))
+          insert_waiter t w;
+          on_block (blockers_of w))
 
 (** Release every lock and waiting request of [txn]. Blocked requests are
     rejected with [reject]. Newly grantable waiters are granted. *)
 let release_all t txn ~reject =
-  match Hashtbl.find_opt t.footprint (Txn.key txn) with
+  match Txn.Table.find_opt t.attempts txn with
   | None -> ()
-  | Some pages ->
-      Hashtbl.remove t.footprint (Txn.key txn);
+  | Some f ->
+      Txn.Table.remove t.attempts txn;
+      t.n_waiting <- t.n_waiting - List.length f.waits;
       List.iter
-        (fun page ->
-          match Page_table.find_opt t.table page with
-          | None -> ()
-          | Some entry ->
-              entry.holders <-
-                List.filter
-                  (fun (h, _) -> not (Txn.same_attempt h txn))
-                  entry.holders;
-              let mine, rest =
-                List.partition
-                  (fun q -> Txn.same_attempt q.w_txn txn)
-                  entry.queue
-              in
-              entry.queue <- rest;
-              List.iter (fun q -> Engine.reject q.w_resolver reject) mine;
-              grant_pass t entry;
-              if entry.holders = [] && entry.queue = [] then
-                Page_table.remove t.table page)
-        !pages
+        (fun (page, entry) ->
+          entry.holders <-
+            List.filter (fun (h, _) -> not (Txn.same_attempt h txn)) entry.holders;
+          let mine, rest = List.partition (fun q -> q.w_owner == f) entry.queue in
+          entry.queue <- rest;
+          List.iter (fun q -> Engine.reject q.w_resolver reject) mine;
+          grant_pass t entry;
+          if entry.holders = [] && entry.queue = [] then
+            Page_table.remove t.table page)
+        f.locks
 
 (** Waits-for edges of this node's lock table. *)
 let edges t =
-  Page_table.fold
-    (fun _ entry acc ->
-      List.fold_left
-        (fun acc w ->
-          List.fold_left
-            (fun acc holder ->
-              { Cc_intf.waiter = w.w_txn; holder } :: acc)
-            acc (blockers_of entry w))
-        acc entry.queue)
-    t.table []
-  |> List.sort Cc_intf.compare_edge
+  if t.n_waiting = 0 then []
+  else
+    Txn.Table.fold
+      (fun _ f acc ->
+        List.fold_left
+          (fun acc w ->
+            List.fold_left
+              (fun acc holder -> { Cc_intf.waiter = w.w_txn; holder } :: acc)
+              acc (blockers_of w))
+          acc f.waits)
+      t.attempts []
+    |> List.sort Cc_intf.compare_edge
 
-(** Number of transactions currently blocked in the table. *)
-let num_waiting t =
-  (* lint: allow hashtbl-order - commutative integer sum *)
-  Page_table.fold (fun _ e acc -> acc + List.length e.queue) t.table 0
+let num_waiting t = t.n_waiting
+
+(* The distinct blockers of [txn]'s queued requests in descending attempt
+   order: the successors [Wfg.of_edges (edges t)] gives [txn]. *)
+let successors t txn =
+  match Txn.Table.find_opt t.attempts txn with
+  | None | Some { waits = []; _ } -> []
+  | Some f ->
+      List.concat_map blockers_of f.waits
+      |> List.sort_uniq (fun a b -> Txn.compare_attempt b a)
+
+let find_cycle_through t txn =
+  Wfg.find_cycle ~successors:(successors t)
+    ~alive:(fun (x : Txn.t) -> not x.Txn.doomed)
+    txn
 
 (** Current blockers of [txn]'s waiting request on [page] (testing). *)
 let current_blockers t txn page =
@@ -262,23 +308,20 @@ let current_blockers t txn page =
   | Some entry -> (
       match List.find_opt (fun w -> Txn.same_attempt w.w_txn txn) entry.queue with
       | None -> []
-      | Some w -> blockers_of entry w)
+      | Some w -> blockers_of w)
 
 (** Pages on which [txn] currently holds an exclusive lock — exactly the
     updates a lock-based scheme installs at commit. *)
 let exclusive_pages t txn =
-  match Hashtbl.find_opt t.footprint (Txn.key txn) with
+  match Txn.Table.find_opt t.attempts txn with
   | None -> []
-  | Some pages ->
-      List.filter
-        (fun page ->
-          match Page_table.find_opt t.table page with
-          | None -> false
-          | Some entry -> (
-              match held_mode entry txn with
-              | Some X -> true
-              | Some S | None -> false))
-        !pages
+  | Some f ->
+      List.filter_map
+        (fun (page, entry) ->
+          match held_mode entry txn with
+          | Some X -> Some page
+          | Some S | None -> None)
+        f.locks
 
 (** Mode held by [txn] on [page], if any (testing). *)
 let held t txn page =

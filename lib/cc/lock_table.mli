@@ -1,11 +1,17 @@
 (** Page-level lock manager with shared/exclusive modes, strict-FCFS
     queuing, and read-to-write conversion (upgrade) that jumps ahead of
-    ordinary waiters — the locking substrate of both 2PL and wound-wait.
+    ordinary waiters — the locking substrate of 2PL (and O2PL), 2PL with
+    deferred write locks, wound-wait and wait-die.
 
     Policy decisions (what to do when a request must wait) are delegated
     to the caller through the [on_block] callback, which fires after the
     request is enqueued and receives the transactions currently blocking
-    it. *)
+    it.
+
+    The table is indexed by transaction attempt as well as by page: each
+    attempt's footprint lists the pages it holds or awaits and its queued
+    requests, so releasing an attempt, listing its exclusive pages and
+    searching for a deadlock through it never scan the page table. *)
 
 open Ddbm_model
 
@@ -40,11 +46,21 @@ val request :
 val release_all : t -> Txn.t -> reject:exn -> unit
 
 (** Waits-for edges of this table: each waiter against its incompatible
-    holders and incompatible waiters queued ahead of it. *)
+    holders and incompatible waiters queued ahead of it, sorted by
+    {!Cc_intf.compare_edge}. Walks the attempt index, not the page
+    table, and returns [[]] at once when nothing waits. *)
 val edges : t -> Cc_intf.edge list
 
-(** Number of queued (blocked) requests. *)
+(** Number of queued (blocked) requests. O(1). *)
 val num_waiting : t -> int
+
+(** [find_cycle_through t txn] is the waits-for cycle through [txn]
+    (members in path order, [txn] first) that
+    [Wfg.find_cycle_through (Wfg.of_edges (edges t)) txn] finds, or
+    [None] — computed by walking the blockers of queued requests on
+    demand from [txn], without building the graph. Doomed attempts
+    break edges. *)
+val find_cycle_through : t -> Txn.t -> Txn.t list option
 
 (** Pages on which [txn] currently holds an exclusive lock — exactly the
     updates a lock-based scheme installs at commit. *)

@@ -20,7 +20,7 @@ open Desim
 open Ddbm_model
 open Ids
 
-type cert = { c_ts : Timestamp.t; c_key : int * int }
+type cert = { c_ts : Timestamp.t; c_txn : Txn.t }
 
 type page_state = {
   mutable rts : Timestamp.t option;  (** max certified-and-committed read *)
@@ -39,11 +39,11 @@ type workspace = {
 type t = {
   hooks : Cc_intf.hooks;
   pages : page_state Page_table.t;
-  workspaces : (int * int, workspace) Hashtbl.t;
+  workspaces : workspace Txn.Table.t;
 }
 
 let create hooks =
-  { hooks; pages = Page_table.create 512; workspaces = Hashtbl.create 64 }
+  { hooks; pages = Page_table.create 512; workspaces = Txn.Table.create 64 }
 
 let state_of t page =
   match Page_table.find_opt t.pages page with
@@ -54,12 +54,11 @@ let state_of t page =
       s
 
 let workspace_of t txn =
-  let k = Txn.key txn in
-  match Hashtbl.find_opt t.workspaces k with
+  match Txn.Table.find_opt t.workspaces txn with
   | Some w -> w
   | None ->
       let w = { reads = []; writes = []; certified = false } in
-      Hashtbl.add t.workspaces k w;
+      Txn.Table.add t.workspaces txn w;
       w
 
 let cc_read t txn page =
@@ -84,14 +83,14 @@ let certify t txn =
   | None -> invalid_arg "Opt_cert.certify: commit timestamp not assigned"
   | Some ts ->
       let ws = workspace_of t txn in
-      let key = Txn.key txn in
       let read_ok (page, version) =
         let state = state_of t page in
         version_equal state.wts version
         && not
              (List.exists
                 (fun c ->
-                  c.c_key <> key && Timestamp.compare c.c_ts ts < 0)
+                  (not (Txn.same_attempt c.c_txn txn))
+                  && Timestamp.compare c.c_ts ts < 0)
                 state.cert_writes)
       in
       let write_ok page =
@@ -102,12 +101,13 @@ let certify t txn =
         && not
              (List.exists
                 (fun c ->
-                  c.c_key <> key && Timestamp.compare c.c_ts ts > 0)
+                  (not (Txn.same_attempt c.c_txn txn))
+                  && Timestamp.compare c.c_ts ts > 0)
                 state.cert_reads)
       in
       if List.for_all read_ok ws.reads && List.for_all write_ok ws.writes
       then begin
-        let cert = { c_ts = ts; c_key = key } in
+        let cert = { c_ts = ts; c_txn = txn } in
         List.iter
           (fun (page, _) ->
             let state = state_of t page in
@@ -124,8 +124,7 @@ let certify t txn =
       else false
 
 let drop_certs t txn =
-  let key = Txn.key txn in
-  let not_mine c = c.c_key <> key in
+  let not_mine c = not (Txn.same_attempt c.c_txn txn) in
   let ws = workspace_of t txn in
   let scrub page =
     match Page_table.find_opt t.pages page with
@@ -161,11 +160,11 @@ let cc_commit t txn =
               | None -> ts))
         ws.writes);
   drop_certs t txn;
-  Hashtbl.remove t.workspaces (Txn.key txn)
+  Txn.Table.remove t.workspaces txn
 
 let cc_abort t txn =
   drop_certs t txn;
-  Hashtbl.remove t.workspaces (Txn.key txn)
+  Txn.Table.remove t.workspaces txn
 
 (* Writes that will actually move the installed version forward: commits
    with a certification timestamp older than the current version are

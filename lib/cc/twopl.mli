@@ -3,6 +3,12 @@
     deadlock detection (youngest victim), locks held to commit/abort.
     Global deadlocks are handled by {!Snoop}. *)
 
+(** [detect_local hooks locks requester] is block-time local deadlock
+    detection: while a cycle through [requester] remains in [locks],
+    request the abort of its youngest member (shared with 2PL-D). *)
+val detect_local :
+  Ddbm_model.Cc_intf.hooks -> Lock_table.t -> Ddbm_model.Txn.t -> unit
+
 (** [algorithm] relabels the manager for the O2PL variant, which shares
     this lock-manager implementation (its deferred replica write locks
     are a transaction-manager behaviour). *)

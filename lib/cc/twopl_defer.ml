@@ -16,40 +16,26 @@ open Ids
 type t = {
   hooks : Cc_intf.hooks;
   locks : Lock_table.t;
-  write_sets : (int * int, Page.t list ref) Hashtbl.t;
+  write_sets : Page.t list ref Txn.Table.t;
 }
-
-let detect_local t (requester : Txn.t) =
-  let continue_ = ref true in
-  while !continue_ do
-    let graph = Wfg.of_edges (Lock_table.edges t.locks) in
-    let removed = Hashtbl.create 4 in
-    match Wfg.find_cycle_through graph requester ~removed with
-    | None -> continue_ := false
-    | Some cycle ->
-        let victim = Wfg.youngest cycle in
-        t.hooks.Cc_intf.request_abort victim Txn.Local_deadlock;
-        if Txn.same_attempt victim requester then continue_ := false
-  done
 
 let cc_read t txn page =
   t.hooks.Cc_intf.charge_cc_request ();
   Lock_table.request t.locks txn page Lock_table.S ~on_block:(fun _ ->
-      detect_local t txn)
+      Twopl.detect_local t.hooks t.locks txn)
 
 (* The write is only noted; the exclusive lock comes at prepare time. *)
 let cc_write t (txn : Txn.t) page =
   t.hooks.Cc_intf.charge_cc_request ();
-  let key = Txn.key txn in
-  match Hashtbl.find_opt t.write_sets key with
+  match Txn.Table.find_opt t.write_sets txn with
   | Some pages -> pages := page :: !pages
-  | None -> Hashtbl.add t.write_sets key (ref [ page ])
+  | None -> Txn.Table.add t.write_sets txn (ref [ page ])
 
 let cc_prepare t (txn : Txn.t) =
   if txn.Txn.doomed then false
   else begin
     let pages =
-      match Hashtbl.find_opt t.write_sets (Txn.key txn) with
+      match Txn.Table.find_opt t.write_sets txn with
       | Some pages -> !pages
       | None -> []
     in
@@ -57,14 +43,14 @@ let cc_prepare t (txn : Txn.t) =
       List.iter
         (fun page ->
           Lock_table.request t.locks txn page Lock_table.X ~on_block:(fun _ ->
-              detect_local t txn))
+              Twopl.detect_local t.hooks t.locks txn))
         pages;
       not txn.Txn.doomed
     with Txn.Aborted _ -> false
   end
 
 let finish t txn =
-  Hashtbl.remove t.write_sets (Txn.key txn);
+  Txn.Table.remove t.write_sets txn;
   Lock_table.release_all t.locks txn ~reject:(Txn.Aborted Txn.Peer_abort)
 
 let make (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
@@ -73,7 +59,7 @@ let make (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
     {
       hooks;
       locks = Lock_table.create hooks.Cc_intf.eng ~blocking;
-      write_sets = Hashtbl.create 64;
+      write_sets = Txn.Table.create 64;
     }
   in
   {

@@ -1,35 +1,38 @@
 (** Waits-for graphs and cycle detection.
 
-    Used both for block-time local deadlock detection (2PL) and by the
-    Snoop global detector, which unions the edges of all nodes. Vertices
-    are transaction attempts; edges through doomed attempts are treated as
-    already broken. *)
+    One depth-first search ({!find_cycle}) serves both detectors: 2PL's
+    block-time local detection runs it from the requester over the lock
+    table's on-demand successors ({!Lock_table.find_cycle_through}), and
+    the Snoop global detector runs it over a graph built from the union
+    of every node's edges. Vertices are transaction attempts; edges
+    through doomed attempts are treated as already broken. *)
 
 open Ddbm_model
 
-type key = int * int
-
-module Key_table = Hashtbl
-
-type t = {
-  adj : (key, Txn.t list) Key_table.t;  (** waiter -> holders *)
-  txns : (key, Txn.t) Key_table.t;
+type vertex = {
+  txn : Txn.t;
+  mutable succ : Txn.t list;
+      (** distinct holders [txn] waits for, most recently added first *)
 }
 
-let create () = { adj = Key_table.create 64; txns = Key_table.create 64 }
+type t = vertex Txn.Table.t
+
+let create () : t = Txn.Table.create 64
 
 let vertex t txn =
-  if not (Key_table.mem t.txns (Txn.key txn)) then
-    Key_table.replace t.txns (Txn.key txn) txn
+  match Txn.Table.find_opt t txn with
+  | Some v -> v
+  | None ->
+      let v = { txn; succ = [] } in
+      Txn.Table.add t txn v;
+      v
 
 let add_edge t ~(waiter : Txn.t) ~(holder : Txn.t) =
   if not (Txn.same_attempt waiter holder) then begin
-    vertex t waiter;
-    vertex t holder;
-    let k = Txn.key waiter in
-    let cur = Option.value ~default:[] (Key_table.find_opt t.adj k) in
-    if not (List.exists (Txn.same_attempt holder) cur) then
-      Key_table.replace t.adj k (holder :: cur)
+    let w = vertex t waiter in
+    ignore (vertex t holder);
+    if not (List.exists (Txn.same_attempt holder) w.succ) then
+      w.succ <- holder :: w.succ
   end
 
 let of_edges edges =
@@ -40,37 +43,34 @@ let of_edges edges =
   t
 
 let successors t txn =
-  Option.value ~default:[] (Key_table.find_opt t.adj (Txn.key txn))
+  match Txn.Table.find_opt t txn with Some v -> v.succ | None -> []
 
-let alive (txn : Txn.t) ~(removed : (key, unit) Key_table.t) =
-  (not txn.Txn.doomed) && not (Key_table.mem removed (Txn.key txn))
-
-(** [find_cycle_through t start ~removed] is a cycle containing [start]
-    (as the list of its member transactions), ignoring doomed and removed
-    vertices, or [None]. Depth-first search following waits-for edges. *)
-let find_cycle_through t start ~removed =
-  if not (alive start ~removed) then None
+let find_cycle ~successors ~alive start =
+  if not (alive start) then None
   else begin
-    let visited = Key_table.create 16 in
-    let rec dfs path txn =
-      List.fold_left
-        (fun acc next ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              if Txn.same_attempt next start then Some (List.rev (txn :: path))
-              else if (not (alive next ~removed))
-                      || Key_table.mem visited (Txn.key next)
-              then None
-              else begin
-                Key_table.replace visited (Txn.key next) ();
-                dfs (txn :: path) next
-              end)
-        None (successors t txn)
+    let visited = Txn.Table.create 16 in
+    let rec dfs path txn = first path txn (successors txn)
+    and first path txn = function
+      | [] -> None
+      | next :: rest ->
+          if Txn.same_attempt next start then Some (List.rev (txn :: path))
+          else if (not (alive next)) || Txn.Table.mem visited next then
+            first path txn rest
+          else begin
+            Txn.Table.replace visited next ();
+            match dfs (txn :: path) next with
+            | None -> first path txn rest
+            | found -> found
+          end
     in
-    Key_table.replace visited (Txn.key start) ();
+    Txn.Table.replace visited start ();
     dfs [] start
   end
+
+let not_doomed (txn : Txn.t) = not txn.Txn.doomed
+
+let find_cycle_through t start =
+  find_cycle ~successors:(successors t) ~alive:not_doomed start
 
 (** Youngest member of a cycle = most recent initial startup time (the
     paper's deadlock victim rule). *)
@@ -88,29 +88,27 @@ let youngest cycle =
 (** Repeatedly find a cycle anywhere in the graph, select its youngest
     member as the victim, remove it, and continue until acyclic. Returns
     the victims (used by the Snoop detector). *)
-let compare_key ((t1, a1) : key) ((t2, a2) : key) =
-  match Int.compare t1 t2 with 0 -> Int.compare a1 a2 | n -> n
-
 let break_all_cycles t =
-  let removed = Key_table.create 8 in
+  let removed = Txn.Table.create 8 in
+  let alive txn = not_doomed txn && not (Txn.Table.mem removed txn) in
   let victims = ref [] in
-  (* Visit vertices in key order, not bucket order, so the cycle found
+  (* Visit vertices in attempt order, not bucket order, so the cycle found
      first (and hence the victim set when cycles overlap) is independent
      of hash-table layout. *)
   let vertices =
-    Key_table.fold (fun key txn acc -> (key, txn) :: acc) t.txns []
-    |> List.sort (fun (k1, _) (k2, _) -> compare_key k1 k2)
+    Txn.Table.fold (fun _ v acc -> v.txn :: acc) t []
+    |> List.sort Txn.compare_attempt
   in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
-      (fun (_, txn) ->
+      (fun txn ->
         if not !progress then
-          match find_cycle_through t txn ~removed with
+          match find_cycle ~successors:(successors t) ~alive txn with
           | Some cycle ->
               let victim = youngest cycle in
-              Key_table.replace removed (Txn.key victim) ();
+              Txn.Table.replace removed victim ();
               victims := victim :: !victims;
               progress := true
           | None -> ())

@@ -11,13 +11,25 @@ val create : unit -> t
 (** Add [waiter] waits-for [holder]. Self-edges are dropped. *)
 val add_edge : t -> waiter:Txn.t -> holder:Txn.t -> unit
 
+(** The graph of an edge list. Built from a {!Cc_intf.compare_edge}-sorted
+    list, each vertex's successors are its distinct holders in descending
+    attempt order. *)
 val of_edges : Cc_intf.edge list -> t
 
-(** [find_cycle_through t start ~removed] is a cycle containing [start]
-    (the list of its member transactions), ignoring doomed and removed
-    vertices, or [None]. *)
-val find_cycle_through :
-  t -> Txn.t -> removed:(int * int, unit) Hashtbl.t -> Txn.t list option
+(** The one depth-first cycle search: [find_cycle ~successors ~alive
+    start] is a cycle containing [start] (its members in path order,
+    [start] first), following [successors] in list order and skipping
+    vertices that are not [alive], or [None] (also when [start] is not
+    alive). *)
+val find_cycle :
+  successors:(Txn.t -> Txn.t list) ->
+  alive:(Txn.t -> bool) ->
+  Txn.t ->
+  Txn.t list option
+
+(** [find_cycle_through t start] is {!find_cycle} over [t]'s edges,
+    ignoring doomed vertices. *)
+val find_cycle_through : t -> Txn.t -> Txn.t list option
 
 (** Youngest member of a cycle: the most recent initial startup time —
     the paper's victim selection rule. Raises on an empty list. *)

@@ -127,9 +127,9 @@ let eq_operator lid =
 
 (* A module that is (or instantiates) a hash table, by naming
    convention: [Hashtbl] itself or a [Hashtbl.Make] instance named
-   [..._table] / [...Tbl] (e.g. [Page_table]). *)
+   [Table] / [..._table] / [...Tbl] (e.g. [Txn.Table], [Page_table]). *)
 let is_hashtable_module m =
-  String.equal m "Hashtbl"
+  String.equal m "Hashtbl" || String.equal m "Table"
   ||
   let l = String.lowercase_ascii m in
   String.ends_with ~suffix:"_table" l || String.ends_with ~suffix:"tbl" l

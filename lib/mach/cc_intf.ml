@@ -17,11 +17,8 @@ type edge = { waiter : Txn.t; holder : Txn.t }
     implementations fold hash tables; sorting with this comparator keeps
     the snapshot independent of bucket layout. *)
 let compare_edge a b =
-  let compare_key (t1, a1) (t2, a2) =
-    match Int.compare t1 t2 with 0 -> Int.compare a1 a2 | n -> n
-  in
-  match compare_key (Txn.key a.waiter) (Txn.key b.waiter) with
-  | 0 -> compare_key (Txn.key a.holder) (Txn.key b.holder)
+  match Txn.compare_attempt a.waiter b.waiter with
+  | 0 -> Txn.compare_attempt a.holder b.holder
   | n -> n
 
 type node_cc = {

@@ -61,6 +61,18 @@ type t = {
 let key t = (t.tid, t.attempt)
 let same_attempt a b = a.tid = b.tid && a.attempt = b.attempt
 
+let compare_attempt a b =
+  match Int.compare a.tid b.tid with
+  | 0 -> Int.compare a.attempt b.attempt
+  | n -> n
+
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = same_attempt
+  let hash t = (t.tid * 65599) + t.attempt
+end)
+
 (** [older a b] per wound-wait seniority: true when [a] started strictly
     before [b]. *)
 let older a b = Timestamp.compare a.startup_ts b.startup_ts < 0

@@ -54,6 +54,15 @@ val key : t -> int * int
 
 val same_attempt : t -> t -> bool
 
+(** Order by [(tid, attempt)] — the order of {!key}, without building
+    the tuple. *)
+val compare_attempt : t -> t -> int
+
+(** Hash table keyed on the attempt: {!same_attempt} equality and an
+    integer hash of [tid] and [attempt]. Folds visit bindings in hash
+    order; sort what escapes. *)
+module Table : Hashtbl.S with type key = t
+
 (** [older a b] per wound-wait seniority: true when [a] started strictly
     before [b]. *)
 val older : t -> t -> bool

@@ -62,7 +62,9 @@ let test_d2 () =
     "bare-compare sort sanctions nothing" true
     (List.mem "D2" (codes r) && List.mem "D1" (codes r));
   check_codes "module-named table via to_seq flagged" [ "D2" ]
-    (scan "let all page_table = Page_table.to_seq page_table |> List.of_seq")
+    (scan "let all page_table = Page_table.to_seq page_table |> List.of_seq");
+  check_codes "attempt-keyed Txn.Table fold flagged" [ "D2" ]
+    (scan "let all t = Txn.Table.fold (fun k _ acc -> k :: acc) t []")
 
 (* --- D3: ambient nondeterminism ------------------------------------ *)
 

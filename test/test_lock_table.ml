@@ -248,6 +248,119 @@ let prop_no_conflicting_holders =
       Cc_harness.settle h;
       !ok && Lock_table.num_waiting locks = 0)
 
+let tids = Option.map (List.map (fun (t : Txn.t) -> t.Txn.tid))
+
+(* Two S holders both convert: each conversion waits for the other, and
+   the on-demand search finds the 2-cycle from either side with the
+   younger transaction as the victim. *)
+let test_conversion_cycle_victim () =
+  let h, locks, _ = mk () in
+  let t0 = Cc_harness.txn h ~tid:0 ~time:0. () in
+  let t1 = Cc_harness.txn h ~tid:1 ~time:1. () in
+  let p = Cc_harness.page 1 in
+  ignore (async_request h locks t0 p Lock_table.S);
+  ignore (async_request h locks t1 p Lock_table.S);
+  Cc_harness.settle h;
+  ignore (async_request h locks t0 p Lock_table.X);
+  ignore (async_request h locks t1 p Lock_table.X);
+  Cc_harness.settle h;
+  Alcotest.(check int) "both conversions queued" 2 (Lock_table.num_waiting locks);
+  Alcotest.(check (option (list int)))
+    "cycle from t1" (Some [ 1; 0 ])
+    (tids (Lock_table.find_cycle_through locks t1));
+  Alcotest.(check (option (list int)))
+    "cycle from t0" (Some [ 0; 1 ])
+    (tids (Lock_table.find_cycle_through locks t0));
+  match Lock_table.find_cycle_through locks t0 with
+  | Some cycle ->
+      Alcotest.(check int) "younger is the victim" 1 (Wfg.youngest cycle).Txn.tid
+  | None -> Alcotest.fail "conversion deadlock not found"
+
+type op = Req of int * int * bool | Release of int | Doom of int
+
+let pp_op = function
+  | Req (tid, page, x) -> Printf.sprintf "T%d %s p%d" tid (if x then "X" else "S") page
+  | Release tid -> Printf.sprintf "release T%d" tid
+  | Doom tid -> Printf.sprintf "doom T%d" tid
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun t p x -> Req (t, p, x)) (int_range 0 5) (int_range 0 3) bool);
+        (2, map (fun t -> Release t) (int_range 0 5));
+        (1, map (fun t -> Doom t) (int_range 0 5));
+      ])
+
+let edge_ids edges =
+  List.map
+    (fun { Cc_intf.waiter; holder } -> (waiter.Txn.tid, holder.Txn.tid))
+    edges
+
+(* Differential check of the attempt index against full-table references.
+   Each transaction has at most one outstanding request, as a cohort does;
+   a request whose transaction already holds S on the page is a
+   conversion. At every quiescent point: [edges] equals the edges built
+   from [current_blockers] of every queued request, [num_waiting] counts
+   the queued requests, and the on-demand search from every waiting
+   attempt finds the cycle the graph of [edges] gives. *)
+let prop_index_matches_full_table =
+  QCheck.Test.make ~name:"attempt index matches the full lock table"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let h, locks, _ = mk () in
+      let txns =
+        Array.init 6 (fun i -> Cc_harness.txn h ~tid:i ~time:(float_of_int i) ())
+      in
+      let pending = Array.init 6 (fun _ -> ref `Granted) in
+      let waiting i = !(pending.(i)) = `Waiting in
+      let check () =
+        let reference =
+          List.concat_map
+            (fun i ->
+              List.concat_map
+                (fun page_idx ->
+                  Lock_table.current_blockers locks txns.(i)
+                    (Cc_harness.page page_idx)
+                  |> List.map (fun holder ->
+                         { Cc_intf.waiter = txns.(i); holder }))
+                [ 0; 1; 2; 3 ])
+            [ 0; 1; 2; 3; 4; 5 ]
+          |> List.sort Cc_intf.compare_edge
+        in
+        let edges = Lock_table.edges locks in
+        let n_waiting =
+          List.length (List.filter waiting [ 0; 1; 2; 3; 4; 5 ])
+        in
+        let graph = Wfg.of_edges edges in
+        edge_ids edges = edge_ids reference
+        && Lock_table.num_waiting locks = n_waiting
+        && List.for_all
+             (fun i ->
+               (not (waiting i))
+               || tids (Lock_table.find_cycle_through locks txns.(i))
+                  = tids (Wfg.find_cycle_through graph txns.(i)))
+             [ 0; 1; 2; 3; 4; 5 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Req (i, page_idx, exclusive) ->
+              if not (waiting i) then
+                pending.(i) <-
+                  async_request h locks txns.(i) (Cc_harness.page page_idx)
+                    (if exclusive then Lock_table.X else Lock_table.S)
+          | Release i ->
+              Lock_table.release_all locks txns.(i)
+                ~reject:(Txn.Aborted Txn.Peer_abort)
+          | Doom i -> txns.(i).Txn.doomed <- true);
+          Cc_harness.settle h;
+          check ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "shared compatible" `Quick test_shared_compatible;
@@ -264,5 +377,8 @@ let suite =
     Alcotest.test_case "waits-for edges" `Quick test_edges;
     Alcotest.test_case "blocking tally" `Quick test_blocking_tally;
     Alcotest.test_case "re-acquire held lock" `Quick test_reacquire_held;
+    Alcotest.test_case "conversion cycle victim" `Quick
+      test_conversion_cycle_victim;
     QCheck_alcotest.to_alcotest prop_no_conflicting_holders;
+    QCheck_alcotest.to_alcotest prop_index_matches_full_table;
   ]

@@ -15,7 +15,7 @@ let test_two_cycle () =
   let t0 = Cc_harness.txn h ~tid:0 ~time:0. () in
   let t1 = Cc_harness.txn h ~tid:1 ~time:1. () in
   let g = mk_cycle_graph h [ t0; t1 ] [ (0, 1); (1, 0) ] in
-  match Wfg.find_cycle_through g t0 ~removed:(Hashtbl.create 4) with
+  match Wfg.find_cycle_through g t0 with
   | Some cycle ->
       Alcotest.(check int) "cycle length" 2 (List.length cycle);
       let victim = Wfg.youngest cycle in
@@ -29,7 +29,7 @@ let test_no_cycle () =
   let t2 = Cc_harness.txn h ~tid:2 ~time:2. () in
   let g = mk_cycle_graph h [ t0; t1; t2 ] [ (0, 1); (1, 2) ] in
   Alcotest.(check bool) "acyclic" true
-    (Wfg.find_cycle_through g t0 ~removed:(Hashtbl.create 4) = None)
+    (Wfg.find_cycle_through g t0 = None)
 
 let test_three_cycle_via_middle () =
   let h = Cc_harness.make () in
@@ -37,7 +37,7 @@ let test_three_cycle_via_middle () =
   let t1 = Cc_harness.txn h ~tid:1 ~time:1. () in
   let t2 = Cc_harness.txn h ~tid:2 ~time:2. () in
   let g = mk_cycle_graph h [ t0; t1; t2 ] [ (0, 1); (1, 2); (2, 0) ] in
-  (match Wfg.find_cycle_through g t1 ~removed:(Hashtbl.create 4) with
+  (match Wfg.find_cycle_through g t1 with
   | Some cycle -> Alcotest.(check int) "3-cycle" 3 (List.length cycle)
   | None -> Alcotest.fail "cycle not found");
   let victims = Wfg.break_all_cycles g in
@@ -51,7 +51,7 @@ let test_doomed_breaks_cycle () =
   t1.Txn.doomed <- true;
   let g = mk_cycle_graph h [ t0; t1 ] [ (0, 1); (1, 0) ] in
   Alcotest.(check bool) "doomed vertex breaks cycle" true
-    (Wfg.find_cycle_through g t0 ~removed:(Hashtbl.create 4) = None);
+    (Wfg.find_cycle_through g t0 = None);
   Alcotest.(check int) "no victims" 0 (List.length (Wfg.break_all_cycles g))
 
 let test_self_edges_ignored () =
@@ -60,7 +60,7 @@ let test_self_edges_ignored () =
   let g = Wfg.create () in
   Wfg.add_edge g ~waiter:t0 ~holder:t0;
   Alcotest.(check bool) "self edge dropped" true
-    (Wfg.find_cycle_through g t0 ~removed:(Hashtbl.create 4) = None)
+    (Wfg.find_cycle_through g t0 = None)
 
 let test_two_disjoint_cycles () =
   let h = Cc_harness.make () in
@@ -83,7 +83,7 @@ let test_of_edges () =
       ]
   in
   Alcotest.(check bool) "cycle from edge list" true
-    (Wfg.find_cycle_through g t0 ~removed:(Hashtbl.create 4) <> None)
+    (Wfg.find_cycle_through g t0 <> None)
 
 let prop_break_all_yields_acyclic =
   QCheck.Test.make ~name:"break_all_cycles leaves graph acyclic" ~count:100
@@ -102,7 +102,7 @@ let prop_break_all_yields_acyclic =
       List.iter (fun (v : Txn.t) -> v.Txn.doomed <- true) victims;
       Array.for_all
         (fun t ->
-          Wfg.find_cycle_through g t ~removed:(Hashtbl.create 4) = None)
+          Wfg.find_cycle_through g t = None)
         txns)
 
 let suite =
