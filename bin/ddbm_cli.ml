@@ -513,8 +513,8 @@ let replay_cmd =
   let doc =
     "Re-execute a conformance failure artifact (seed + params + algorithm, \
      as written by the conformance harness) with the serializability \
-     audit, invariant checks, determinism check and an event trace \
-     attached. Exits 1 when the failure reproduces."
+     audit, invariant checks, determinism check and a tail of the typed \
+     event stream attached. Exits 1 when the failure reproduces."
   in
   let term =
     let open Term.Syntax in
@@ -527,7 +527,9 @@ let replay_cmd =
       Arg.(
         value & opt int 40
         & info [ "trace-events" ] ~docv:"N"
-            ~doc:"Print the last N traced events of a reproduced failure.")
+            ~doc:
+              "Print the last N lifecycle events (typed, messages and \
+               samples skipped) of a reproduced failure.")
     and+ trace_out, sample_interval, metrics_out = obs_flags in
     (* The determinism check inside the replay runs each machine twice,
        and both runs must be instrumented identically (the sampler

@@ -18,25 +18,28 @@ type failure = {
 
 val failure_to_string : failure -> string
 
-(** One fully instrumented run: audit + plan fingerprints, optionally an
-    event trace and caller instrumentation (e.g. typed-event sinks or
-    the time-series sampler), applied between creation and execution. *)
+(** One fully instrumented run: audit + plan fingerprints, optionally
+    the formatted tail of the typed event stream (the last
+    [trace_capacity] lifecycle events, messages and samples skipped;
+    empty without it) and caller instrumentation (e.g. typed-event sinks
+    or the time-series sampler), applied between creation and
+    execution. *)
 val run_instrumented :
   ?trace_capacity:int ->
   ?instrument:(Ddbm.Machine.t -> unit) ->
   Params.t ->
-  Ddbm.Sim_result.t * Ddbm.Audit.t * int list array * Desim.Trace.t option
+  Ddbm.Sim_result.t * Ddbm.Audit.t * int list array * string list
 
 (** Audit + invariants + determinism for [params] as given (single
     algorithm). Returns the first run's result and fingerprints for the
-    cross-algorithm checks, plus the event trace (when requested) for
+    cross-algorithm checks, plus the event tail (when requested) for
     post-mortems either way. [instrument] is applied to *both* runs of
     the determinism check. *)
 val check_algorithm_traced :
   ?trace_capacity:int ->
   ?instrument:(Ddbm.Machine.t -> unit) ->
   Params.t ->
-  (Ddbm.Sim_result.t * int list array, failure) result * Desim.Trace.t option
+  (Ddbm.Sim_result.t * int list array, failure) result * string list
 
 val check_algorithm :
   Params.t -> (Ddbm.Sim_result.t * int list array, failure) result
@@ -73,11 +76,13 @@ type replay_outcome = {
   reproduced : failure option;  (** [None]: the run is clean now *)
   result : Ddbm.Sim_result.t option;
       (** measured result of the (first) replayed run, when it completed *)
-  trace_tail : string list;  (** last traced events of the failing run *)
+  trace_tail : string list;
+      (** last lifecycle events of the failing run, formatted with
+          {!Ddbm_model.Event.pp} *)
 }
 
 (** Load an artifact and re-execute its (seed, params, algorithm) with
-    audit, invariants, determinism check and an event trace attached. *)
+    audit, invariants, determinism check and an event tail attached. *)
 val replay_file :
   ?trace_capacity:int ->
   ?instrument:(Ddbm.Machine.t -> unit) ->

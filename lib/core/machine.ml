@@ -68,7 +68,7 @@ type fault_rt = {
    None]: no pump fiber, no admission queue, no extra RNG split — the
    machine is bit-for-bit identical to a closed-loop build. *)
 type pending = {
-  seq : int;  (** arrival number; selects the workload terminal stream *)
+  terminal : int;  (** workload terminal stream the plan was drawn from *)
   enqueued_at : float;
   pending_plan : Plan.t;
 }
@@ -116,11 +116,8 @@ type t = {
   mutable faults : fault_rt option;
   mutable snoop : Ddbm_cc.Snoop.t option;
   mutable audit : Audit.t option;
-  mutable trace : Trace.t option;
   mutable events : Tracer.t option;  (** typed lifecycle events *)
 }
-
-let tracef t ~tag build = Option.iter (fun tr -> Trace.emitf tr ~tag build) t.trace
 
 (* Typed event emission: zero cost unless a tracer is attached — the
    event value is only constructed when [t.events] is [Some _]. *)
@@ -141,9 +138,6 @@ let request_abort t ~from_node (txn : Txn.t) reason =
      still learns of the abort only when the message arrives. *)
   if (not txn.Txn.doomed) && not (Txn.in_second_phase txn) then begin
     txn.Txn.doomed <- true;
-    tracef t ~tag:"abort-request" (fun () ->
-        Format.asprintf "%a from node %d: %s" Txn.pp txn from_node
-          (Txn.abort_reason_name reason));
     emit t (fun () ->
         Event.Wound
           {
@@ -246,7 +240,6 @@ let create ?(histograms = true) (params : Params.t) =
       faults = None;
       snoop = None;
       audit = None;
-      trace = None;
       events = None;
     }
   in
@@ -1629,58 +1622,64 @@ let plan_pages (plan : Plan.t) =
     (fun acc (c : Plan.cohort_plan) -> acc + List.length c.Plan.ops)
     0 plan.Plan.cohorts
 
-let run_terminal t ~index =
+(* One transaction from submission to commit: the attempt loop shared
+   by closed-loop terminals and open-loop dispatch. The one difference
+   is the restart wait: closed-loop restarts sleep one observed mean
+   response time, which couples restart pressure to the very congestion
+   admission control is trying to relieve, so open-loop restarts back
+   off on the spec's capped-exponential schedule instead. *)
+let run_transaction t ~terminal plan =
+  let origin_time = Engine.now t.eng in
+  Metrics.record_submit t.metrics;
+  let tid = fresh_tid t in
+  emit t (fun () -> Event.Submit { tid });
+  let startup_ts = Timestamp.Clock.make t.clock ~time:origin_time in
+  let rec attempt k plan =
+    let txn = make_attempt t ~tid ~attempt:k ~origin_time ~startup_ts ~plan in
+    let outcome = run_attempt t txn in
+    Metrics.record_completion t.metrics;
+    match outcome with
+    | Committed decomp ->
+        Option.iter (fun a -> Audit.record_commit a txn) t.audit;
+        emit t (fun () ->
+            Event.Committed
+              { tid; attempt = k; response = Engine.now t.eng -. origin_time });
+        Metrics.record_commit t.metrics ~origin_time
+          ~pages:(plan_pages txn.Txn.plan) ~decomp
+    | Aborted reason ->
+        Option.iter (fun a -> Audit.record_abort a txn) t.audit;
+        emit t (fun () -> Event.Aborted { tid; attempt = k; reason });
+        Metrics.record_abort t.metrics ~reason;
+        let delay =
+          match t.arrivals with
+          | None -> Metrics.restart_delay t.metrics
+          | Some a ->
+              Backoff.delay ~base:a.spec.Arrival.retry_base
+                ~cap:a.spec.Arrival.retry_cap ~round:k
+        in
+        emit t (fun () -> Event.Restart_wait { tid; attempt = k; delay });
+        Engine.wait delay;
+        await_host_up t;
+        (* [Params.validate] rejects fresh_restart_plan with open-loop
+           arrivals *)
+        let plan =
+          if t.params.Params.run.Params.fresh_restart_plan then
+            Workload.generate_plan t.workload ~terminal
+          else plan
+        in
+        attempt (k + 1) plan
+  in
+  attempt 1 plan
+
+let run_terminal t ~terminal =
   Engine.spawn t.eng (fun () ->
       let rec session () =
         let think = Workload.think_time t.workload in
         if think > 0. then
           Engine.wait (Rng.exponential t.think_rng ~mean:think);
         await_host_up t;
-        let plan = Workload.generate_plan t.workload ~terminal:index in
-        let origin_time = Engine.now t.eng in
-        Metrics.record_submit t.metrics;
-        let tid = fresh_tid t in
-        emit t (fun () -> Event.Submit { tid });
-        let startup_ts = Timestamp.Clock.make t.clock ~time:origin_time in
-        let rec attempt k plan =
-          let txn = make_attempt t ~tid ~attempt:k ~origin_time ~startup_ts ~plan in
-          let outcome = run_attempt t txn in
-          Metrics.record_completion t.metrics;
-          match outcome with
-          | Committed decomp ->
-              Option.iter (fun a -> Audit.record_commit a txn) t.audit;
-              tracef t ~tag:"commit" (fun () ->
-                  Format.asprintf "%a after %.3fs" Txn.pp txn
-                    (Engine.now t.eng -. origin_time));
-              emit t (fun () ->
-                  Event.Committed
-                    {
-                      tid;
-                      attempt = k;
-                      response = Engine.now t.eng -. origin_time;
-                    });
-              Metrics.record_commit t.metrics ~origin_time
-                ~pages:(plan_pages txn.Txn.plan) ~decomp
-          | Aborted reason ->
-              Option.iter (fun a -> Audit.record_abort a txn) t.audit;
-              tracef t ~tag:"abort" (fun () ->
-                  Format.asprintf "%a: %s, restarting" Txn.pp txn
-                    (Txn.abort_reason_name reason));
-              emit t (fun () -> Event.Aborted { tid; attempt = k; reason });
-              Metrics.record_abort t.metrics ~reason;
-              let delay = Metrics.restart_delay t.metrics in
-              emit t (fun () ->
-                  Event.Restart_wait { tid; attempt = k; delay });
-              Engine.wait delay;
-              await_host_up t;
-              let plan =
-                if t.params.Params.run.Params.fresh_restart_plan then
-                  Workload.generate_plan t.workload ~terminal:index
-                else plan
-              in
-              attempt (k + 1) plan
-        in
-        attempt 1 plan;
+        run_transaction t ~terminal
+          (Workload.generate_plan t.workload ~terminal);
         session ()
       in
       session ())
@@ -1712,61 +1711,14 @@ let expire_stale t a =
     if !dropped then Metrics.set_queue_depth t.metrics (Queue.length a.queue)
   end
 
-(* Dispatch one admitted arrival: the open-loop analogue of a terminal's
-   inner attempt loop. The one behavioural difference is the restart
-   wait: closed-loop restarts sleep one observed mean response time,
-   which couples restart pressure to the very congestion admission
-   control is trying to relieve; open-loop restarts back off on the
-   spec's capped-exponential schedule instead. *)
+(* Dispatch one admitted arrival into its own transaction process. *)
 let rec dispatch t a (p : pending) =
   a.in_flight <- a.in_flight + 1;
   Metrics.record_admitted t.metrics;
   Metrics.record_queue_wait t.metrics ~dur:(Engine.now t.eng -. p.enqueued_at);
   Engine.spawn t.eng (fun () ->
       await_host_up t;
-      let origin_time = Engine.now t.eng in
-      Metrics.record_submit t.metrics;
-      let tid = fresh_tid t in
-      emit t (fun () -> Event.Submit { tid });
-      let startup_ts = Timestamp.Clock.make t.clock ~time:origin_time in
-      let rec attempt k plan =
-        let txn = make_attempt t ~tid ~attempt:k ~origin_time ~startup_ts ~plan in
-        let outcome = run_attempt t txn in
-        Metrics.record_completion t.metrics;
-        match outcome with
-        | Committed decomp ->
-            Option.iter (fun au -> Audit.record_commit au txn) t.audit;
-            tracef t ~tag:"commit" (fun () ->
-                Format.asprintf "%a after %.3fs" Txn.pp txn
-                  (Engine.now t.eng -. origin_time));
-            emit t (fun () ->
-                Event.Committed
-                  {
-                    tid;
-                    attempt = k;
-                    response = Engine.now t.eng -. origin_time;
-                  });
-            Metrics.record_commit t.metrics ~origin_time
-              ~pages:(plan_pages txn.Txn.plan) ~decomp
-        | Aborted reason ->
-            Option.iter (fun au -> Audit.record_abort au txn) t.audit;
-            tracef t ~tag:"abort" (fun () ->
-                Format.asprintf "%a: %s, restarting" Txn.pp txn
-                  (Txn.abort_reason_name reason));
-            emit t (fun () -> Event.Aborted { tid; attempt = k; reason });
-            Metrics.record_abort t.metrics ~reason;
-            let delay =
-              Backoff.delay ~base:a.spec.Arrival.retry_base
-                ~cap:a.spec.Arrival.retry_cap ~round:k
-            in
-            emit t (fun () -> Event.Restart_wait { tid; attempt = k; delay });
-            Engine.wait delay;
-            await_host_up t;
-            (* [Params.validate] rejects fresh_restart_plan with open-loop
-               arrivals, so the retried plan is always the original. *)
-            attempt (k + 1) plan
-      in
-      attempt 1 p.pending_plan;
+      run_transaction t ~terminal:p.terminal p.pending_plan;
       a.in_flight <- a.in_flight - 1;
       drain t a)
 
@@ -1820,13 +1772,11 @@ let run_arrival_pump t a =
         | Some at ->
             if at > now then Engine.wait (at -. now);
             Metrics.record_offered t.metrics;
-            let seq = a.next_seq in
-            a.next_seq <- seq + 1;
-            let plan =
-              Workload.generate_plan t.workload ~terminal:(seq mod num_terminals)
-            in
+            let terminal = a.next_seq mod num_terminals in
+            a.next_seq <- a.next_seq + 1;
+            let plan = Workload.generate_plan t.workload ~terminal in
             admit t a
-              { seq; enqueued_at = Engine.now t.eng; pending_plan = plan };
+              { terminal; enqueued_at = Engine.now t.eng; pending_plan = plan };
             pump ()
       in
       pump ())
@@ -1942,6 +1892,12 @@ let collect_result t ~wall_seconds =
         (tot +. Stats.Tally.total tally, cnt + Stats.Tally.count tally))
       (0., 0) t.procs
   in
+  let fault_count get = match t.faults with None -> 0 | Some f -> get f in
+  let wal_sum get =
+    match t.wal with
+    | None -> 0
+    | Some wals -> Array.fold_left (fun acc w -> acc + get w) 0 wals
+  in
   {
     Sim_result.algorithm = t.params.Params.cc.Params.algorithm;
     params = t.params;
@@ -1968,17 +1924,13 @@ let collect_result t ~wall_seconds =
     messages = Net.messages_sent t.net;
     availability = availability t;
     goodput = Metrics.goodput t.metrics;
-    timeouts = (match t.faults with None -> 0 | Some f -> f.timeouts);
-    retries = (match t.faults with None -> 0 | Some f -> f.retries);
-    msgs_dropped = (match t.faults with None -> 0 | Some f -> f.msgs_dropped);
-    msgs_duplicated =
-      (match t.faults with None -> 0 | Some f -> f.msgs_duplicated);
-    node_crashes = (match t.faults with None -> 0 | Some f -> f.node_crashes);
-    orphaned = (match t.faults with None -> 0 | Some f -> f.orphaned);
-    log_forces =
-      (match t.wal with
-      | None -> 0
-      | Some wals -> Array.fold_left (fun acc w -> acc + Wal.forces w) 0 wals);
+    timeouts = fault_count (fun f -> f.timeouts);
+    retries = fault_count (fun f -> f.retries);
+    msgs_dropped = fault_count (fun f -> f.msgs_dropped);
+    msgs_duplicated = fault_count (fun f -> f.msgs_duplicated);
+    node_crashes = fault_count (fun f -> f.node_crashes);
+    orphaned = fault_count (fun f -> f.orphaned);
+    log_forces = wal_sum Wal.forces;
     log_disk_util =
       (match t.wal with
       | None -> 0.
@@ -1989,12 +1941,8 @@ let collect_result t ~wall_seconds =
        else t.recovery_time /. float_of_int t.recoveries);
     recovery_chains = t.recovery_chains;
     recovery_degraded = t.recovery_degraded;
-    wal_torn_tails =
-      (match t.wal with
-      | None -> 0
-      | Some wals ->
-          Array.fold_left (fun acc w -> acc + Wal.torn_tails w) 0 wals);
-    failovers = (match t.faults with None -> 0 | Some f -> f.failovers);
+    wal_torn_tails = wal_sum Wal.torn_tails;
+    failovers = fault_count (fun f -> f.failovers);
     lost_commits = lost_commits t;
     indoubt_mean = Metrics.indoubt_mean t.metrics;
     indoubt_open_at_end = Metrics.indoubt_open t.metrics;
@@ -2021,17 +1969,17 @@ let collect_result t ~wall_seconds =
     top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
   }
 
-(** Typed metric registry snapshot: windowed counters and rates, per-node
+(** Typed metric registry snapshot: the result's scalar families
+    ({!Sim_result.metric_families}), the window length, per-node
     utilization and queue-depth rollups (the time-series sampler's
     quantities as end-of-run aggregates), and — when histograms are
     enabled — the tail-latency histogram families for response time,
     every {!Decomp} component, 2PC in-doubt duration, WAL force latency,
-    and recovery time. Build after {!execute}; serialize with
-    {!Ddbm_model.Metric.to_prometheus} / {!Ddbm_model.Metric.to_json}. *)
+    recovery time and, on an open-loop run, admission-queue wait. Build
+    after {!execute}; serialize with {!Ddbm_model.Metric.to_prometheus} /
+    {!Ddbm_model.Metric.to_json}. *)
 let registry t : Metric.t =
   let m = t.metrics in
-  let ic name help v = Metric.counter ~name ~help (float_of_int v) in
-  let g name help v = Metric.gauge ~name ~help v in
   let per_node ~name ~help get =
     Metric.family ~name ~help ~kind:Metric.Gauge
       (List.init (Array.length t.procs) (fun i ->
@@ -2039,75 +1987,10 @@ let registry t : Metric.t =
              ~labels:[ ("node", string_of_int i) ]
              (Metric.V (get t.procs.(i)))))
   in
-  let counters =
-    [
-      ic "ddbm_commits_total" "Committed transactions in the window"
-        (Metrics.commits m);
-      ic "ddbm_aborts_total" "Aborted attempts in the window"
-        (Metrics.aborts m);
-      ic "ddbm_completions_total"
-        "Attempt completions in the window (commits + aborts)"
-        (Metrics.completions m);
-      ic "ddbm_messages_total" "Messages sent" (Net.messages_sent t.net);
-      ic "ddbm_log_forces_total" "Completed WAL forces across all nodes"
-        (match t.wal with
-        | None -> 0
-        | Some wals -> Array.fold_left (fun acc w -> acc + Wal.forces w) 0 wals);
-      ic "ddbm_recoveries_total" "Completed crash-recovery passes"
-        t.recoveries;
-      ic "ddbm_recovery_chains_total"
-        "Dependency chains replayed by chain-parallel recovery"
-        t.recovery_chains;
-      ic "ddbm_recovery_degraded_total"
-        "Chain-parallel recovery passes degraded to serial physical redo"
-        t.recovery_degraded;
-      ic "ddbm_wal_torn_tails_total"
-        "Crashes that tore the WAL's un-forced tail"
-        (match t.wal with
-        | None -> 0
-        | Some wals ->
-            Array.fold_left (fun acc w -> acc + Wal.torn_tails w) 0 wals);
-      ic "ddbm_node_crashes_total" "Crash events (host and processing nodes)"
-        (match t.faults with None -> 0 | Some f -> f.node_crashes);
-      ic "ddbm_failovers_total"
-        "Cohorts resurrected at their backup after a primary crash"
-        (match t.faults with None -> 0 | Some f -> f.failovers);
-      ic "ddbm_sim_events_total" "Simulation events processed"
-        (Engine.events_processed t.eng);
-    ]
-  in
-  let gauges =
-    [
-      g "ddbm_throughput_tps"
-        "Committed transactions per second over the window"
-        (Metrics.throughput m);
-      g "ddbm_goodput_pages_per_second"
-        "Committed page accesses per second over the window"
-        (Metrics.goodput m);
-      g "ddbm_abort_ratio" "Aborts per commit" (Metrics.abort_ratio m);
-      g "ddbm_mean_active" "Time-average in-flight transactions"
-        (Metrics.mean_active m);
-      g "ddbm_availability" "Fraction of node-seconds up over the window"
-        (availability t);
-      g "ddbm_host_cpu_utilization" "Host CPU utilization over the window"
-        (Node.cpu_utilization t.host);
-      g "ddbm_log_disk_utilization"
-        "Mean log-disk utilization over the window (0 without durability)"
-        (match t.wal with
-        | None -> 0.
-        | Some wals -> mean_over wals Wal.utilization);
-      g "ddbm_indoubt_open" "Cohorts still awaiting a 2PC decision"
-        (float_of_int (Metrics.indoubt_open m));
-      g "ddbm_mttr_seconds"
-        "Mean completed crash-recovery duration (0 without recoveries)"
-        (if t.recoveries = 0 then 0.
-         else t.recovery_time /. float_of_int t.recoveries);
-      g "ddbm_window_seconds" "Measurement window duration"
-        (Metrics.window_duration m);
-    ]
-  in
   let rollups =
     [
+      Metric.gauge ~name:"ddbm_window_seconds"
+        ~help:"Measurement window duration" (Metrics.window_duration m);
       per_node ~name:"ddbm_node_cpu_utilization"
         ~help:"Per-node CPU utilization over the window" Node.cpu_utilization;
       per_node ~name:"ddbm_node_disk_utilization"
@@ -2150,48 +2033,17 @@ let registry t : Metric.t =
           ~help:"Per-chain redo replay duration (chain-parallel recovery)"
           (Metrics.chain_hist m);
       ]
-  in
-  (* Overload telemetry only exists on an open-loop run, so closed-loop
-     expositions are byte-identical to builds without the subsystem. *)
-  let overload =
-    match t.arrivals with
-    | None -> []
-    | Some a ->
+      @
+      if Option.is_none t.arrivals then []
+      else
         [
-          ic "ddbm_offered_total" "Arrivals generated by the rate process"
-            (Metrics.offered m);
-          ic "ddbm_admitted_total" "Arrivals dispatched into the system"
-            (Metrics.admitted m);
-          ic "ddbm_shed_total" "Arrivals rejected at a full admission queue"
-            (Metrics.shed m);
-          ic "ddbm_expired_total"
-            "Queued arrivals dropped for overstaying the deadline"
-            (Metrics.expired m);
-          g "ddbm_admission_queue_depth" "Instantaneous admission-queue depth"
-            (float_of_int (Queue.length a.queue));
-          g "ddbm_admission_queue_depth_mean"
-            "Time-average admission-queue depth over the window"
-            (Metrics.mean_queue_depth m);
-          g "ddbm_admission_queue_depth_max"
-            "Max admission-queue depth over the window"
-            (float_of_int (Metrics.queue_depth_max m));
+          Metric.histogram ~name:"ddbm_admission_queue_wait_seconds"
+            ~help:"Admission-queue wait of dispatched arrivals"
+            (Metrics.queue_wait_hist m);
         ]
-        @
-        if not (Metrics.quantiles_enabled m) then []
-        else
-          [
-            Metric.histogram ~name:"ddbm_admission_queue_wait_seconds"
-              ~help:"Admission-queue wait of dispatched arrivals"
-              (Metrics.queue_wait_hist m);
-          ]
   in
-  counters @ gauges @ rollups @ histograms @ overload
-
-(** Attach an event trace (before {!execute}). *)
-let enable_trace ?(capacity = 10_000) t =
-  let trace = Trace.create t.eng ~capacity in
-  t.trace <- Some trace;
-  trace
+  Sim_result.metric_families (collect_result t ~wall_seconds:0.)
+  @ rollups @ histograms
 
 (** Attach (or retrieve) the typed-event tracer (before {!execute}).
     Idempotent: the first call creates the tracer and wires the network
@@ -2303,8 +2155,8 @@ let execute ?(log = false) t =
       : Engine.handle);
   (match t.arrivals with
   | None ->
-      for index = 0 to t.params.Params.workload.Params.num_terminals - 1 do
-        run_terminal t ~index
+      for terminal = 0 to t.params.Params.workload.Params.num_terminals - 1 do
+        run_terminal t ~terminal
       done
   | Some a -> run_arrival_pump t a);
   Option.iter (fun f -> schedule_faults t f) t.faults;

@@ -203,123 +203,229 @@ let pp fmt t =
       "@ recovery: %d chains replayed, %d passes degraded, %d torn tails"
       t.recovery_chains t.recovery_degraded t.wal_torn_tails
 
-(** CSV header matching {!to_csv_row}. *)
+(* ------------------------------------------------------------------ *)
+(* The metric table: one entry per metric field drives the CSV columns,
+   {!diff}, and the registry's scalar families. *)
+
+(* How a field is written and compared: an integer, or a float printed
+   with [prec] digits after the point. *)
+type column = Int of (t -> int) | Float of int * (t -> float)
+
+(* Registry export: Prometheus name, help text, kind. [open_loop]
+   families exist only on open-loop runs, so closed-loop expositions
+   carry no overload telemetry. *)
+type export = {
+  metric : string;
+  help : string;
+  kind : Metric.kind;
+  open_loop : bool;
+}
+
+type field = { name : string; column : column; export : export option }
+
+let int ?export name get = { name; column = Int get; export }
+let float ?export prec name get = { name; column = Float (prec, get); export }
+
+let counter ?(open_loop = false) metric help =
+  { metric; help; kind = Metric.Counter; open_loop }
+
+let gauge ?(open_loop = false) metric help =
+  { metric; help; kind = Metric.Gauge; open_loop }
+
+(* wall_seconds, events_per_sec and top_heap_words are wall-clock or
+   process-state dependent: deliberately absent. *)
+let fields =
+  [
+    float 5 "throughput" (fun r -> r.throughput)
+      ~export:
+        (gauge "ddbm_throughput_tps"
+           "Committed transactions per second over the window");
+    float 5 "mean_response" (fun r -> r.mean_response);
+    float 5 "response_ci95" (fun r -> r.response_ci95);
+    float 5 "response_p50" (fun r -> r.response_p50);
+    float 5 "response_p95" (fun r -> r.response_p95);
+    float 5 "response_p99" (fun r -> r.response_p99);
+    float 5 "response_p999" (fun r -> r.response_p999);
+    int "commits" (fun r -> r.commits)
+      ~export:
+        (counter "ddbm_commits_total" "Committed transactions in the window");
+    int "aborts" (fun r -> r.aborts)
+      ~export:(counter "ddbm_aborts_total" "Aborted attempts in the window");
+    int "completions" (fun r -> r.completions)
+      ~export:
+        (counter "ddbm_completions_total"
+           "Attempt completions in the window (commits + aborts)");
+    float 5 "abort_ratio" (fun r -> r.abort_ratio)
+      ~export:(gauge "ddbm_abort_ratio" "Aborts per commit");
+    float 5 "mean_blocking" (fun r -> r.mean_blocking);
+    int "blocked_requests" (fun r -> r.blocked_requests);
+    float 4 "proc_cpu_util" (fun r -> r.proc_cpu_util);
+    float 4 "proc_disk_util" (fun r -> r.proc_disk_util);
+    float 4 "host_cpu_util" (fun r -> r.host_cpu_util)
+      ~export:
+        (gauge "ddbm_host_cpu_utilization"
+           "Host CPU utilization over the window");
+    float 3 "mean_active" (fun r -> r.mean_active)
+      ~export:(gauge "ddbm_mean_active" "Time-average in-flight transactions");
+    int "messages" (fun r -> r.messages)
+      ~export:(counter "ddbm_messages_total" "Messages sent");
+    float 5 "availability" (fun r -> r.availability)
+      ~export:
+        (gauge "ddbm_availability"
+           "Fraction of node-seconds up over the window");
+    float 5 "goodput" (fun r -> r.goodput)
+      ~export:
+        (gauge "ddbm_goodput_pages_per_second"
+           "Committed page accesses per second over the window");
+    int "timeouts" (fun r -> r.timeouts);
+    int "retries" (fun r -> r.retries);
+    int "msgs_dropped" (fun r -> r.msgs_dropped);
+    int "msgs_duplicated" (fun r -> r.msgs_duplicated);
+    int "node_crashes" (fun r -> r.node_crashes)
+      ~export:
+        (counter "ddbm_node_crashes_total"
+           "Crash events (host and processing nodes)");
+    int "orphaned" (fun r -> r.orphaned);
+    int "log_forces" (fun r -> r.log_forces)
+      ~export:
+        (counter "ddbm_log_forces_total"
+           "Completed WAL forces across all nodes");
+    float 4 "log_disk_util" (fun r -> r.log_disk_util)
+      ~export:
+        (gauge "ddbm_log_disk_utilization"
+           "Mean log-disk utilization over the window (0 without \
+            durability)");
+    int "recoveries" (fun r -> r.recoveries)
+      ~export:
+        (counter "ddbm_recoveries_total" "Completed crash-recovery passes");
+    float 5 "mean_recovery_time" (fun r -> r.mean_recovery_time)
+      ~export:
+        (gauge "ddbm_mttr_seconds"
+           "Mean completed crash-recovery duration (0 without recoveries)");
+    int "recovery_chains" (fun r -> r.recovery_chains)
+      ~export:
+        (counter "ddbm_recovery_chains_total"
+           "Dependency chains replayed by chain-parallel recovery");
+    int "recovery_degraded" (fun r -> r.recovery_degraded)
+      ~export:
+        (counter "ddbm_recovery_degraded_total"
+           "Chain-parallel recovery passes degraded to serial physical redo");
+    int "wal_torn_tails" (fun r -> r.wal_torn_tails)
+      ~export:
+        (counter "ddbm_wal_torn_tails_total"
+           "Crashes that tore the WAL's un-forced tail");
+    int "failovers" (fun r -> r.failovers)
+      ~export:
+        (counter "ddbm_failovers_total"
+           "Cohorts resurrected at their backup after a primary crash");
+    int "lost_commits" (fun r -> r.lost_commits);
+    float 5 "indoubt_mean" (fun r -> r.indoubt_mean);
+    int "indoubt_open_at_end" (fun r -> r.indoubt_open_at_end)
+      ~export:
+        (gauge "ddbm_indoubt_open" "Cohorts still awaiting a 2PC decision");
+    int "indoubt_overdue_at_end" (fun r -> r.indoubt_overdue_at_end);
+    int "offered" (fun r -> r.offered)
+      ~export:
+        (counter ~open_loop:true "ddbm_offered_total"
+           "Arrivals generated by the rate process");
+    int "admitted" (fun r -> r.admitted)
+      ~export:
+        (counter ~open_loop:true "ddbm_admitted_total"
+           "Arrivals dispatched into the system");
+    int "shed" (fun r -> r.shed)
+      ~export:
+        (counter ~open_loop:true "ddbm_shed_total"
+           "Arrivals rejected at a full admission queue");
+    int "expired" (fun r -> r.expired)
+      ~export:
+        (counter ~open_loop:true "ddbm_expired_total"
+           "Queued arrivals dropped for overstaying the deadline");
+    int "still_queued" (fun r -> r.still_queued)
+      ~export:
+        (gauge ~open_loop:true "ddbm_admission_queue_depth"
+           "Instantaneous admission-queue depth");
+    int "queue_depth_max" (fun r -> r.queue_depth_max)
+      ~export:
+        (gauge ~open_loop:true "ddbm_admission_queue_depth_max"
+           "Max admission-queue depth over the window");
+    float 5 "queue_depth_mean" (fun r -> r.queue_depth_mean)
+      ~export:
+        (gauge ~open_loop:true "ddbm_admission_queue_depth_mean"
+           "Time-average admission-queue depth over the window");
+    int "sim_events" (fun r -> r.sim_events)
+      ~export:(counter "ddbm_sim_events_total" "Simulation events processed");
+  ]
+  @ List.map (fun (name, get) -> float 5 name (fun r -> get r.decomp))
+      Decomp.fields
+
 let csv_header =
-  "algorithm,think_time,proc_nodes,degree,file_size,inst_per_startup,\
-   inst_per_msg,throughput,mean_response,response_ci95,response_p50,\
-   response_p95,response_p99,response_p999,commits,aborts,completions,\
-   abort_ratio,mean_blocking,blocked_requests,proc_cpu_util,proc_disk_util,\
-   host_cpu_util,mean_active,messages,availability,goodput,timeouts,retries,\
-   msgs_dropped,msgs_duplicated,node_crashes,orphaned,log_forces,\
-   log_disk_util,recoveries,mean_recovery_time,recovery_chains,\
-   recovery_degraded,wal_torn_tails,failovers,lost_commits,\
-   indoubt_mean,indoubt_open_at_end,indoubt_overdue_at_end,offered,admitted,\
-   shed,expired,still_queued,queue_depth_max,queue_depth_mean,sim_events,"
-  ^ String.concat "," (List.map fst Decomp.fields)
-
-(** Field-by-field comparison of two results from the *same* (seed,
-    params, algorithm), for the determinism check: every simulation
-    output must be bit-for-bit reproducible. [wall_seconds] is wall-clock
-    and excluded. Returns a human-readable line per differing field. *)
-let diff a b =
-  let fs name v = Printf.sprintf "%s: %.17g vs %.17g" name v in
-  let is name v = Printf.sprintf "%s: %d vs %d" name v in
-  let acc = ref [] in
-  let chk_f name get =
-    let va = get a and vb = get b in
-    if not (Float.equal va vb) then acc := fs name va vb :: !acc
-  in
-  let chk_i name get =
-    let va = get a and vb = get b in
-    if va <> vb then acc := is name va vb :: !acc
-  in
-  if a.algorithm <> b.algorithm then
-    acc :=
-      Printf.sprintf "algorithm: %s vs %s"
-        (Params.cc_algorithm_name a.algorithm)
-        (Params.cc_algorithm_name b.algorithm)
-      :: !acc;
-  if a.params <> b.params then acc := "params differ" :: !acc;
-  chk_f "throughput" (fun r -> r.throughput);
-  chk_f "mean_response" (fun r -> r.mean_response);
-  chk_f "response_ci95" (fun r -> r.response_ci95);
-  chk_f "response_p50" (fun r -> r.response_p50);
-  chk_f "response_p95" (fun r -> r.response_p95);
-  chk_f "response_p99" (fun r -> r.response_p99);
-  chk_f "response_p999" (fun r -> r.response_p999);
-  chk_i "commits" (fun r -> r.commits);
-  chk_i "aborts" (fun r -> r.aborts);
-  chk_i "completions" (fun r -> r.completions);
-  chk_f "abort_ratio" (fun r -> r.abort_ratio);
-  if a.abort_reasons <> b.abort_reasons then acc := "abort_reasons differ" :: !acc;
-  chk_f "mean_blocking" (fun r -> r.mean_blocking);
-  chk_i "blocked_requests" (fun r -> r.blocked_requests);
-  chk_f "proc_cpu_util" (fun r -> r.proc_cpu_util);
-  chk_f "proc_disk_util" (fun r -> r.proc_disk_util);
-  chk_f "host_cpu_util" (fun r -> r.host_cpu_util);
-  chk_f "mean_active" (fun r -> r.mean_active);
-  chk_i "messages" (fun r -> r.messages);
-  chk_f "availability" (fun r -> r.availability);
-  chk_f "goodput" (fun r -> r.goodput);
-  chk_i "timeouts" (fun r -> r.timeouts);
-  chk_i "retries" (fun r -> r.retries);
-  chk_i "msgs_dropped" (fun r -> r.msgs_dropped);
-  chk_i "msgs_duplicated" (fun r -> r.msgs_duplicated);
-  chk_i "node_crashes" (fun r -> r.node_crashes);
-  chk_i "orphaned" (fun r -> r.orphaned);
-  chk_i "log_forces" (fun r -> r.log_forces);
-  chk_f "log_disk_util" (fun r -> r.log_disk_util);
-  chk_i "recoveries" (fun r -> r.recoveries);
-  chk_f "mean_recovery_time" (fun r -> r.mean_recovery_time);
-  chk_i "recovery_chains" (fun r -> r.recovery_chains);
-  chk_i "recovery_degraded" (fun r -> r.recovery_degraded);
-  chk_i "wal_torn_tails" (fun r -> r.wal_torn_tails);
-  chk_i "failovers" (fun r -> r.failovers);
-  chk_i "lost_commits" (fun r -> r.lost_commits);
-  chk_f "indoubt_mean" (fun r -> r.indoubt_mean);
-  chk_i "indoubt_open_at_end" (fun r -> r.indoubt_open_at_end);
-  chk_i "indoubt_overdue_at_end" (fun r -> r.indoubt_overdue_at_end);
-  chk_i "offered" (fun r -> r.offered);
-  chk_i "admitted" (fun r -> r.admitted);
-  chk_i "shed" (fun r -> r.shed);
-  chk_i "expired" (fun r -> r.expired);
-  chk_i "still_queued" (fun r -> r.still_queued);
-  chk_i "queue_depth_max" (fun r -> r.queue_depth_max);
-  chk_f "queue_depth_mean" (fun r -> r.queue_depth_mean);
-  List.iter
-    (fun (name, get) -> chk_f name (fun r -> get r.decomp))
-    Decomp.fields;
-  chk_i "sim_events" (fun r -> r.sim_events);
-  chk_f "sim_end" (fun r -> r.sim_end);
-  (* events_per_sec and top_heap_words are wall-clock and process-state
-     dependent, so they are deliberately not compared. *)
-  List.rev !acc
-
-(** Bit-for-bit equality of everything but [wall_seconds]. *)
-let equal a b = diff a b = []
+  String.concat ","
+    ("algorithm,think_time,proc_nodes,degree,file_size,inst_per_startup,\
+      inst_per_msg"
+    :: List.map (fun f -> f.name) fields)
 
 let to_csv_row t =
   let p = t.params in
-  Printf.sprintf
-    "%s,%g,%d,%d,%d,%g,%g,%.5f,%.5f,%.5f,%.5f,%.5f,%.5f,%.5f,%d,%d,%d,%.5f,%.5f,%d,%.4f,%.4f,%.4f,%.3f,%d,%.5f,%.5f,%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%.5f,%d,%d,%d,%d,%d,%.5f,%d,%d,%d,%d,%d,%d,%d,%d,%.5f,%d,%s"
-    (algorithm_name t) p.Params.workload.Params.think_time
-    p.Params.database.Params.num_proc_nodes
-    p.Params.database.Params.partitioning_degree
-    p.Params.database.Params.file_size
-    p.Params.resources.Params.inst_per_startup
-    p.Params.resources.Params.inst_per_msg t.throughput t.mean_response
-    t.response_ci95 t.response_p50 t.response_p95 t.response_p99
-    t.response_p999 t.commits t.aborts
-    t.completions t.abort_ratio t.mean_blocking t.blocked_requests
-    t.proc_cpu_util t.proc_disk_util t.host_cpu_util t.mean_active t.messages
-    t.availability t.goodput t.timeouts t.retries t.msgs_dropped
-    t.msgs_duplicated t.node_crashes t.orphaned t.log_forces t.log_disk_util
-    t.recoveries t.mean_recovery_time t.recovery_chains t.recovery_degraded
-    t.wal_torn_tails t.failovers t.lost_commits
-    t.indoubt_mean t.indoubt_open_at_end t.indoubt_overdue_at_end t.offered
-    t.admitted t.shed t.expired t.still_queued t.queue_depth_max
-    t.queue_depth_mean t.sim_events
-    (String.concat ","
-       (List.map
-          (fun (_, get) -> Printf.sprintf "%.5f" (get t.decomp))
-          Decomp.fields))
+  String.concat ","
+    (Printf.sprintf "%s,%g,%d,%d,%d,%g,%g" (algorithm_name t)
+       p.Params.workload.Params.think_time
+       p.Params.database.Params.num_proc_nodes
+       p.Params.database.Params.partitioning_degree
+       p.Params.database.Params.file_size
+       p.Params.resources.Params.inst_per_startup
+       p.Params.resources.Params.inst_per_msg
+    :: List.map
+         (fun f ->
+           match f.column with
+           | Int get -> string_of_int (get t)
+           | Float (prec, get) -> Printf.sprintf "%.*f" prec (get t))
+         fields)
+
+let diff a b =
+  let float_diff name va vb =
+    if Float.equal va vb then None
+    else Some (Printf.sprintf "%s: %.17g vs %.17g" name va vb)
+  in
+  let special =
+    (if a.algorithm <> b.algorithm then
+       [
+         Printf.sprintf "algorithm: %s vs %s"
+           (Params.cc_algorithm_name a.algorithm)
+           (Params.cc_algorithm_name b.algorithm);
+       ]
+     else [])
+    @ (if a.params <> b.params then [ "params differ" ] else [])
+    @ if a.abort_reasons <> b.abort_reasons then [ "abort_reasons differ" ]
+      else []
+  in
+  special
+  @ List.filter_map
+      (fun f ->
+        match f.column with
+        | Int get ->
+            let va = get a and vb = get b in
+            if Int.equal va vb then None
+            else Some (Printf.sprintf "%s: %d vs %d" f.name va vb)
+        | Float (_, get) -> float_diff f.name (get a) (get b))
+      fields
+  (* the run's end time is compared but has no CSV column *)
+  @ Option.to_list (float_diff "sim_end" a.sim_end b.sim_end)
+
+let equal a b = diff a b = []
+
+let metric_families t =
+  let open_loop = Arrival.open_loop t.params.Params.arrivals in
+  List.filter_map
+    (fun f ->
+      match f.export with
+      | Some e when open_loop || not e.open_loop ->
+          let v =
+            match f.column with
+            | Int get -> float_of_int (get t)
+            | Float (_, get) -> get t
+          in
+          Some
+            (Metric.family ~name:e.metric ~help:e.help ~kind:e.kind
+               [ Metric.sample (Metric.V v) ])
+      | Some _ | None -> None)
+    fields

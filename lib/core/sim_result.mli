@@ -108,18 +108,33 @@ val placeholder : Params.t -> t
 
 val pp : Format.formatter -> t -> unit
 
-(** CSV header matching {!to_csv_row}. *)
+(** {2 Outputs derived from the metric table}
+
+    One table in the implementation declares every metric field once:
+    its CSV column (name and format), and for exported fields the
+    registry name, help text and kind. The CSV, {!diff} and
+    {!metric_families} are all read off it, so a new metric is a record
+    field, its value in [Machine.collect_result], and one table entry. *)
+
+(** CSV header matching {!to_csv_row}: seven configuration columns, then
+    one column per metric field. *)
 val csv_header : string
 
 (** Field-by-field comparison of two results from the *same* (seed,
     params, algorithm), for the determinism check: every simulation
     output must be bit-for-bit reproducible. [wall_seconds],
     [events_per_sec] and [top_heap_words] are wall-clock or process-state
-    dependent and excluded. Returns a human-readable line per differing
-    field. *)
+    dependent and excluded; [sim_end] is compared but not in the CSV.
+    Returns a human-readable line per differing field: [algorithm],
+    [params] and [abort_reasons] first, then the table's fields in
+    order, then [sim_end]. *)
 val diff : t -> t -> string list
 
 (** Bit-for-bit equality of everything {!diff} compares. *)
 val equal : t -> t -> bool
 
 val to_csv_row : t -> string
+
+(** The registry's scalar families, one per exported field, in field
+    order; the overload families only when the run is open-loop. *)
+val metric_families : t -> Metric.t

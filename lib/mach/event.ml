@@ -1,9 +1,8 @@
 (** Typed lifecycle events of the simulated machine.
 
-    Unlike the free-form string {!Desim.Trace}, these events carry the
-    transaction, node and page identifiers needed to reconstruct a
-    per-transaction timeline ({!Ddbm.Timeline}) or to export a trace for
-    Perfetto. Events are emitted by the machine only while a
+    Events carry the transaction, node and page identifiers needed to
+    reconstruct a per-transaction timeline ({!Ddbm.Timeline}) or to
+    export a trace for Perfetto. Events are emitted by the machine only while a
     {!Tracer.t} is attached, so tracing costs nothing otherwise. *)
 
 open Ids

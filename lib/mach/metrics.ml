@@ -24,16 +24,11 @@ type t = {
   mutable response_samples : float list;
       (** windowed raw samples, for exact percentiles *)
   response_running : Stats.Tally.t;  (** never reset; feeds restart delay *)
-  blocked_time : Stats.Tally.t;  (** aggregated CC blocking times *)
   mutable active : int;  (** transactions currently in the system *)
   active_ts : Stats.Timeseries.t;
   abort_reasons : (string, int) Hashtbl.t;
   mutable decomp_sum : Decomp.t;
       (** windowed sum of per-transaction response-time decompositions *)
-  mutable decomp_records : (float * Decomp.t) list;
-      (** windowed (response, decomposition) pairs, newest first; the
-          conformance suite checks each decomposition sums to its
-          response *)
   mutable committed_pages : int;
       (** windowed page accesses of committed transactions; feeds goodput *)
   indoubt : Stats.Tally.t;
@@ -81,12 +76,10 @@ let create ?(quantiles = true) eng ~restart_delay_floor =
     response_batches = Stats.Batch_means.create ~batch_size:32;
     response_samples = [];
     response_running = Stats.Tally.create ();
-    blocked_time = Stats.Tally.create ();
     active = 0;
     active_ts = Stats.Timeseries.create ~now:(Engine.now eng) ~value:0.;
     abort_reasons = Hashtbl.create 8;
     decomp_sum = Decomp.zero;
-    decomp_records = [];
     committed_pages = 0;
     indoubt = Stats.Tally.create ();
     indoubt_open = Hashtbl.create 64;
@@ -116,10 +109,8 @@ let begin_window t =
   Stats.Tally.reset t.response;
   Stats.Batch_means.reset t.response_batches;
   t.response_samples <- [];
-  Stats.Tally.reset t.blocked_time;
   Hashtbl.reset t.abort_reasons;
   t.decomp_sum <- Decomp.zero;
-  t.decomp_records <- [];
   t.committed_pages <- 0;
   Stats.Tally.reset t.indoubt;
   Stats.Hdr.reset t.response_hist;
@@ -152,7 +143,6 @@ let record_commit t ~origin_time ~pages ~decomp =
   Stats.Batch_means.add t.response_batches response;
   t.response_samples <- response :: t.response_samples;
   t.decomp_sum <- Decomp.add t.decomp_sum decomp;
-  t.decomp_records <- (response, decomp) :: t.decomp_records;
   if t.quantiles_on then begin
     Stats.Hdr.add t.response_hist response;
     List.iter
@@ -187,7 +177,6 @@ let offered t = t.offered
 let admitted t = t.admitted
 let shed t = t.shed_total
 let expired t = t.expired
-let queue_depth t = t.queue_depth
 let queue_depth_max t = t.queue_depth_max
 
 let mean_queue_depth t =
@@ -301,7 +290,6 @@ let restart_delay t =
   else Stats.Tally.mean t.response_running
 
 let mean_active t = Stats.Timeseries.average t.active_ts ~now:(Engine.now t.eng)
-let blocked_time t = t.blocked_time
 
 (** Transactions currently in the system (instantaneous). *)
 let active t = t.active
@@ -312,9 +300,6 @@ let decomp_mean t =
   if t.commits = 0 then Decomp.zero
   else Decomp.scale t.decomp_sum (1. /. float_of_int t.commits)
 
-(** Windowed per-transaction (response, decomposition) pairs, oldest
-    first. *)
-let decomp_records t = List.rev t.decomp_records
 
 (* -------------------------------------------------------------- *)
 (* Tail-latency histograms *)

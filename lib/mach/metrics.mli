@@ -98,13 +98,6 @@ val active : t -> int
     commits; components sum to {!mean_response} up to float rounding. *)
 val decomp_mean : t -> Decomp.t
 
-(** Windowed per-transaction (response, decomposition) pairs, oldest
-    first. *)
-val decomp_records : t -> (float * Decomp.t) list
-
-(** Aggregated CC blocking-time tally (owned by callers). *)
-val blocked_time : t -> Desim.Stats.Tally.t
-
 (** {2 Open-loop admission accounting}
 
     The admission counters are {e not} windowed: the conservation
@@ -138,9 +131,6 @@ val offered : t -> int
 val admitted : t -> int
 val shed : t -> int
 val expired : t -> int
-
-(** Instantaneous admission-queue depth (for the time-series sampler). *)
-val queue_depth : t -> int
 
 (** Windowed max admission-queue depth. *)
 val queue_depth_max : t -> int

@@ -125,9 +125,17 @@ let test_injected_fault_caught_and_replayed () =
                   Alcotest.(check string)
                     "same failure kind" f.Ddbm_check.Conformance.kind
                     rf.Ddbm_check.Conformance.kind;
+                  let tail = outcome.Ddbm_check.Conformance.trace_tail in
                   Alcotest.(check bool)
                     "replay leaves a trace for the post-mortem" true
-                    (outcome.Ddbm_check.Conformance.trace_tail <> []))))
+                    (tail <> []);
+                  Alcotest.(check bool)
+                    "the trace shows transaction outcomes" true
+                    (List.exists
+                       (fun line ->
+                         Astring_contains.contains line " committed "
+                         || Astring_contains.contains line " aborted ")
+                       tail))))
 
 let test_replay_without_fault_is_clean () =
   (* an artifact recording no fault replays to a conforming run *)

@@ -127,8 +127,108 @@ let test_per_algorithm_quantiles () =
   Alcotest.(check bool) "opt p999 populated" true
     (r.Ddbm.Sim_result.response_p999 > 0.)
 
+(* --- byte-identity goldens ------------------------------------------ *)
+
+(* MUST match [Gen_golden.golden_runs]; regenerate the goldens with
+   [dune exec test/gen_golden.exe] after an intentional change. *)
+let golden_runs =
+  let d = Params.default in
+  let ok = function Ok x -> x | Error msg -> failwith msg in
+  let closed =
+    {
+      d with
+      Params.database =
+        {
+          d.Params.database with
+          Params.num_proc_nodes = 4;
+          partitioning_degree = 4;
+          file_size = 60;
+        };
+      workload =
+        { d.Params.workload with Params.think_time = 0.; num_terminals = 16 };
+      run = { d.Params.run with Params.seed = 5; warmup = 1.; measure = 6. };
+    }
+  in
+  let open_wal =
+    {
+      closed with
+      Params.durability =
+        { Params.default_durability with Params.log_disk = true; replicas = 1 };
+      faults =
+        ok
+          (Fault_plan.of_spec
+             "crash=1@3+1,timeout=0.5,timeout-cap=2,retries=5,fault-seed=9");
+      arrivals = ok (Arrival.of_spec "qps=25,cap=6,mpl=6");
+      run = { closed.Params.run with Params.seed = 6 };
+    }
+  in
+  [ closed; open_wal ]
+
+let read_golden name =
+  (* cwd is test/ under `dune runtest`, the project root under
+     `dune exec test/test_main.exe` *)
+  let path =
+    if Sys.file_exists ("golden/" ^ name) then "golden/" ^ name
+    else "test/golden/" ^ name
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* A JSON exposition document as its sorted list of family objects
+   (families are the only objects carrying a "name" key). *)
+let json_families doc =
+  let prefix = "{\"families\":[{\"name\":" and suffix = "]}]}" in
+  let body =
+    String.sub doc (String.length prefix)
+      (String.length doc - String.length prefix - String.length suffix)
+  in
+  let sep = "]},{\"name\":" in
+  let n = String.length sep in
+  let buf = Buffer.create (String.length body) in
+  let i = ref 0 in
+  while !i < String.length body do
+    if !i + n <= String.length body && String.sub body !i n = sep then begin
+      Buffer.add_char buf '\n';
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char buf body.[!i];
+      incr i
+    end
+  done;
+  List.sort String.compare (String.split_on_char '\n' (Buffer.contents buf))
+
+let test_golden_outputs () =
+  let runs =
+    List.map
+      (fun params ->
+        let m = Ddbm.Machine.create params in
+        let r = Ddbm.Machine.execute m in
+        (r, Ddbm.Machine.registry m))
+      golden_runs
+  in
+  Alcotest.(check string) "CSV header and rows byte-identical"
+    (read_golden "result_small.csv")
+    (String.concat ""
+       (List.map
+          (fun line -> line ^ "\n")
+          (Ddbm.Sim_result.csv_header
+          :: List.map (fun (r, _) -> Ddbm.Sim_result.to_csv_row r) runs)));
+  (* the registry fixes its family order; the lines must be the same *)
+  let sorted_lines s = List.sort String.compare (String.split_on_char '\n' s) in
+  Alcotest.(check (list string)) "Prometheus lines equal as a sorted set"
+    (sorted_lines (read_golden "registry_small.prom"))
+    (sorted_lines
+       (String.concat ""
+          (List.map (fun (_, reg) -> Metric.to_prometheus reg) runs)));
+  Alcotest.(check (list (list string))) "JSON families equal as sorted sets"
+    (List.map json_families
+       (List.filter (fun line -> String.length line > 0)
+          (String.split_on_char '\n' (read_golden "registry_small.json"))))
+    (List.map (fun (_, reg) -> json_families (Metric.to_json reg)) runs)
+
 let suite =
   [
+    Alcotest.test_case "golden CSV and exposition" `Quick test_golden_outputs;
     Alcotest.test_case "tail quantiles ordered" `Quick
       test_tail_quantiles_ordered;
     Alcotest.test_case "csv tail columns" `Quick test_csv_has_tail_columns;
