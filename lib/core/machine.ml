@@ -85,6 +85,7 @@ type arrival_rt = {
 
 type t = {
   eng : Engine.t;
+  time : Engine.clock;  (** [eng]'s clock: [t.time.now] reads it unboxed *)
   params : Params.t;
   clock : Timestamp.Clock.t;
   host : Node.t;
@@ -119,12 +120,16 @@ type t = {
   mutable events : Tracer.t option;  (** typed lifecycle events *)
 }
 
-(* Typed event emission: zero cost unless a tracer is attached — the
-   event value is only constructed when [t.events] is [Some _]. *)
-let emit t make =
+(* Typed event emission. Every call site reads [if traced t then emit t
+   (Event.X ...)]: the guard is what keeps an untraced run from paying
+   for tracing, since an event value (or a closure that would build it
+   later) allocates even when nothing listens. *)
+let traced t = Option.is_some t.events
+
+let emit t ev =
   match t.events with
   | None -> ()
-  | Some tr -> Tracer.emit tr ~time:(Engine.now t.eng) (make ())
+  | Some tr -> Tracer.emit tr ~time:t.time.now ev
 
 type attempt_outcome = Committed of Decomp.t | Aborted of Txn.abort_reason
 
@@ -138,14 +143,15 @@ let request_abort t ~from_node (txn : Txn.t) reason =
      still learns of the abort only when the message arrives. *)
   if (not txn.Txn.doomed) && not (Txn.in_second_phase txn) then begin
     txn.Txn.doomed <- true;
-    emit t (fun () ->
-        Event.Wound
-          {
-            tid = txn.Txn.tid;
-            attempt = txn.Txn.attempt;
-            from_node;
-            reason;
-          });
+    if traced t then
+      emit t
+        (Event.Wound
+           {
+             tid = txn.Txn.tid;
+             attempt = txn.Txn.attempt;
+             from_node;
+             reason;
+           });
     Net.send_async t.net ~src:(Proc from_node) ~dst:Host (fun () ->
         match Hashtbl.find_opt t.live txn.Txn.tid with
         | Some rt when Txn.same_attempt rt.Messages.txn txn ->
@@ -217,6 +223,7 @@ let create ?(histograms = true) (params : Params.t) =
   let t =
     {
       eng;
+      time = Engine.clock eng;
       params;
       clock = Timestamp.Clock.create ();
       host;
@@ -325,14 +332,14 @@ let create ?(histograms = true) (params : Params.t) =
            in
            if down src || down dst then begin
              f.msgs_dropped <- f.msgs_dropped + 1;
-             emit t (fun () -> Event.Msg_dropped { src; dst });
+             if traced t then emit t (Event.Msg_dropped { src; dst });
              []
            end
            else
              match Faults.Link.judge f.link with
              | [] ->
                  f.msgs_dropped <- f.msgs_dropped + 1;
-                 emit t (fun () -> Event.Msg_dropped { src; dst });
+                 if traced t then emit t (Event.Msg_dropped { src; dst });
                  []
              | [ _ ] as verdict -> verdict
              | verdict ->
@@ -383,12 +390,12 @@ let recover_host t f =
     Faults.Crashable.recover f.host_state;
     (match f.host_down_since with
     | Some since ->
-        let d = Engine.now t.eng -. since in
+        let d = t.time.now -. since in
         f.host_downtime <- f.host_downtime +. d;
         f.total_downtime <- f.total_downtime +. d;
         f.host_down_since <- None
     | None -> ());
-    emit t (fun () -> Event.Node_recovered { node = Host })
+    if traced t then emit t (Event.Node_recovered { node = Host })
   end
 
 (* A host crash kills every coordinator whose decision is not yet
@@ -400,10 +407,10 @@ let crash_host t f ~duration =
   if Faults.Crashable.up f.host_state then begin
     Faults.Crashable.crash f.host_state;
     f.node_crashes <- f.node_crashes + 1;
-    f.host_down_since <- Some (Engine.now t.eng);
-    let until = Engine.now t.eng +. duration in
+    f.host_down_since <- Some t.time.now;
+    let until = t.time.now +. duration in
     if until > f.host_down_until then f.host_down_until <- until;
-    emit t (fun () -> Event.Node_crashed { node = Host });
+    if traced t then emit t (Event.Node_crashed { node = Host });
     List.iter
       (fun (_, (rt : Messages.attempt_runtime)) ->
         let txn = rt.Messages.txn in
@@ -433,9 +440,10 @@ let coord_recv t (rt : Messages.attempt_runtime) ~round =
 
 let note_timeout t f (txn : Txn.t) ~at_node ~round =
   f.timeouts <- f.timeouts + 1;
-  emit t (fun () ->
-      Event.Timeout_fired
-        { tid = txn.Txn.tid; attempt = txn.Txn.attempt; at_node; round })
+  if traced t then
+    emit t
+      (Event.Timeout_fired
+         { tid = txn.Txn.tid; attempt = txn.Txn.attempt; at_node; round })
 
 (* ------------------------------------------------------------------ *)
 (* Cohort process                                                      *)
@@ -526,13 +534,13 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
      [log] component (via the decision-gating cohort); a commit force
      happens after the decision and only shows in log-disk utilization. *)
   let wal_force ~accrue w =
-    let t0 = Engine.now t.eng in
+    let t0 = t.time.now in
     Wal.force w;
-    let dur = Engine.now t.eng -. t0 in
+    let dur = t.time.now -. t0 in
     if accrue then usage.Messages.u_log <- usage.Messages.u_log +. dur;
     Metrics.record_log_force t.metrics ~dur;
-    emit t (fun () ->
-        Event.Log_forced { tid; attempt; node = my_node; dur })
+    if traced t then
+      emit t (Event.Log_forced { tid; attempt; node = my_node; dur })
   in
   (* The primary's fiber exits silently once a backup proxy has taken
      over: no sends, no [cc_abort] — the footprint now belongs to the
@@ -546,26 +554,40 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
      marks commit-protocol acquisitions, which belong to the 2PC
      component instead. *)
   let cc_access ?(work = true) mode page =
-    emit t (fun () ->
-        Event.Lock_request
-          { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node;
-            page; mode });
-    let t0 = Engine.now t.eng in
+    if traced t then
+      emit t
+        (Event.Lock_request
+           {
+             tid = txn.Txn.tid;
+             attempt = txn.Txn.attempt;
+             node = my_node;
+             page;
+             mode;
+           });
+    let t0 = t.time.now in
     (match mode with
     | Event.Read -> cc.Cc_intf.cc_read txn page
     | Event.Write -> cc.Cc_intf.cc_write txn page);
-    let waited = Engine.now t.eng -. t0 in
+    let waited = t.time.now -. t0 in
     if work then
       usage.Messages.u_blocked <- usage.Messages.u_blocked +. waited;
-    emit t (fun () ->
-        Event.Lock_grant
-          { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node;
-            page; mode; waited })
+    if traced t then
+      emit t
+        (Event.Lock_grant
+           {
+             tid = txn.Txn.tid;
+             attempt = txn.Txn.attempt;
+             node = my_node;
+             page;
+             mode;
+             waited;
+           })
   in
   let release () =
-    emit t (fun () ->
-        Event.Lock_release
-          { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node })
+    if traced t then
+      emit t
+        (Event.Lock_release
+           { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node })
   in
   (* Cohort-protocol traffic rides the faulty channel; everything else
      (replica-write RPCs, abort requests, Snoop rounds) is modeled as a
@@ -620,8 +642,8 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
           a duplicate is ignored *)
        send_coord (Messages.Work_done my_node)
      else begin
-       emit t (fun () ->
-           Event.Cohort_start { tid; attempt; node = my_node });
+       if traced t then
+         emit t (Event.Cohort_start { tid; attempt; node = my_node });
        wal_append (Wal.Begin { tid; attempt });
        (* Work phase: each page access is a CC request, a disk read, and
           a slice of CPU. The transaction manager knows at access time
@@ -652,21 +674,30 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
               this access sees, atomically with the grant *)
            Option.iter (fun a -> Audit.record_read a txn op.Plan.page) t.audit;
            check_doomed txn;
-           let t0 = Engine.now t.eng in
+           let t0 = t.time.now in
            Disk.read (Node.random_disk node);
-           let disk_dur = Engine.now t.eng -. t0 in
+           let disk_dur = t.time.now -. t0 in
            usage.Messages.u_disk <- usage.Messages.u_disk +. disk_dur;
-           emit t (fun () ->
-               Event.Disk_access
-                 { tid; attempt; node = my_node; write = false; dur = disk_dur });
+           if traced t then
+             emit t
+               (Event.Disk_access
+                  {
+                    tid;
+                    attempt;
+                    node = my_node;
+                    write = false;
+                    dur = disk_dur;
+                  });
            check_doomed txn;
-           let t0 = Engine.now t.eng in
+           let t0 = t.time.now in
            Cpu.consume node.Node.cpu
              ~instructions:(Workload.draw_page_instructions t.workload);
-           let cpu_dur = Engine.now t.eng -. t0 in
+           let cpu_dur = t.time.now -. t0 in
            usage.Messages.u_cpu <- usage.Messages.u_cpu +. cpu_dur;
-           emit t (fun () ->
-               Event.Cpu_slice { tid; attempt; node = my_node; dur = cpu_dur }))
+           if traced t then
+             emit t
+               (Event.Cpu_slice
+                  { tid; attempt; node = my_node; dur = cpu_dur }))
          cplan.Plan.ops;
        (* Primary/backup replication: ship the write-set to the backup
           before reporting the work done, so a crash of this node can be
@@ -733,12 +764,18 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
               (* optional logging model: an updating cohort forces its log
                  page to disk before it can vote yes (footnote 5) *)
               if resources.Params.model_logging && is_updater then begin
-                let t0 = Engine.now t.eng in
+                let t0 = t.time.now in
                 Disk.write (Node.random_disk node);
-                emit t (fun () ->
-                    Event.Disk_access
-                      { tid; attempt; node = my_node; write = true;
-                        dur = Engine.now t.eng -. t0 })
+                if traced t then
+                  emit t
+                    (Event.Disk_access
+                       {
+                         tid;
+                         attempt;
+                         node = my_node;
+                         write = true;
+                         dur = t.time.now -. t0;
+                       })
               end;
               (* a proxy replays the shipped write-set into its own
                  node's log; replica installs are logged where they will
@@ -878,8 +915,8 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
    finished attempts without a logged decision are presumed aborted. *)
 let rec spawn_recovery t f i wal =
   Engine.spawn t.eng (fun () ->
-      emit t (fun () -> Event.Recovery_started { node = i });
-      let t0 = Engine.now t.eng in
+      if traced t then emit t (Event.Recovery_started { node = i });
+      let t0 = t.time.now in
       (* crash-during-recovery fault: with probability [recrash] this
          pass is interrupted by a second crash moments after it starts,
          exercising the re-entrancy above. The repair time reuses the
@@ -1000,21 +1037,24 @@ let rec spawn_recovery t f i wal =
                     let chain = !c in
                     let members = chains.(chain) in
                     let txns = List.length members in
-                    emit t (fun () ->
-                        Event.Recovery_chain_started { node = i; chain; txns });
-                    let c0 = Engine.now t.eng in
+                    if traced t then
+                      emit t
+                        (Event.Recovery_chain_started
+                           { node = i; chain; txns });
+                    let c0 = t.time.now in
                     List.iter
                       (fun (tid, attempt) ->
                         if Faults.Crashable.up f.node_state.(i) then
                           replay_commit ~tid ~attempt)
                       members;
                     if Faults.Crashable.up f.node_state.(i) then begin
-                      let duration = Engine.now t.eng -. c0 in
+                      let duration = t.time.now -. c0 in
                       t.recovery_chains <- t.recovery_chains + 1;
                       Metrics.record_chain t.metrics ~dur:duration;
-                      emit t (fun () ->
-                          Event.Recovery_chain_completed
-                            { node = i; chain; txns; duration })
+                      if traced t then
+                        emit t
+                          (Event.Recovery_chain_completed
+                             { node = i; chain; txns; duration })
                     end;
                     c := !c + workers
                   done;
@@ -1027,18 +1067,19 @@ let rec spawn_recovery t f i wal =
         (* the recovery checkpoint force queues on the same log disk as
            the forward path's forces; it joins the same latency
            histogram, so histogram counts conserve against [Wal.forces] *)
-        let f0 = Engine.now t.eng in
+        let f0 = t.time.now in
         Wal.force wal;
-        Metrics.record_log_force t.metrics ~dur:(Engine.now t.eng -. f0);
+        Metrics.record_log_force t.metrics ~dur:(t.time.now -. f0);
         if Faults.Crashable.up f.node_state.(i) then begin
           if corrupt then Wal.repair_deps wal;
-          let dur = Engine.now t.eng -. t0 in
+          let dur = t.time.now -. t0 in
           t.recoveries <- t.recoveries + 1;
           t.recovery_time <- t.recovery_time +. dur;
           Metrics.record_recovery t.metrics ~dur;
-          emit t (fun () ->
-              Event.Recovery_completed
-                { node = i; duration = dur; redone = !redone })
+          if traced t then
+            emit t
+              (Event.Recovery_completed
+                 { node = i; duration = dur; redone = !redone })
         end
       end)
 
@@ -1047,12 +1088,12 @@ and recover_node t f i =
     Faults.Crashable.recover f.node_state.(i);
     (match f.node_down_since.(i) with
     | Some since ->
-        let d = Engine.now t.eng -. since in
+        let d = t.time.now -. since in
         f.node_downtime.(i) <- f.node_downtime.(i) +. d;
         f.total_downtime <- f.total_downtime +. d;
         f.node_down_since.(i) <- None
     | None -> ());
-    emit t (fun () -> Event.Node_recovered { node = Proc i });
+    if traced t then emit t (Event.Node_recovered { node = Proc i });
     match t.wal with
     | Some wals -> spawn_recovery t f i wals.(i)
     | None -> ()
@@ -1071,7 +1112,7 @@ and crash_node t f i ~duration =
   if Faults.Crashable.up f.node_state.(i) then begin
     Faults.Crashable.crash f.node_state.(i);
     f.node_crashes <- f.node_crashes + 1;
-    f.node_down_since.(i) <- Some (Engine.now t.eng);
+    f.node_down_since.(i) <- Some t.time.now;
     (match t.wal with
     | Some wals ->
         (* torn-tail fault: the crash not only drops the un-forced tail
@@ -1086,7 +1127,7 @@ and crash_node t f i ~duration =
         in
         Wal.on_crash ~torn wals.(i)
     | None -> ());
-    emit t (fun () -> Event.Node_crashed { node = Proc i });
+    if traced t then emit t (Event.Node_crashed { node = Proc i });
     let replicas = t.params.Params.durability.Params.replicas in
     let startup = t.params.Params.resources.Params.inst_per_startup in
     List.iter
@@ -1119,10 +1160,15 @@ and crash_node t f i ~duration =
                     let mb = Mailbox.create () in
                     Hashtbl.replace rt.Messages.cohort_mbs orig mb;
                     f.failovers <- f.failovers + 1;
-                    emit t (fun () ->
-                        Event.Cohort_resurrected
-                          { tid = txn.Txn.tid; attempt = txn.Txn.attempt;
-                            node = orig; backup = b });
+                    if traced t then
+                      emit t
+                        (Event.Cohort_resurrected
+                           {
+                             tid = txn.Txn.tid;
+                             attempt = txn.Txn.attempt;
+                             node = orig;
+                             backup = b;
+                           });
                     Cpu.submit t.procs.(b).Node.cpu ~instructions:startup
                       (fun () ->
                         Engine.spawn t.eng (fun () ->
@@ -1133,10 +1179,14 @@ and crash_node t f i ~duration =
                       rt.Messages.doom_reason <- Some Txn.Crashed;
                     (Node.cc t.procs.(orig)).Cc_intf.cc_abort txn;
                     f.orphaned <- f.orphaned + 1;
-                    emit t (fun () ->
-                        Event.Txn_orphaned
-                          { tid = txn.Txn.tid; attempt = txn.Txn.attempt;
-                            node = orig })
+                    if traced t then
+                      emit t
+                        (Event.Txn_orphaned
+                           {
+                             tid = txn.Txn.tid;
+                             attempt = txn.Txn.attempt;
+                             node = orig;
+                           })
               end)
             (loaded_nodes rt))
       (live_sorted t);
@@ -1191,13 +1241,14 @@ let load_cohort t (rt : Messages.attempt_runtime) (cplan : Plan.cohort_plan) =
         Hashtbl.replace rt.Messages.cohort_mbs node_idx mb;
         mb
   in
-  emit t (fun () ->
-      Event.Cohort_load
-        {
-          tid = rt.Messages.txn.Txn.tid;
-          attempt = rt.Messages.txn.Txn.attempt;
-          node = node_idx;
-        });
+  if traced t then
+    emit t
+      (Event.Cohort_load
+         {
+           tid = rt.Messages.txn.Txn.tid;
+           attempt = rt.Messages.txn.Txn.attempt;
+           node = node_idx;
+         });
   let node = t.procs.(node_idx) in
   let startup = t.params.Params.resources.Params.inst_per_startup in
   Net.send ~faulty:true t.net ~src:Host ~dst:(Proc node_idx) (fun () ->
@@ -1250,9 +1301,10 @@ let await_work t (rt : Messages.attempt_runtime) ~nodes =
           if Hashtbl.mem pending node then begin
             Hashtbl.remove pending node;
             rt.Messages.last_work_node <- node;
-            emit t (fun () ->
-                Event.Work_done
-                  { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node });
+            if traced t then
+              emit t
+                (Event.Work_done
+                   { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node });
             go ~round:1
           end
           else go ~round
@@ -1355,9 +1407,10 @@ let abort_attempt t (rt : Messages.attempt_runtime) reason =
   txn.Txn.phase <- Txn.Decided_abort;
   txn.Txn.doomed <- true;
   log_decision t txn false;
-  emit t (fun () ->
-      Event.Decision
-        { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit = false });
+  if traced t then
+    emit t
+      (Event.Decision
+         { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit = false });
   let loaded = loaded_nodes rt in
   List.iter (fun node_idx -> send_cohort t rt ~node_idx Messages.Do_abort) loaded;
   (match await_acks t rt ~nodes:loaded ~decision:Messages.Do_abort ~bounded:true with
@@ -1370,9 +1423,14 @@ let abort_attempt t (rt : Messages.attempt_runtime) reason =
             (fun n ->
               (Node.cc t.procs.(n)).Cc_intf.cc_abort txn;
               f.orphaned <- f.orphaned + 1;
-              emit t (fun () ->
-                  Event.Txn_orphaned
-                    { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = n }))
+              if traced t then
+                emit t
+                  (Event.Txn_orphaned
+                     {
+                       tid = txn.Txn.tid;
+                       attempt = txn.Txn.attempt;
+                       node = n;
+                     }))
             missing));
   txn.Txn.phase <- Txn.Finished;
   reason
@@ -1384,9 +1442,10 @@ let commit_attempt t (rt : Messages.attempt_runtime) =
   let cohorts = txn.Txn.plan.Plan.cohorts in
   txn.Txn.phase <- Txn.Decided_commit;
   log_decision t txn true;
-  emit t (fun () ->
-      Event.Decision
-        { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit = true });
+  if traced t then
+    emit t
+      (Event.Decision
+         { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit = true });
   List.iter
     (fun (c : Plan.cohort_plan) ->
       send_cohort t rt ~node_idx:c.Plan.node Messages.Do_commit)
@@ -1425,9 +1484,9 @@ let run_two_phase_commit t (rt : Messages.attempt_runtime) =
   let cohorts = txn.Txn.plan.Plan.cohorts in
   txn.Txn.phase <- Txn.Voting;
   txn.Txn.commit_ts <-
-    Some (Timestamp.Clock.make t.clock ~time:(Engine.now t.eng));
-  emit t (fun () ->
-      Event.Prepare { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
+    Some (Timestamp.Clock.make t.clock ~time:t.time.now);
+  if traced t then
+    emit t (Event.Prepare { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
   List.iter
     (fun (c : Plan.cohort_plan) ->
       send_cohort t rt ~node_idx:c.Plan.node Messages.Do_prepare)
@@ -1444,9 +1503,15 @@ let run_two_phase_commit t (rt : Messages.attempt_runtime) =
           if Hashtbl.mem pending node then begin
             Hashtbl.remove pending node;
             if yes then rt.Messages.last_vote_node <- node;
-            emit t (fun () ->
-                Event.Vote
-                  { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node; yes });
+            if traced t then
+              emit t
+                (Event.Vote
+                   {
+                     tid = txn.Txn.tid;
+                     attempt = txn.Txn.attempt;
+                     node;
+                     yes;
+                   });
             if yes then collect_votes ~round:1 else `Abort Txn.Cert_failed
           end
           else collect_votes ~round
@@ -1501,15 +1566,19 @@ let run_attempt t (txn : Txn.t) =
       | Some cur when cur == rt -> Hashtbl.remove t.live txn.Txn.tid
       | Some _ | None -> ())
     (fun () ->
-      let t_begin = Engine.now t.eng in
-      emit t (fun () ->
-          Event.Attempt_start { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
+      let t_begin = t.time.now in
+      if traced t then
+        emit t
+          (Event.Attempt_start
+             { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
       (* coordinator process startup at the host *)
       Cpu.consume t.host.Node.cpu
         ~instructions:t.params.Params.resources.Params.inst_per_startup;
-      let t_setup_end = Engine.now t.eng in
-      emit t (fun () ->
-          Event.Setup_done { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
+      let t_setup_end = t.time.now in
+      if traced t then
+        emit t
+          (Event.Setup_done
+             { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
       let cohorts = txn.Txn.plan.Plan.cohorts in
       let phase1 =
         match t.params.Params.workload.Params.exec_pattern with
@@ -1531,11 +1600,11 @@ let run_attempt t (txn : Txn.t) =
       match phase1 with
       | `Abort reason -> Aborted (abort_attempt t rt reason)
       | `Done -> (
-          let t_work_end = Engine.now t.eng in
+          let t_work_end = t.time.now in
           match run_two_phase_commit t rt with
           | `Aborted reason -> Aborted reason
           | `Committed ->
-              let t_end = Engine.now t.eng in
+              let t_end = t.time.now in
               (* Work-phase critical path: the cohort whose Work_done
                  arrived last under parallel execution; the sum over all
                  cohorts (in node order, for float determinism) under
@@ -1590,7 +1659,7 @@ let fresh_tid t =
   tid
 
 let make_attempt t ~tid ~attempt ~origin_time ~startup_ts ~plan =
-  let now = Engine.now t.eng in
+  let now = t.time.now in
   {
     Txn.tid;
     attempt;
@@ -1613,7 +1682,7 @@ let rec await_host_up t =
   | None -> ()
   | Some f ->
       if not (Faults.Crashable.up f.host_state) then begin
-        Engine.wait (Float.max 1e-9 (f.host_down_until -. Engine.now t.eng));
+        Engine.wait (Float.max 1e-9 (f.host_down_until -. t.time.now));
         await_host_up t
       end
 
@@ -1629,10 +1698,10 @@ let plan_pages (plan : Plan.t) =
    admission control is trying to relieve, so open-loop restarts back
    off on the spec's capped-exponential schedule instead. *)
 let run_transaction t ~terminal plan =
-  let origin_time = Engine.now t.eng in
+  let origin_time = t.time.now in
   Metrics.record_submit t.metrics;
   let tid = fresh_tid t in
-  emit t (fun () -> Event.Submit { tid });
+  if traced t then emit t (Event.Submit { tid });
   let startup_ts = Timestamp.Clock.make t.clock ~time:origin_time in
   let rec attempt k plan =
     let txn = make_attempt t ~tid ~attempt:k ~origin_time ~startup_ts ~plan in
@@ -1641,14 +1710,16 @@ let run_transaction t ~terminal plan =
     match outcome with
     | Committed decomp ->
         Option.iter (fun a -> Audit.record_commit a txn) t.audit;
-        emit t (fun () ->
-            Event.Committed
-              { tid; attempt = k; response = Engine.now t.eng -. origin_time });
+        if traced t then
+          emit t
+            (Event.Committed
+               { tid; attempt = k; response = t.time.now -. origin_time });
         Metrics.record_commit t.metrics ~origin_time
           ~pages:(plan_pages txn.Txn.plan) ~decomp
     | Aborted reason ->
         Option.iter (fun a -> Audit.record_abort a txn) t.audit;
-        emit t (fun () -> Event.Aborted { tid; attempt = k; reason });
+        if traced t then
+          emit t (Event.Aborted { tid; attempt = k; reason });
         Metrics.record_abort t.metrics ~reason;
         let delay =
           match t.arrivals with
@@ -1657,7 +1728,8 @@ let run_transaction t ~terminal plan =
               Backoff.delay ~base:a.spec.Arrival.retry_base
                 ~cap:a.spec.Arrival.retry_cap ~round:k
         in
-        emit t (fun () -> Event.Restart_wait { tid; attempt = k; delay });
+        if traced t then
+          emit t (Event.Restart_wait { tid; attempt = k; delay });
         Engine.wait delay;
         await_host_up t;
         (* [Params.validate] rejects fresh_restart_plan with open-loop
@@ -1696,7 +1768,7 @@ let mpl_free a = a.spec.Arrival.mpl = 0 || a.in_flight < a.spec.Arrival.mpl
 let expire_stale t a =
   let deadline = a.spec.Arrival.deadline in
   if deadline > 0. then begin
-    let now = Engine.now t.eng in
+    let now = t.time.now in
     let dropped = ref false in
     let rec loop () =
       match Queue.peek_opt a.queue with
@@ -1715,7 +1787,7 @@ let expire_stale t a =
 let rec dispatch t a (p : pending) =
   a.in_flight <- a.in_flight + 1;
   Metrics.record_admitted t.metrics;
-  Metrics.record_queue_wait t.metrics ~dur:(Engine.now t.eng -. p.enqueued_at);
+  Metrics.record_queue_wait t.metrics ~dur:(t.time.now -. p.enqueued_at);
   Engine.spawn t.eng (fun () ->
       await_host_up t;
       run_transaction t ~terminal:p.terminal p.pending_plan;
@@ -1766,7 +1838,7 @@ let run_arrival_pump t a =
   let horizon = run.Params.warmup +. run.Params.measure in
   Engine.spawn t.eng (fun () ->
       let rec pump () =
-        let now = Engine.now t.eng in
+        let now = t.time.now in
         match Arrival.next_arrival a.spec a.arr_rng ~now ~horizon with
         | None -> ()
         | Some at ->
@@ -1776,7 +1848,7 @@ let run_arrival_pump t a =
             a.next_seq <- a.next_seq + 1;
             let plan = Workload.generate_plan t.workload ~terminal in
             admit t a
-              { terminal; enqueued_at = Engine.now t.eng; pending_plan = plan };
+              { terminal; enqueued_at = t.time.now; pending_plan = plan };
             pump ()
       in
       pump ())
@@ -1798,7 +1870,7 @@ let reset_observation_windows t =
      warm-up downtime and clip any open down-spell to the window start *)
   Option.iter
     (fun f ->
-      let now = Engine.now t.eng in
+      let now = t.time.now in
       Array.fill f.node_downtime 0 (Array.length f.node_downtime) 0.;
       f.host_downtime <- 0.;
       Array.iteri
@@ -1821,7 +1893,7 @@ let availability t =
       let window = Metrics.window_duration t.metrics in
       if window <= 0. then 1.
       else begin
-        let now = Engine.now t.eng in
+        let now = t.time.now in
         let open_since = function Some s -> now -. s | None -> 0. in
         let down = ref (f.host_downtime +. open_since f.host_down_since) in
         Array.iteri
@@ -1838,7 +1910,7 @@ let availability t =
 let indoubt_grace t f =
   let p = f.plan in
   let open_downtime =
-    let now = Engine.now t.eng in
+    let now = t.time.now in
     let open_since = function Some s -> now -. s | None -> 0. in
     Array.fold_left
       (fun acc s -> acc +. open_since s)
@@ -1960,7 +2032,7 @@ let collect_result t ~wall_seconds =
     queue_depth_max = Metrics.queue_depth_max t.metrics;
     queue_depth_mean = Metrics.mean_queue_depth t.metrics;
     sim_events = Engine.events_processed t.eng;
-    sim_end = Engine.now t.eng;
+    sim_end = t.time.now;
     wall_seconds;
     events_per_sec =
       (if wall_seconds > 0. then
@@ -2056,7 +2128,7 @@ let enable_events t =
   | None ->
       let tracer = Tracer.create () in
       t.events <- Some tracer;
-      let now () = Engine.now t.eng in
+      let now () = t.time.now in
       Net.set_on_msg t.net
         (Some
            (fun ~sent ~src ~dst ->
@@ -2087,9 +2159,9 @@ let enable_sampler t ~interval =
   let prev_host_cpu = ref (Node.cpu_busy_time t.host) in
   let prev_cpu = Array.init n (fun i -> Node.cpu_busy_time t.procs.(i)) in
   let prev_disk = Array.init n (fun i -> Node.disk_busy_time t.procs.(i)) in
-  let prev_time = ref (Engine.now t.eng) in
+  let prev_time = ref t.time.now in
   let rec tick () =
-    let now = Engine.now t.eng in
+    let now = t.time.now in
     let dt = now -. !prev_time in
     if dt > 0. then begin
       let host_busy = Node.cpu_busy_time t.host in
@@ -2124,7 +2196,7 @@ let enable_sampler t ~interval =
   in
   ignore
     (Engine.schedule t.eng
-       ~at:(Engine.now t.eng +. interval)
+       ~at:(t.time.now +. interval)
        tick
       : Engine.handle)
 

@@ -15,7 +15,8 @@ type action =
 type handle = action
 
 (* An all-float record is stored flat, so advancing the clock once per
-   event does not box the new time. *)
+   event does not box the new time, and a model that keeps the record
+   reads the time without boxing it either. *)
 type clock = { mutable now : float }
 
 (* The event queue is a binary min-heap on (time, seq), kept in three
@@ -32,28 +33,30 @@ type t = {
   mutable seq : int;
   mutable stop_requested : bool;
   mutable processed : int;
+  wake : clock;
+      (* when the [Wait] being handled ends, read by [on_wait]; a flat
+         record, so storing it boxes nothing *)
+  mutable on_wait : ((unit, unit) continuation -> unit) option;
+  mutable self : t option;  (* what a caught parker records *)
 }
 
 type 'a resolver = { eng : t; k : ('a, unit) continuation; mutable used : bool }
+
+(* A parker is the effect value itself, built once together with its
+   answer to the handler, so performing it allocates no effect, option or
+   closure. The handler that catches it records its engine in [on] just
+   before the answer runs. *)
+type parked = { mutable on : t option }
+
+type 'a parker = 'a Effect.t
 
 (* The effects carry no engine: the innermost handler, the one [spawn]
    installed around the performing process, belongs to its engine. *)
 type _ Effect.t +=
   | Wait : float -> unit Effect.t
-  | Suspend : ('a resolver -> unit) -> 'a Effect.t
+  | Park : parked * (('a, unit) continuation -> unit) option -> 'a Effect.t
 
-let create () =
-  {
-    clock = { now = 0. };
-    times = [||];
-    seqs = [||];
-    acts = [||];
-    len = 0;
-    seq = 0;
-    stop_requested = false;
-    processed = 0;
-  }
-
+let clock t = t.clock
 let now t = t.clock.now
 
 let grow t =
@@ -70,8 +73,9 @@ let grow t =
   t.acts <- acts
 
 (* Sift a hole up from the end. The new event's seq exceeds every queued
-   one, so it passes a parent only when its time is strictly earlier. *)
-let push t at act =
+   one, so it passes a parent only when its time is strictly earlier.
+   Inlined, so a time computed by the caller is never boxed. *)
+let[@inline] push t at act =
   if t.len = Array.length t.acts then grow t;
   t.seq <- t.seq + 1;
   let times = t.times and seqs = t.seqs and acts = t.acts in
@@ -133,7 +137,7 @@ let drop_head t =
 
 (* Queue [act] at [at], which may lie at most 1e-12 in the past (float
    rounding of [now +. delay]) and is then clamped to [now]. *)
-let enqueue t ~at act =
+let[@inline] enqueue t ~at act =
   let now = t.clock.now in
   if not (at >= now -. 1e-12) then
     invalid_arg
@@ -147,7 +151,12 @@ let schedule t ~at f =
   enqueue t ~at ev;
   ev
 
-let schedule_after t ~delay f = schedule t ~at:(t.clock.now +. delay) f
+let schedule_after t ~delay f =
+  let ev = Call { f; cancelled = false } in
+  enqueue t ~at:(t.clock.now +. delay) ev;
+  ev
+
+let cancelled_handle () = Call { f = ignore; cancelled = true }
 
 let cancel = function Call c -> c.cancelled <- true | Resume _ | Reject _ -> ()
 
@@ -155,8 +164,21 @@ let wait delay =
   if Float.is_nan delay then invalid_arg "Engine.wait: delay is NaN";
   try perform (Wait delay) with Effect.Unhandled _ -> raise Not_in_process
 
-let suspend register =
-  try perform (Suspend register) with Effect.Unhandled _ -> raise Not_in_process
+let parker register =
+  let p = { on = None } in
+  Park
+    ( p,
+      Some
+        (fun k ->
+          match p.on with
+          | Some eng -> register { eng; k; used = false }
+          | None -> assert false (* set by the handler *)) )
+
+let park p = try perform p with Effect.Unhandled _ -> raise Not_in_process
+
+(* A one-off parker: a process that blocks in the same place again and
+   again builds its parker once instead. *)
+let suspend register = park (parker register)
 
 let settle r =
   if r.used then invalid_arg "Engine: resolver used twice";
@@ -176,21 +198,40 @@ let run_fiber t f =
       retc = (fun () -> ());
       exnc = (fun e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
           | Wait delay ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  enqueue t ~at:(t.clock.now +. delay) (Resume (k, ())))
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  register { eng = t; k; used = false })
+              t.wake.now <- t.clock.now +. delay;
+              t.on_wait
+          | Park (p, on_k) ->
+              p.on <- t.self;
+              on_k
           | _ -> None);
     }
 
 let spawn t f =
   push t t.clock.now (Call { f = (fun () -> run_fiber t f); cancelled = false })
+
+let create () =
+  let t =
+    {
+      clock = { now = 0. };
+      times = [||];
+      seqs = [||];
+      acts = [||];
+      len = 0;
+      seq = 0;
+      stop_requested = false;
+      processed = 0;
+      wake = { now = 0. };
+      on_wait = None;
+      self = None;
+    }
+  in
+  t.on_wait <- Some (fun k -> enqueue t ~at:t.wake.now (Resume (k, ())));
+  t.self <- Some t;
+  t
 
 let stop t = t.stop_requested <- true
 

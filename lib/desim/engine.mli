@@ -27,6 +27,13 @@ val create : unit -> t
 (** Current simulated time. *)
 val now : t -> float
 
+(** The engine's clock, read-only outside the engine. [(clock t).now] is
+    {!now}; a model that keeps the record and reads the field gets the
+    time unboxed, where each call of {!now} returns a fresh boxed float. *)
+type clock = private { mutable now : float }
+
+val clock : t -> clock
+
 (** [schedule t ~at f] runs [f] at simulated time [at] (>= now). The
     returned handle can cancel it before it fires. Raises
     [Invalid_argument] when [at] is in the past or NaN. *)
@@ -36,6 +43,10 @@ val schedule : t -> at:float -> (unit -> unit) -> handle
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
+
+(** A handle that is already cancelled and was never queued, to
+    initialise a timer field; cancelling it again does nothing. *)
+val cancelled_handle : unit -> handle
 
 (** [spawn t f] starts a new process executing [f ()] at the current time
     (it begins running when the scheduler reaches that event). Uncaught
@@ -50,6 +61,18 @@ val wait : float -> unit
     registration function receives the resolver and must stash it somewhere
     (a queue, a lock table, ...). Only valid inside a process. *)
 val suspend : ('a resolver -> unit) -> 'a
+
+(** A prebuilt {!suspend}: [parker register] builds, once, what
+    [suspend register] builds on every call. [park p] then blocks the
+    calling process exactly as [suspend register] would, allocating only
+    the resolver. [register] runs synchronously inside [park], so state it
+    reads from a mutable field set just before [park] is the caller's. *)
+type 'a parker
+
+val parker : ('a resolver -> unit) -> 'a parker
+
+(** Only valid inside a process. *)
+val park : 'a parker -> 'a
 
 (** [resolve r v] resumes the process suspended on [r] with [v], at the
     current time of its engine (after the events already queued for that

@@ -1,10 +1,11 @@
-(** Array-based binary min-heap over a user-supplied total order.
+(** Array-based binary min-heap over a user-supplied total order. Ties
+    must be broken by the caller so that the drain order is
+    deterministic.
 
-    The CPU's processor-sharing class keeps its jobs in one, ordered by
-    finish tag. Ties must be broken by the caller (the CPU uses the arrival
-    sequence number) so that the drain order is deterministic. The engine's
-    event queue is not built on this module: it keeps its own monomorphic
-    heap. *)
+    The simulator's own queues are not built on this module: the engine's
+    event queue and the CPU's processor-sharing class each keep a
+    monomorphic heap on unboxed (time, seq) keys, which neither calls a
+    comparator nor boxes a key per element. *)
 
 type 'a t
 

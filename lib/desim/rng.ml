@@ -1,25 +1,34 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: an [int64] record
+   field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+(* Inlined into every draw, so the output is not boxed either. *)
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let next_int64 t = next t
+
+let split t = of_state (next t)
 
 (* 53 high bits -> float in [0,1) *)
 let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
 let uniform t ~lo ~hi =
@@ -38,7 +47,7 @@ let int t n =
   assert (n > 0);
   (* Rejection-free for simulation purposes: modulo bias is negligible for
      the small ranges used here (n << 2^63). *)
-  let v = Int64.shift_right_logical (next_int64 t) 1 in
+  let v = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem v (Int64.of_int n))
 
 let int_range t ~lo ~hi =
@@ -59,15 +68,33 @@ let permutation t n =
 
 let sample_without_replacement t ~n ~k =
   assert (0 <= k && k <= n);
-  (* Partial Fisher-Yates over a sparse map: O(k) time and space. *)
-  let tbl = Hashtbl.create (2 * k) in
-  let get i = match Hashtbl.find_opt tbl i with Some v -> v | None -> i in
+  (* Partial Fisher-Yates: step [i] swaps position [i] with a uniform
+     [j >= i] and emits the value that lands at [i]. Only swapped-into
+     positions hold a value other than their index; step [i] writes one,
+     at [j] (position [i] is never read again), so at most [k] entries
+     live in two small arrays, searched linearly: [k] is a page count per
+     partition, and no hash table is built per call. *)
+  let pos = Array.make k 0 and value = Array.make k 0 in
+  let m = ref 0 in
+  let slot x =
+    let s = ref 0 in
+    while !s < !m && pos.(!s) <> x do
+      incr s
+    done;
+    !s
+  in
   let acc = ref [] in
   for i = 0 to k - 1 do
     let j = i + int t (n - i) in
-    let vi = get i and vj = get j in
-    Hashtbl.replace tbl j vi;
-    Hashtbl.replace tbl i vj;
+    let si = slot i and sj = slot j in
+    let vi = if si < !m then value.(si) else i in
+    let vj = if sj < !m then value.(sj) else j in
+    if sj < !m then value.(sj) <- vi
+    else begin
+      pos.(!m) <- j;
+      value.(!m) <- vi;
+      incr m
+    end;
     acc := vj :: !acc
   done;
   !acc

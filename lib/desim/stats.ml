@@ -59,7 +59,7 @@ module Timeseries = struct
       total_area = 0.;
     }
 
-  let flush t ~now =
+  let[@inline] flush t ~now =
     if now > t.last_time then begin
       let slab = t.last_value *. (now -. t.last_time) in
       t.area <- t.area +. slab;
@@ -67,7 +67,7 @@ module Timeseries = struct
       t.last_time <- now
     end
 
-  let update t ~now ~value =
+  let[@inline] update t ~now ~value =
     flush t ~now;
     t.last_value <- value
 
@@ -88,17 +88,17 @@ module Timeseries = struct
 end
 
 module Utilization = struct
-  type t = Timeseries.t
+  type t = { clock : Engine.clock; ts : Timeseries.t }
 
-  let create ~now = Timeseries.create ~now ~value:0.
+  let create (clock : Engine.clock) =
+    { clock; ts = Timeseries.create ~now:clock.now ~value:0. }
 
-  let set_busy_level t ~now ~level =
-    assert (level >= 0. && level <= 1.0000001);
-    Timeseries.update t ~now ~value:level
+  let set_busy t ~busy =
+    Timeseries.update t.ts ~now:t.clock.now ~value:(if busy then 1.0 else 0.0)
 
-  let set_window = Timeseries.set_window
-  let value t ~now = Timeseries.average t ~now
-  let busy_time t ~now = Timeseries.total_area t ~now
+  let set_window t = Timeseries.set_window t.ts ~now:t.clock.now
+  let value t = Timeseries.average t.ts ~now:t.clock.now
+  let busy_time t = Timeseries.total_area t.ts ~now:t.clock.now
 end
 
 module Batch_means = struct

@@ -51,26 +51,28 @@ module Timeseries : sig
   val total_area : t -> now:float -> float
 end
 
-(** Busy-time tracker for a single server or a pool: fraction of time the
-    tracked quantity was non-zero, plus accumulated busy area. *)
+(** Busy-time tracker for a single server: the fraction of time it was
+    busy, plus accumulated busy time. It reads the time from the engine's
+    clock in place, so a resource that changes state at every event boxes
+    no float. *)
 module Utilization : sig
   type t
 
-  val create : now:float -> t
+  (** Idle from the clock's current time on. *)
+  val create : Engine.clock -> t
 
-  (** [set_busy_level t ~now ~level] : [level] in [0,1] is the fraction of
-      capacity in use from [now] on (1 server busy = 1.0; for a pool of k
-      servers pass busy/k). *)
-  val set_busy_level : t -> now:float -> level:float -> unit
+  (** Busy (or idle) from the current time on. *)
+  val set_busy : t -> busy:bool -> unit
 
-  val set_window : t -> now:float -> unit
+  (** Start the observation window at the current time. *)
+  val set_window : t -> unit
 
-  (** Mean utilization over the observation window ending at [now]. *)
-  val value : t -> now:float -> float
+  (** Mean utilization over the observation window up to now. *)
+  val value : t -> float
 
   (** Cumulative busy time since creation (never reset by
       {!set_window}). *)
-  val busy_time : t -> now:float -> float
+  val busy_time : t -> float
 end
 
 (** Batch-means estimator: autocorrelated steady-state observations (e.g.

@@ -68,14 +68,16 @@ let nodes_of_relation t ~relation =
   done;
   List.rev_map (fun n -> Proc n) !order
 
-(** Nodes holding copies of [file]: the primary first, then the
-    additional copies on the following nodes (read-one/write-all
-    replication per [Care88]; replication 1 means just the primary). *)
+(** Node holding copy [k] of [file]: copy 0 is the primary, the
+    additional copies sit on the following nodes (read-one/write-all
+    replication per [Care88]). *)
+let copy_node t ~file k =
+  (t.node_of_file.(file) + k) mod t.params.Params.num_proc_nodes
+
+(** Nodes holding copies of [file], primary first; replication 1 means
+    just the primary. *)
 let copy_nodes t ~file =
-  let p = t.params in
-  let primary = t.node_of_file.(file) in
-  List.init p.Params.replication (fun k ->
-      (primary + k) mod p.Params.num_proc_nodes)
+  List.init t.params.Params.replication (copy_node t ~file)
 
 (** Files of [relation] stored at processing node [node]. *)
 let files_at t ~relation ~node =

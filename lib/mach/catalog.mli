@@ -28,6 +28,10 @@ val nodes_of_relation : t -> relation:int -> Ids.node_ref list
 (** Files of [relation] stored at processing node [node], ascending. *)
 val files_at : t -> relation:int -> node:int -> int list
 
+(** Node holding copy [k] of [file], [0 <= k < replication]; copy 0 is
+    the primary. *)
+val copy_node : t -> file:int -> int -> int
+
 (** Nodes holding copies of [file], primary first ([Care88]
     read-one/write-all replication; a single-element list when
     replication is 1). *)

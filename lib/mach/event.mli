@@ -2,8 +2,9 @@
 
     Events carry the transaction, node and page identifiers needed to
     reconstruct a per-transaction timeline ({!Ddbm.Timeline}) or to
-    export a trace for Perfetto. Events are emitted by the machine only while a
-    {!Tracer.t} is attached, so tracing costs nothing otherwise. *)
+    export a trace for Perfetto. The machine builds and emits an event only
+    while a {!Tracer.t} is attached, behind an [if traced t] guard at each
+    emission site, so an untraced run allocates nothing for events. *)
 
 type lock_mode = Read | Write
 

@@ -10,6 +10,7 @@ open Desim
 
 type t = {
   eng : Engine.t;
+  clock : Engine.clock;  (** [eng]'s clock, read unboxed *)
   restart_delay_floor : float;
   mutable window_start : float;
   mutable commits : int;
@@ -34,9 +35,9 @@ type t = {
   indoubt : Stats.Tally.t;
       (** windowed durations of closed in-doubt intervals: yes-vote sent
           until the decision arrived at the cohort *)
-  indoubt_open : (int * int * int, float) Hashtbl.t;
-      (** (tid, attempt, node) -> yes-vote time, for still-undecided
-          cohorts; not windowed, so end-of-run stragglers are visible *)
+  indoubt_open : (int, float) Hashtbl.t;
+      (** {!cohort_key} -> yes-vote time, for still-undecided cohorts;
+          not windowed, so end-of-run stragglers are visible *)
   mutable offered : int;
       (** open-loop arrivals generated by the rate process. The admission
           counters are NOT windowed: conservation
@@ -67,6 +68,7 @@ type t = {
 let create ?(quantiles = true) eng ~restart_delay_floor =
   {
     eng;
+    clock = Engine.clock eng;
     restart_delay_floor;
     window_start = Engine.now eng;
     commits = 0;
@@ -102,7 +104,7 @@ let create ?(quantiles = true) eng ~restart_delay_floor =
   }
 
 let begin_window t =
-  t.window_start <- Engine.now t.eng;
+  t.window_start <- t.clock.now;
   t.commits <- 0;
   t.aborts <- 0;
   t.completions <- 0;
@@ -123,12 +125,12 @@ let begin_window t =
      the queue-depth statistics window like everything else *)
   t.queue_depth_max <- t.queue_depth;
   Stats.Hdr.reset t.queue_wait_hist;
-  Stats.Timeseries.set_window t.queue_ts ~now:(Engine.now t.eng);
-  Stats.Timeseries.set_window t.active_ts ~now:(Engine.now t.eng)
+  Stats.Timeseries.set_window t.queue_ts ~now:t.clock.now;
+  Stats.Timeseries.set_window t.active_ts ~now:t.clock.now
 
 let record_submit t =
   t.active <- t.active + 1;
-  Stats.Timeseries.update t.active_ts ~now:(Engine.now t.eng)
+  Stats.Timeseries.update t.active_ts ~now:t.clock.now
     ~value:(float_of_int t.active)
 
 (** One attempt finished (committed or aborted); called by the terminal
@@ -136,7 +138,7 @@ let record_submit t =
 let record_completion t = t.completions <- t.completions + 1
 
 let record_commit t ~origin_time ~pages ~decomp =
-  let response = Engine.now t.eng -. origin_time in
+  let response = t.clock.now -. origin_time in
   t.commits <- t.commits + 1;
   t.committed_pages <- t.committed_pages + pages;
   Stats.Tally.add t.response response;
@@ -151,7 +153,7 @@ let record_commit t ~origin_time ~pages ~decomp =
   end;
   Stats.Tally.add t.response_running response;
   t.active <- t.active - 1;
-  Stats.Timeseries.update t.active_ts ~now:(Engine.now t.eng)
+  Stats.Timeseries.update t.active_ts ~now:t.clock.now
     ~value:(float_of_int t.active)
 
 (* -------------------------------------------------------------- *)
@@ -166,7 +168,7 @@ let record_expired t = t.expired <- t.expired + 1
 let set_queue_depth t depth =
   t.queue_depth <- depth;
   if depth > t.queue_depth_max then t.queue_depth_max <- depth;
-  Stats.Timeseries.update t.queue_ts ~now:(Engine.now t.eng)
+  Stats.Timeseries.update t.queue_ts ~now:t.clock.now
     ~value:(float_of_int depth)
 
 (** A dispatched arrival waited [dur] seconds in the admission queue. *)
@@ -180,7 +182,7 @@ let expired t = t.expired
 let queue_depth_max t = t.queue_depth_max
 
 let mean_queue_depth t =
-  Stats.Timeseries.average t.queue_ts ~now:(Engine.now t.eng)
+  Stats.Timeseries.average t.queue_ts ~now:t.clock.now
 
 let queue_wait_hist t = t.queue_wait_hist
 
@@ -194,7 +196,7 @@ let abort_reason_counts t =
   Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.abort_reasons []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let window_duration t = Engine.now t.eng -. t.window_start
+let window_duration t = t.clock.now -. t.window_start
 
 (** Transactions committed per second over the measurement window. *)
 let throughput t =
@@ -212,15 +214,26 @@ let goodput t =
 (* Time blocked in 2PC: a cohort is in doubt from the moment it sends a
    yes vote until the coordinator's decision reaches it. *)
 
+(* A cohort (tid, attempt, node) is keyed by one int, so a vote builds
+   and hashes no tuple. The fields get 31, 16 and 15 bits; a wider one
+   is rejected rather than allowed to alias another cohort. *)
+let cohort_key ~tid ~attempt ~node =
+  if tid lsr 31 <> 0 || attempt lsr 16 <> 0 || node lsr 15 <> 0 then
+    invalid_arg
+      (Printf.sprintf "Metrics: cohort (%d, %d, %d) out of key range" tid
+         attempt node);
+  (tid lsl 31) lor (attempt lsl 15) lor node
+
 let record_prepared t ~tid ~attempt ~node =
-  Hashtbl.replace t.indoubt_open (tid, attempt, node) (Engine.now t.eng)
+  Hashtbl.replace t.indoubt_open (cohort_key ~tid ~attempt ~node) t.clock.now
 
 let record_decided t ~tid ~attempt ~node =
-  match Hashtbl.find_opt t.indoubt_open (tid, attempt, node) with
+  let key = cohort_key ~tid ~attempt ~node in
+  match Hashtbl.find_opt t.indoubt_open key with
   | None -> ()
   | Some start ->
-      Hashtbl.remove t.indoubt_open (tid, attempt, node);
-      let dur = Engine.now t.eng -. start in
+      Hashtbl.remove t.indoubt_open key;
+      let dur = t.clock.now -. start in
       Stats.Tally.add t.indoubt dur;
       if t.quantiles_on then Stats.Hdr.add t.indoubt_hist dur
 
@@ -246,7 +259,7 @@ let indoubt_open t = Hashtbl.length t.indoubt_open
 (** Open in-doubt intervals older than [grace] seconds — transactions the
     termination protocol should already have resolved. *)
 let indoubt_overdue t ~grace =
-  let now = Engine.now t.eng in
+  let now = t.clock.now in
   (* a count is the same in any iteration order *)
   Hashtbl.fold (* lint: allow hashtbl-order *)
     (fun _ start acc -> if now -. start > grace then acc + 1 else acc)
@@ -289,7 +302,7 @@ let restart_delay t =
   if Stats.Tally.count t.response_running = 0 then t.restart_delay_floor
   else Stats.Tally.mean t.response_running
 
-let mean_active t = Stats.Timeseries.average t.active_ts ~now:(Engine.now t.eng)
+let mean_active t = Stats.Timeseries.average t.active_ts ~now:t.clock.now
 
 (** Transactions currently in the system (instantaneous). *)
 let active t = t.active

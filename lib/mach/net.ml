@@ -54,25 +54,28 @@ let deliver_at t ~src ~dst deliver =
   Cpu.submit_priority (t.cpu_of dst) ~instructions:t.inst_per_msg
     (observed t ~src ~dst deliver)
 
+(* One delivered copy per verdict entry, each after its extra delay. *)
+let rec deliver_copies t ~src ~dst deliver = function
+  | [] -> ()
+  | d :: rest ->
+      (if d > 0. then
+         match t.eng with
+         | Some eng ->
+             ignore
+               (Engine.schedule_after eng ~delay:d (fun () ->
+                    deliver_at t ~src ~dst deliver)
+                 : Engine.handle)
+         | None -> deliver_at t ~src ~dst deliver
+       else deliver_at t ~src ~dst deliver);
+      deliver_copies t ~src ~dst deliver rest
+
 (* Receiver-side routing: without a judge (or for reliable sends) exactly
    one immediate delivery; judged sends deliver one copy per verdict
-   entry, each after its extra delay. *)
+   entry. *)
 let route t ~faulty ~src ~dst deliver =
   match (if faulty then t.judge else None) with
   | None -> deliver_at t ~src ~dst deliver
-  | Some judge ->
-      List.iter
-        (fun d ->
-          if d > 0. then
-            match t.eng with
-            | Some eng ->
-                ignore
-                  (Engine.schedule_after eng ~delay:d (fun () ->
-                       deliver_at t ~src ~dst deliver)
-                    : Engine.handle)
-            | None -> deliver_at t ~src ~dst deliver
-          else deliver_at t ~src ~dst deliver)
-        (judge ~src ~dst)
+  | Some judge -> deliver_copies t ~src ~dst deliver (judge ~src ~dst)
 
 (** [send t ~src ~dst deliver]: blocks the calling process for the sender-
     side CPU cost, then (asynchronously) charges the receiver-side cost and

@@ -1,8 +1,8 @@
 (** Dispatch point for typed {!Event} streams.
 
-    The machine emits events through a tracer only when one is attached
-    (and constructs them inside a closure passed to its guard), so a run
-    without observers pays nothing. Multiple sinks — the timeline
+    The machine builds an event only under an [if traced t] guard, so a
+    run without a tracer attached allocates nothing for tracing: no event
+    value and no closure to build one later. Multiple sinks — the timeline
     reconstructor, file exporters — can observe the same run. *)
 
 type sink = time:float -> Event.t -> unit
@@ -16,4 +16,11 @@ let attach t sink = t.sinks <- t.sinks @ [ sink ]
 
 let active t = t.sinks <> []
 
-let emit t ~time ev = List.iter (fun sink -> sink ~time ev) t.sinks
+let rec emit_to sinks ~time ev =
+  match sinks with
+  | [] -> ()
+  | sink :: rest ->
+      sink ~time ev;
+      emit_to rest ~time ev
+
+let emit t ~time ev = emit_to t.sinks ~time ev

@@ -1,8 +1,8 @@
 (** Dispatch point for typed {!Event} streams.
 
-    The machine emits events through a tracer only when one is attached
-    (and constructs them inside a closure passed to its guard), so a run
-    without observers pays nothing. Multiple sinks — the timeline
+    The machine builds an event only under an [if traced t] guard, so a
+    run without a tracer attached allocates nothing for tracing: no event
+    value and no closure to build one later. Multiple sinks — the timeline
     reconstructor, file exporters — can observe the same run. *)
 
 type sink = time:float -> Event.t -> unit

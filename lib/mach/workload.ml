@@ -21,6 +21,9 @@ type t = {
   catalog : Catalog.t;
   plan_rngs : Desim.Rng.t array;  (** one independent stream per terminal *)
   instr_rng : Desim.Rng.t;  (** per-page CPU demand draws *)
+  layouts : (int * int list) list option array;
+      (** per relation, once its first plan is drawn: each node holding
+          a partition of it (in cohort order) with its files there *)
   mutable fingerprint_log : int list array option;
       (** when enabled, per-terminal log of plan fingerprints, newest
           first *)
@@ -33,6 +36,7 @@ let create params catalog rng =
     catalog;
     plan_rngs = Array.init num_terminals (fun _ -> Desim.Rng.split rng);
     instr_rng = Desim.Rng.split rng;
+    layouts = Array.make params.Params.database.Params.num_relations None;
     fingerprint_log = None;
   }
 
@@ -108,65 +112,92 @@ let fingerprints t =
   | None -> [||]
   | Some log -> Array.map List.rev log
 
+(* Where [relation]'s partitions live, looked up in the catalog on the
+   relation's first plan only. *)
+let layout t ~relation =
+  match t.layouts.(relation) with
+  | Some l -> l
+  | None ->
+      let l =
+        List.map
+          (fun (node_ref : node_ref) ->
+            match node_ref with
+            | Proc node -> (node, Catalog.files_at t.catalog ~relation ~node)
+            | Host -> invalid_arg "Workload: data stored at host")
+          (Catalog.nodes_of_relation t.catalog ~relation)
+      in
+      t.layouts.(relation) <- Some l;
+      l
+
+(* Replica application sites: every updated page is installed at each of
+   its copy nodes other than the primary cohort's. [applies.(n)] lists
+   node [n]'s pages, the last found first; the array is built only when a
+   replica copy turns up, so without replication it stays empty. *)
+let rec add_replica_pages t applies primary_node = function
+  | [] -> ()
+  | (op : Plan.page_op) :: ops ->
+      let db = t.params.Params.database in
+      if op.Plan.update then
+        for k = 1 to db.Params.replication - 1 do
+          let copy_node =
+            Catalog.copy_node t.catalog ~file:op.Plan.page.Page.file k
+          in
+          if copy_node <> primary_node then begin
+            if Array.length !applies = 0 then
+              applies := Array.make db.Params.num_proc_nodes [];
+            let a = !applies in
+            a.(copy_node) <- op.Plan.page :: a.(copy_node)
+          end
+        done;
+      add_replica_pages t applies primary_node ops
+
+let replica_applies t primary_cohorts =
+  let applies = ref [||] in
+  List.iter
+    (fun (primary_node, ops) -> add_replica_pages t applies primary_node ops)
+    primary_cohorts;
+  !applies
+
+(* Node [node]'s replica pages, which then leave [applies]. *)
+let take_applies applies node =
+  if Array.length applies = 0 then []
+  else begin
+    let pages = applies.(node) in
+    applies.(node) <- [];
+    pages
+  end
+
 (** Generate a fresh access plan for a transaction from [terminal]: one
     cohort per node holding a primary of the terminal's relation, plus
     (under replication) update-application duties at every node holding a
-    copy of an updated page — update-only cohorts are appended when such
-    a node runs no primary accesses. *)
+    copy of an updated page — update-only cohorts are appended, in node
+    order, when such a node runs no primary accesses. *)
 let generate_plan t ~terminal =
   let rng = t.plan_rngs.(terminal) in
   let relation = relation_of_terminal t ~terminal in
-  let nodes = Catalog.nodes_of_relation t.catalog ~relation in
   let primary_cohorts =
     List.map
-      (fun node_ref ->
-        let node =
-          match node_ref with
-          | Proc n -> n
-          | Host -> invalid_arg "Workload: data stored at host"
-        in
-        let files = Catalog.files_at t.catalog ~relation ~node in
-        let ops =
-          List.concat_map (fun file -> draw_partition_ops t rng ~file) files
-        in
-        (node, ops))
-      nodes
+      (fun (node, files) ->
+        (node, List.concat_map (fun file -> draw_partition_ops t rng ~file) files))
+      (layout t ~relation)
   in
-  (* replica application sites for every updated page *)
-  let applies : (int, Ids.Page.t list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (primary_node, ops) ->
-      List.iter
-        (fun (op : Plan.page_op) ->
-          if op.Plan.update then
-            List.iter
-              (fun copy_node ->
-                if copy_node <> primary_node then
-                  Hashtbl.replace applies copy_node
-                    (op.Plan.page
-                    :: Option.value ~default:[]
-                         (Hashtbl.find_opt applies copy_node)))
-              (Catalog.copy_nodes t.catalog ~file:op.Plan.page.Page.file))
-        ops)
-    primary_cohorts;
+  let applies = replica_applies t primary_cohorts in
   let cohorts =
     List.map
       (fun (node, ops) ->
-        let apply_ops =
-          Option.value ~default:[] (Hashtbl.find_opt applies node)
-        in
-        Hashtbl.remove applies node;
-        { Plan.node; ops; apply_ops })
+        { Plan.node; ops; apply_ops = take_applies applies node })
       primary_cohorts
   in
-  let update_only =
-    Hashtbl.fold
-      (fun node apply_ops acc ->
-        { Plan.node; ops = []; apply_ops } :: acc)
-      applies []
-    |> List.sort (fun a b -> Int.compare a.Plan.node b.Plan.node)
+  let update_only = ref [] in
+  for node = Array.length applies - 1 downto 0 do
+    if applies.(node) <> [] then
+      update_only :=
+        { Plan.node; ops = []; apply_ops = applies.(node) } :: !update_only
+  done;
+  let cohorts =
+    match !update_only with [] -> cohorts | extra -> cohorts @ extra
   in
-  let plan = { Plan.relation; cohorts = cohorts @ update_only } in
+  let plan = { Plan.relation; cohorts } in
   (match t.fingerprint_log with
   | Some log -> log.(terminal) <- plan_fingerprint plan :: log.(terminal)
   | None -> ());

@@ -267,6 +267,39 @@ let test_nested_engines () =
     ]
     (List.rev !log)
 
+(* One parker shared by processes of two engines: each park records the
+   engine whose process performed it, so each resolution resumes that
+   process on its own engine. *)
+let test_parker_shared () =
+  let parked = Queue.create () in
+  let p = Engine.parker (fun r -> Queue.push r parked) in
+  let a = Engine.create () and b = Engine.create () in
+  let got = ref [] in
+  let proc name () =
+    for _ = 1 to 2 do
+      let v : int = Engine.park p in
+      got := (name, v) :: !got
+    done
+  in
+  Engine.spawn a (proc "a");
+  Engine.spawn b (proc "b");
+  for round = 1 to 2 do
+    Engine.run a;
+    Engine.run b;
+    let ra = Queue.pop parked in
+    let rb = Queue.pop parked in
+    Engine.resolve rb (20 * round);
+    Engine.resolve ra (10 * round);
+    Engine.run a;
+    Engine.run b
+  done;
+  Alcotest.(check (list (pair string int)))
+    "each process resumed by its own engine"
+    [ ("a", 10); ("b", 20); ("a", 20); ("b", 40) ]
+    (List.rev !got);
+  Alcotest.check_raises "not in process" Engine.Not_in_process (fun () ->
+      ignore (Engine.park p : int))
+
 exception Poisoned
 
 let test_poison_wakes_readers () =
@@ -466,6 +499,8 @@ let suite =
     Alcotest.test_case "suspend outside process" `Quick
       test_suspend_outside_process;
     Alcotest.test_case "nested engines" `Quick test_nested_engines;
+    Alcotest.test_case "parker shared by two engines" `Quick
+      test_parker_shared;
     Alcotest.test_case "poison wakes every reader" `Quick
       test_poison_wakes_readers;
     QCheck_alcotest.to_alcotest prop_queue_matches_reference;

@@ -101,6 +101,45 @@ let test_split_independence () =
   let ys = List.init 16 (fun _ -> Rng.next_int64 c2) in
   Alcotest.(check bool) "children differ" false (xs = ys)
 
+(* Literal outputs of the splitmix64 streams, recorded when the state was
+   a boxed [int64] and the sampler used a hash table: a change to the
+   state's representation or to the sampler must reproduce them bit for
+   bit, since every plan and service time of a run is drawn from them. *)
+let test_golden_stream () =
+  let r = Rng.create 42 in
+  Alcotest.(check (list int64))
+    "first 8 draws of create 42"
+    [
+      -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+      885919558081284366L; -353919125003956057L; 4337243929683858115L;
+      5152897204343404489L; 2820384354626331986L;
+    ]
+    (List.init 8 (fun _ -> Rng.next_int64 r));
+  let r = Rng.create 42 in
+  let child = Rng.split r in
+  Alcotest.(check (list int64))
+    "split child"
+    [ 6168158941143839527L; -3019913106490840865L ]
+    (List.init 2 (fun _ -> Rng.next_int64 child));
+  Alcotest.(check int64) "parent after split" 2958219263312191191L
+    (Rng.next_int64 r);
+  let r = Rng.create 42 in
+  Alcotest.(check (float 0.)) "float" 0x1.31367e26140c7p-1 (Rng.float r);
+  Alcotest.(check int) "int 1000" 595 (Rng.int r 1000);
+  Alcotest.(check (float 0.)) "exponential ~mean:2." 0x1.74bbe0bc63d11p-2
+    (Rng.exponential r ~mean:2.);
+  let r = Rng.create 42 in
+  Alcotest.(check (list int))
+    "sample ~n:1200 ~k:8"
+    [ 670; 162; 582; 83; 1023; 44; 1158; 740 ]
+    (Rng.sample_without_replacement r ~n:1200 ~k:8);
+  Alcotest.(check (list int))
+    "sample ~n:20 ~k:20"
+    [ 4; 12; 17; 3; 18; 8; 5; 13; 16; 19; 2; 9; 11; 14; 15; 0; 7; 6; 1; 10 ]
+    (Rng.sample_without_replacement r ~n:20 ~k:20);
+  Alcotest.(check int64) "draw after the samples" (-892783100617406102L)
+    (Rng.next_int64 r)
+
 let prop_uniform_in_range =
   QCheck.Test.make ~name:"uniform stays in range" ~count:500
     QCheck.(pair (float_bound_exclusive 100.) (float_bound_exclusive 100.))
@@ -125,5 +164,6 @@ let suite =
     Alcotest.test_case "permutation" `Quick test_permutation;
     Alcotest.test_case "bool probability" `Slow test_bool_probability;
     Alcotest.test_case "split independence" `Quick test_split_independence;
+    Alcotest.test_case "golden stream" `Quick test_golden_stream;
     QCheck_alcotest.to_alcotest prop_uniform_in_range;
   ]

@@ -44,11 +44,15 @@ let test_timeseries_window () =
     (feq (Stats.Timeseries.average ts ~now:14.) 3.)
 
 let test_utilization () =
-  let u = Stats.Utilization.create ~now:0. in
-  Stats.Utilization.set_busy_level u ~now:0. ~level:1.;
-  Stats.Utilization.set_busy_level u ~now:3. ~level:0.;
-  Alcotest.(check bool) "75% busy" true
-    (feq (Stats.Utilization.value u ~now:4.) 0.75)
+  let eng = Engine.create () in
+  let u = Stats.Utilization.create (Engine.clock eng) in
+  Stats.Utilization.set_busy u ~busy:true;
+  ignore
+    (Engine.schedule eng ~at:3. (fun () ->
+         Stats.Utilization.set_busy u ~busy:false)
+      : Engine.handle);
+  Engine.run ~until:4. eng;
+  Alcotest.(check bool) "75% busy" true (feq (Stats.Utilization.value u) 0.75)
 
 let test_histogram_quantile () =
   let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
