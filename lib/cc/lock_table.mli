@@ -9,9 +9,12 @@
     it.
 
     The table is indexed by transaction attempt as well as by page: each
-    attempt's footprint lists the pages it holds or awaits and its queued
-    requests, so releasing an attempt, listing its exclusive pages and
-    searching for a deadlock through it never scan the page table. *)
+    attempt's footprint lists the lock entries it holds or awaits (each
+    entry carries its page) and its queued requests, so releasing an
+    attempt, listing its exclusive pages and searching for a deadlock
+    through it never scan the page table. A granted lock is one mutable
+    hold record, which a conversion upgrades in place. The page table
+    holds only locked pages: an entry that empties leaves it. *)
 
 open Ddbm_model
 

@@ -14,7 +14,14 @@
 
 open Ddbm_model
 
-type t = { hooks : Cc_intf.hooks; locks : Lock_table.t }
+type t = {
+  hooks : Cc_intf.hooks;
+  locks : Lock_table.t;
+  requester : Txn.t ref;
+      (** the attempt inside [Lock_table.request], which runs [on_block]
+          before it returns or parks *)
+  on_block : Txn.t list -> unit;  (** built once, for every request *)
+}
 
 (* Victimize until no cycle through the requester remains. request_abort
    marks victims doomed synchronously, which the search treats as broken
@@ -30,8 +37,8 @@ let rec detect_local (hooks : Cc_intf.hooks) locks (requester : Txn.t) =
 
 let acquire t txn page mode =
   t.hooks.Cc_intf.charge_cc_request ();
-  Lock_table.request t.locks txn page mode ~on_block:(fun _blockers ->
-      detect_local t.hooks t.locks txn)
+  t.requester := txn;
+  Lock_table.request t.locks txn page mode ~on_block:t.on_block
 
 (** [make hooks] builds the node manager; [algorithm] relabels it for the
     O2PL variant, which shares this implementation (the 2PL/O2PL
@@ -40,7 +47,16 @@ let acquire t txn page mode =
 let make ?(algorithm = Params.Twopl) (hooks : Cc_intf.hooks) :
     Cc_intf.node_cc =
   let blocking = Desim.Stats.Tally.create () in
-  let t = { hooks; locks = Lock_table.create hooks.Cc_intf.eng ~blocking } in
+  let locks = Lock_table.create hooks.Cc_intf.eng ~blocking in
+  let requester = ref (Txn.placeholder ()) in
+  let t =
+    {
+      hooks;
+      locks;
+      requester;
+      on_block = (fun _ -> detect_local hooks locks !requester);
+    }
+  in
   {
     algorithm;
     cc_read = (fun txn page -> acquire t txn page Lock_table.S);

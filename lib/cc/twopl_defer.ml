@@ -17,12 +17,19 @@ type t = {
   hooks : Cc_intf.hooks;
   locks : Lock_table.t;
   write_sets : Page.t list ref Txn.Table.t;
+  requester : Txn.t ref;
+      (** the attempt inside [Lock_table.request], which runs [on_block]
+          before it returns or parks *)
+  on_block : Txn.t list -> unit;  (** built once, for every request *)
 }
+
+let lock t txn page mode =
+  t.requester := txn;
+  Lock_table.request t.locks txn page mode ~on_block:t.on_block
 
 let cc_read t txn page =
   t.hooks.Cc_intf.charge_cc_request ();
-  Lock_table.request t.locks txn page Lock_table.S ~on_block:(fun _ ->
-      Twopl.detect_local t.hooks t.locks txn)
+  lock t txn page Lock_table.S
 
 (* The write is only noted; the exclusive lock comes at prepare time. *)
 let cc_write t (txn : Txn.t) page =
@@ -40,11 +47,7 @@ let cc_prepare t (txn : Txn.t) =
       | None -> []
     in
     try
-      List.iter
-        (fun page ->
-          Lock_table.request t.locks txn page Lock_table.X ~on_block:(fun _ ->
-              Twopl.detect_local t.hooks t.locks txn))
-        pages;
+      List.iter (fun page -> lock t txn page Lock_table.X) pages;
       not txn.Txn.doomed
     with Txn.Aborted _ -> false
   end
@@ -55,11 +58,15 @@ let finish t txn =
 
 let make (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
   let blocking = Desim.Stats.Tally.create () in
+  let locks = Lock_table.create hooks.Cc_intf.eng ~blocking in
+  let requester = ref (Txn.placeholder ()) in
   let t =
     {
       hooks;
-      locks = Lock_table.create hooks.Cc_intf.eng ~blocking;
+      locks;
       write_sets = Txn.Table.create 64;
+      requester;
+      on_block = (fun _ -> Twopl.detect_local hooks locks !requester);
     }
   in
   {

@@ -11,7 +11,14 @@
 
 open Ddbm_model
 
-type t = { hooks : Cc_intf.hooks; locks : Lock_table.t }
+type t = {
+  hooks : Cc_intf.hooks;
+  locks : Lock_table.t;
+  requester : Txn.t ref;
+      (** the attempt inside [Lock_table.request], which runs [pre_block]
+          before it returns or parks *)
+  pre_block : (Txn.t list -> unit) option;  (** built once *)
+}
 
 let die_if_younger (requester : Txn.t) blockers =
   let must_die =
@@ -22,15 +29,25 @@ let die_if_younger (requester : Txn.t) blockers =
   in
   if must_die then raise (Txn.Aborted Txn.Died)
 
+let no_policy (_ : Txn.t list) = ()
+
 let acquire t txn page mode =
   t.hooks.Cc_intf.charge_cc_request ();
-  Lock_table.request t.locks txn page mode
-    ~pre_block:(fun blockers -> die_if_younger txn blockers)
-    ~on_block:(fun _ -> ())
+  t.requester := txn;
+  Lock_table.request ?pre_block:t.pre_block t.locks txn page mode
+    ~on_block:no_policy
 
 let make (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
   let blocking = Desim.Stats.Tally.create () in
-  let t = { hooks; locks = Lock_table.create hooks.Cc_intf.eng ~blocking } in
+  let requester = ref (Txn.placeholder ()) in
+  let t =
+    {
+      hooks;
+      locks = Lock_table.create hooks.Cc_intf.eng ~blocking;
+      requester;
+      pre_block = Some (fun blockers -> die_if_younger !requester blockers);
+    }
+  in
   {
     algorithm = Params.Wait_die;
     cc_read = (fun txn page -> acquire t txn page Lock_table.S);

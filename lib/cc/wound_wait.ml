@@ -12,23 +12,38 @@
 
 open Ddbm_model
 
-type t = { hooks : Cc_intf.hooks; locks : Lock_table.t }
+type t = {
+  hooks : Cc_intf.hooks;
+  locks : Lock_table.t;
+  requester : Txn.t ref;
+      (** the attempt inside [Lock_table.request], which runs [on_block]
+          before it returns or parks *)
+  on_block : Txn.t list -> unit;  (** built once, for every request *)
+}
 
-let wound_younger t (requester : Txn.t) blockers =
+let wound_younger (hooks : Cc_intf.hooks) (requester : Txn.t) blockers =
   List.iter
     (fun (blocker : Txn.t) ->
       if Txn.older requester blocker && not blocker.Txn.doomed then
-        t.hooks.Cc_intf.request_abort blocker Txn.Wounded)
+        hooks.Cc_intf.request_abort blocker Txn.Wounded)
     blockers
 
 let acquire t txn page mode =
   t.hooks.Cc_intf.charge_cc_request ();
-  Lock_table.request t.locks txn page mode ~on_block:(fun blockers ->
-      wound_younger t txn blockers)
+  t.requester := txn;
+  Lock_table.request t.locks txn page mode ~on_block:t.on_block
 
 let make (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
   let blocking = Desim.Stats.Tally.create () in
-  let t = { hooks; locks = Lock_table.create hooks.Cc_intf.eng ~blocking } in
+  let requester = ref (Txn.placeholder ()) in
+  let t =
+    {
+      hooks;
+      locks = Lock_table.create hooks.Cc_intf.eng ~blocking;
+      requester;
+      on_block = (fun blockers -> wound_younger hooks !requester blockers);
+    }
+  in
   {
     algorithm = Params.Wound_wait;
     cc_read = (fun txn page -> acquire t txn page Lock_table.S);

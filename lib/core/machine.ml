@@ -365,9 +365,15 @@ let live_sorted t =
   Hashtbl.fold (fun tid rt acc -> (tid, rt) :: acc) t.live []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(* The nodes of the cohorts at the plan positions where [f] holds,
+   ascending. *)
+let nodes_where (rt : Messages.attempt_runtime) f =
+  let acc = ref [] in
+  Array.iteri (fun p node -> if f p then acc := node :: !acc) rt.Messages.nodes;
+  List.sort Int.compare !acc
+
 let loaded_nodes (rt : Messages.attempt_runtime) =
-  Hashtbl.fold (fun node _ acc -> node :: acc) rt.Messages.cohort_mbs []
-  |> List.sort Int.compare
+  nodes_where rt (fun p -> Option.is_some rt.Messages.cohort_mbs.(p))
 
 let cohort_plan_of (txn : Txn.t) node =
   List.find_opt
@@ -381,9 +387,8 @@ let backup_of t i = (i + 1) mod Array.length t.procs
 (* Where the cohort originally planned at [node] now runs: its backup
    after a failover, [node] itself otherwise. *)
 let resident_node (rt : Messages.attempt_runtime) node =
-  match Hashtbl.find_opt rt.Messages.relocated node with
-  | Some b -> b
-  | None -> node
+  let b = rt.Messages.relocated.(Messages.position rt node) in
+  if b < 0 then node else b
 
 let recover_host t f =
   if not (Faults.Crashable.up f.host_state) then begin
@@ -512,13 +517,14 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
   let tid = txn.Txn.tid in
   let attempt = txn.Txn.attempt in
   let my_node = cplan.Plan.node in
+  let my_pos = Messages.position rt my_node in
   let exec_node = if proxy then backup_of t my_node else my_node in
   let node = t.procs.(exec_node) in
   let cc = Node.cc t.procs.(my_node) in
   let self = Proc exec_node in
   let resources = t.params.Params.resources in
   let durability = t.params.Params.durability in
-  let usage = Messages.usage rt my_node in
+  let usage = rt.Messages.usage.(my_pos) in
   let wal = match t.wal with Some w -> Some w.(exec_node) | None -> None in
   let is_updater =
     cplan.Plan.apply_ops <> []
@@ -546,7 +552,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
      over: no sends, no [cc_abort] — the footprint now belongs to the
      proxy. Only ever true when [proxy] is false. *)
   let relocated_away () =
-    (not proxy) && Hashtbl.mem rt.Messages.relocated my_node
+    (not proxy) && rt.Messages.relocated.(my_pos) >= 0
   in
   (* Timed CC access: the wall time from request to grant (lock waits,
      conversion waits, CC request processing) accrues to the work-phase
@@ -710,7 +716,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
        then begin
          let b = backup_of t my_node in
          Net.send ~faulty:true t.net ~src:self ~dst:(Proc b) (fun () ->
-             Hashtbl.replace rt.Messages.shipped_nodes my_node ())
+             rt.Messages.shipped.(my_pos) <- true)
        end;
        send_coord (Messages.Work_done my_node)
      end);
@@ -746,7 +752,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
               (* from here the cohort may block inside its CC manager, so
                  a crash can no longer fail it over to the backup — a
                  proxy would double-drive the manager *)
-              Hashtbl.replace rt.Messages.preparing_nodes my_node ();
+              rt.Messages.preparing.(my_pos) <- true;
               (* algorithms that defer replica write permission to the
                  commit protocol obtain it now; the write intent arrived
                  with the prepare message, so no extra messages are
@@ -806,7 +812,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
                   else Wal.append w (Wal.Abort { tid; attempt })
               | Some _ | None -> ());
               if vote then begin
-                Hashtbl.replace rt.Messages.voted_nodes my_node ();
+                rt.Messages.voted.(my_pos) <- true;
                 Metrics.record_prepared t.metrics ~tid ~attempt ~node:my_node
               end;
               send_coord (Messages.Vote (my_node, vote));
@@ -1136,17 +1142,18 @@ and crash_node t f i ~duration =
         if decision_of f txn = None then
           List.iter
             (fun orig ->
+              let p = Messages.position rt orig in
               if
                 Int.equal (resident_node rt orig) i
-                && not (Hashtbl.mem rt.Messages.voted_nodes orig)
+                && not rt.Messages.voted.(p)
               then begin
                 let b = backup_of t orig in
                 let cplan =
                   if
                     replicas > 0 && b <> orig
-                    && Hashtbl.mem rt.Messages.shipped_nodes orig
-                    && (not (Hashtbl.mem rt.Messages.preparing_nodes orig))
-                    && (not (Hashtbl.mem rt.Messages.relocated orig))
+                    && rt.Messages.shipped.(p)
+                    && (not rt.Messages.preparing.(p))
+                    && rt.Messages.relocated.(p) < 0
                     && Faults.Crashable.up f.node_state.(b)
                   then cohort_plan_of txn orig
                   else None
@@ -1156,9 +1163,9 @@ and crash_node t f i ~duration =
                     (* failover: route the coordinator to the backup and
                        hand the (possibly in-flight) protocol messages to
                        a fresh mailbox owned by the proxy *)
-                    Hashtbl.replace rt.Messages.relocated orig b;
+                    rt.Messages.relocated.(p) <- b;
                     let mb = Mailbox.create () in
-                    Hashtbl.replace rt.Messages.cohort_mbs orig mb;
+                    rt.Messages.cohort_mbs.(p) <- Some mb;
                     f.failovers <- f.failovers + 1;
                     if traced t then
                       emit t
@@ -1232,13 +1239,14 @@ let schedule_faults t f =
 
 let load_cohort t (rt : Messages.attempt_runtime) (cplan : Plan.cohort_plan) =
   let node_idx = cplan.Plan.node in
+  let p = Messages.position rt node_idx in
   let mb =
     (* a retransmitted load (lost first copy) reuses the mailbox *)
-    match Hashtbl.find_opt rt.Messages.cohort_mbs node_idx with
+    match rt.Messages.cohort_mbs.(p) with
     | Some mb -> mb
     | None ->
         let mb = Mailbox.create () in
-        Hashtbl.replace rt.Messages.cohort_mbs node_idx mb;
+        rt.Messages.cohort_mbs.(p) <- Some mb;
         mb
   in
   if traced t then
@@ -1253,8 +1261,8 @@ let load_cohort t (rt : Messages.attempt_runtime) (cplan : Plan.cohort_plan) =
   let startup = t.params.Params.resources.Params.inst_per_startup in
   Net.send ~faulty:true t.net ~src:Host ~dst:(Proc node_idx) (fun () ->
       (* a duplicated load must not spawn a twin cohort *)
-      if not (Hashtbl.mem rt.Messages.arrived_nodes node_idx) then begin
-        Hashtbl.replace rt.Messages.arrived_nodes node_idx ();
+      if not rt.Messages.arrived.(p) then begin
+        rt.Messages.arrived.(p) <- true;
         Cpu.submit node.Node.cpu ~instructions:startup (fun () ->
             Engine.spawn t.eng (fun () -> run_cohort t rt cplan mb))
       end)
@@ -1273,13 +1281,31 @@ let send_cohort t (rt : Messages.attempt_runtime) ~node_idx msg =
           (* unblock the cohort if it is stuck in a CC queue *)
           (Node.cc t.procs.(node_idx)).Cc_intf.cc_abort rt.Messages.txn
       | Messages.Do_prepare | Messages.Do_commit -> ());
-      match Hashtbl.find_opt rt.Messages.cohort_mbs node_idx with
+      match rt.Messages.cohort_mbs.(Messages.position rt node_idx) with
       | Some mb -> Mailbox.send mb msg
       | None -> ())
 
-let pending_sorted pending =
-  Hashtbl.fold (fun node () acc -> node :: acc) pending []
-  |> List.sort Int.compare
+(* The cohorts that still owe the coordinator a message, by plan
+   position. *)
+type owed = { owing : bool array; mutable left : int }
+
+let owed_by (rt : Messages.attempt_runtime) nodes =
+  let owing = Array.make (Array.length rt.Messages.nodes) false in
+  List.iter (fun n -> owing.(Messages.position rt n) <- true) nodes;
+  { owing; left = List.length nodes }
+
+(* Strike [node]'s debt; false when it owed nothing. *)
+let settle rt o node =
+  let p = Messages.position rt node in
+  if o.owing.(p) then begin
+    o.owing.(p) <- false;
+    o.left <- o.left - 1;
+    true
+  end
+  else false
+
+let owes rt o node = o.owing.(Messages.position rt node)
+let owed_sorted rt o = nodes_where rt (fun p -> o.owing.(p))
 
 (* Wait for one Work_done per node in [nodes]; an abort trigger
    interrupts. Records the node of each Work_done as it is processed, so
@@ -1291,15 +1317,13 @@ let pending_sorted pending =
    at the capped timeout without charging its budget. *)
 let await_work t (rt : Messages.attempt_runtime) ~nodes =
   let txn = rt.Messages.txn in
-  let pending = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace pending n ()) nodes;
+  let pending = owed_by rt nodes in
   let rec go ~round =
-    if Hashtbl.length pending = 0 then `Done
+    if pending.left = 0 then `Done
     else
       match coord_recv t rt ~round with
       | Some (Messages.Work_done node) ->
-          if Hashtbl.mem pending node then begin
-            Hashtbl.remove pending node;
+          if settle rt pending node then begin
             rt.Messages.last_work_node <- node;
             if traced t then
               emit t
@@ -1328,9 +1352,8 @@ let await_work t (rt : Messages.attempt_runtime) ~nodes =
               | Some reason -> `Abort reason
               | None ->
                   let missing_loads =
-                    pending_sorted pending
-                    |> List.filter (fun n ->
-                           not (Hashtbl.mem rt.Messages.arrived_nodes n))
+                    nodes_where rt (fun p ->
+                        pending.owing.(p) && not rt.Messages.arrived.(p))
                   in
                   if missing_loads = [] then go ~round:(round + 1)
                   else if
@@ -1355,20 +1378,15 @@ let await_work t (rt : Messages.attempt_runtime) ~nodes =
    unreachable cohorts for out-of-band cleanup. *)
 let await_acks t (rt : Messages.attempt_runtime) ~nodes ~decision ~bounded =
   let txn = rt.Messages.txn in
-  let pending = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace pending n ()) nodes;
+  let pending = owed_by rt nodes in
   let rec go ~round =
-    if Hashtbl.length pending = 0 then `Done
+    if pending.left = 0 then `Done
     else
       match coord_recv t rt ~round with
       | Some (Messages.Done_ack node) ->
-          if Hashtbl.mem pending node then begin
-            Hashtbl.remove pending node;
-            go ~round:1
-          end
-          else go ~round
+          if settle rt pending node then go ~round:1 else go ~round
       | Some (Messages.Inquiry (_, node)) ->
-          if Hashtbl.mem pending node then
+          if owes rt pending node then
             send_cohort t rt ~node_idx:node decision;
           go ~round
       | Some
@@ -1384,13 +1402,13 @@ let await_acks t (rt : Messages.attempt_runtime) ~nodes ~decision ~bounded =
                 bounded
                 && Backoff.exhausted ~max_retries:f.plan.Fault_plan.max_retries
                      ~round
-              then `Orphaned (pending_sorted pending)
+              then `Orphaned (owed_sorted rt pending)
               else begin
                 List.iter
                   (fun n ->
                     f.retries <- f.retries + 1;
                     send_cohort t rt ~node_idx:n decision)
-                  (pending_sorted pending);
+                  (owed_sorted rt pending);
                 go ~round:(round + 1)
               end)
   in
@@ -1491,17 +1509,13 @@ let run_two_phase_commit t (rt : Messages.attempt_runtime) =
     (fun (c : Plan.cohort_plan) ->
       send_cohort t rt ~node_idx:c.Plan.node Messages.Do_prepare)
     cohorts;
-  let pending = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Plan.cohort_plan) -> Hashtbl.replace pending c.Plan.node ())
-    cohorts;
+  let pending = owed_by rt (Array.to_list rt.Messages.nodes) in
   let rec collect_votes ~round =
-    if Hashtbl.length pending = 0 then `All_yes
+    if pending.left = 0 then `All_yes
     else
       match coord_recv t rt ~round with
       | Some (Messages.Vote (node, yes)) ->
-          if Hashtbl.mem pending node then begin
-            Hashtbl.remove pending node;
+          if settle rt pending node then begin
             if yes then rt.Messages.last_vote_node <- node;
             if traced t then
               emit t
@@ -1523,7 +1537,7 @@ let run_two_phase_commit t (rt : Messages.attempt_runtime) =
           (* an in-doubt cohort whose vote we may have missed: re-prompt
              it (it re-votes from memory). No round reset — a draining
              cohort's inquiries must not starve the timeout. *)
-          if Hashtbl.mem pending node then
+          if owes rt pending node then
             send_cohort t rt ~node_idx:node Messages.Do_prepare;
           collect_votes ~round
       | Some
@@ -1547,7 +1561,7 @@ let run_two_phase_commit t (rt : Messages.attempt_runtime) =
                       (fun n ->
                         f.retries <- f.retries + 1;
                         send_cohort t rt ~node_idx:n Messages.Do_prepare)
-                      (pending_sorted pending);
+                      (owed_sorted rt pending);
                     collect_votes ~round:(round + 1)
                   end))
   in
@@ -1611,23 +1625,16 @@ let run_attempt t (txn : Txn.t) =
                  sequential execution. *)
               let blocked, disk, cpu =
                 match t.params.Params.workload.Params.exec_pattern with
-                | Params.Parallel -> (
-                    match
-                      Hashtbl.find_opt rt.Messages.usage
-                        rt.Messages.last_work_node
-                    with
-                    | Some u ->
-                        ( u.Messages.u_blocked,
-                          u.Messages.u_disk,
-                          u.Messages.u_cpu )
-                    | None -> (0., 0., 0.))
+                | Params.Parallel ->
+                    if rt.Messages.last_work_node < 0 then (0., 0., 0.)
+                    else
+                      let u = Messages.usage rt rt.Messages.last_work_node in
+                      (u.Messages.u_blocked, u.Messages.u_disk, u.Messages.u_cpu)
                 | Params.Sequential ->
-                    Hashtbl.fold
-                      (fun node u acc -> (node, u) :: acc)
-                      rt.Messages.usage []
-                    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+                    nodes_where rt (fun _ -> true)
                     |> List.fold_left
-                         (fun (b, d, c) (_, u) ->
+                         (fun (b, d, c) node ->
+                           let u = Messages.usage rt node in
                            ( b +. u.Messages.u_blocked,
                              d +. u.Messages.u_disk,
                              c +. u.Messages.u_cpu ))
@@ -1636,11 +1643,8 @@ let run_attempt t (txn : Txn.t) =
               (* the decision-gating log write: the prepare force of the
                  last accepted yes vote's cohort *)
               let log =
-                match
-                  Hashtbl.find_opt rt.Messages.usage rt.Messages.last_vote_node
-                with
-                | Some u -> u.Messages.u_log
-                | None -> 0.
+                if rt.Messages.last_vote_node < 0 then 0.
+                else (Messages.usage rt rt.Messages.last_vote_node).Messages.u_log
               in
               Committed
                 (Decomp.assemble

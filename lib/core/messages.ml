@@ -56,12 +56,16 @@ type cohort_usage = {
 }
 
 (** Per-attempt runtime shared between the coordinator and the message
-    routing layer. *)
+    routing layer. The per-cohort state lives in arrays indexed by the
+    cohort's position in the plan ({!position}), sized by the plan's
+    cohort count. *)
 type attempt_runtime = {
   txn : Txn.t;
   coord_mb : coord_msg Mailbox.t;
-  cohort_mbs : (int, cohort_msg Mailbox.t) Hashtbl.t;  (** node -> mailbox *)
-  usage : (int, cohort_usage) Hashtbl.t;  (** node -> work-phase usage *)
+  nodes : int array;  (** position -> the cohort's node, in plan order *)
+  cohort_mbs : cohort_msg Mailbox.t option array;
+      (** the cohort's mailbox, once it is loaded *)
+  usage : cohort_usage array;  (** the cohort's work-phase usage *)
   mutable last_work_node : int;
       (** node whose Work_done the coordinator processed last (-1 until
           the first arrives); the work-phase critical path under parallel
@@ -70,24 +74,24 @@ type attempt_runtime = {
       (** node whose yes vote the coordinator accepted last (-1 until the
           first); its prepare-record force gates the commit decision and
           feeds the decomposition's [log] component *)
-  arrived_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose load-cohort message was delivered; guards against a
+  arrived : bool array;
+      (** the cohort's load-cohort message was delivered; guards against a
           retransmitted load spawning a twin cohort, and tells the
           coordinator which loads may have been lost *)
-  voted_nodes : (int, unit) Hashtbl.t;
-      (** nodes that sent a yes vote — their cohorts are prepared
-          (in-doubt) and must not be victimized by a node crash *)
-  shipped_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose cohort's write-set was delivered to its backup
-          (primary/backup replication): if the node crashes before the
+  voted : bool array;
+      (** the cohort sent a yes vote — it is prepared (in-doubt) and must
+          not be victimized by a node crash *)
+  shipped : bool array;
+      (** the cohort's write-set was delivered to its backup
+          (primary/backup replication): if its node crashes before the
           cohort votes, the coordinator can fail over to the backup
           instead of dooming the attempt *)
-  preparing_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose cohort has begun processing Do_prepare (may be
-          blocked inside its CC manager); such a cohort cannot be failed
-          over — a backup proxy would double-drive the CC manager *)
-  relocated : (int, int) Hashtbl.t;
-      (** original cohort node -> backup node now running its proxy;
+  preparing : bool array;
+      (** the cohort has begun processing Do_prepare (may be blocked
+          inside its CC manager); such a cohort cannot be failed over — a
+          backup proxy would double-drive the CC manager *)
+  relocated : int array;
+      (** the backup node now running the cohort's proxy, or -1:
           coordinator sends route to the backup, and the original fiber
           exits silently when it observes the entry *)
   mutable doom_reason : Txn.abort_reason option;
@@ -96,27 +100,43 @@ type attempt_runtime = {
           every receive timeout *)
 }
 
-let make_runtime txn =
+let rec fill_nodes nodes i = function
+  | [] -> ()
+  | (c : Plan.cohort_plan) :: cohorts ->
+      nodes.(i) <- c.Plan.node;
+      fill_nodes nodes (i + 1) cohorts
+
+let make_runtime (txn : Txn.t) =
+  let cohorts = txn.Txn.plan.Plan.cohorts in
+  let n = List.length cohorts in
+  let nodes = Array.make n 0 in
+  fill_nodes nodes 0 cohorts;
   {
     txn;
     coord_mb = Mailbox.create ();
-    cohort_mbs = Hashtbl.create 8;
-    usage = Hashtbl.create 8;
+    nodes;
+    cohort_mbs = Array.make n None;
+    usage =
+      Array.init n (fun _ ->
+          { u_blocked = 0.; u_disk = 0.; u_cpu = 0.; u_log = 0. });
     last_work_node = -1;
     last_vote_node = -1;
-    arrived_nodes = Hashtbl.create 8;
-    voted_nodes = Hashtbl.create 8;
-    shipped_nodes = Hashtbl.create 8;
-    preparing_nodes = Hashtbl.create 8;
-    relocated = Hashtbl.create 8;
+    arrived = Array.make n false;
+    voted = Array.make n false;
+    shipped = Array.make n false;
+    preparing = Array.make n false;
+    relocated = Array.make n (-1);
     doom_reason = None;
   }
 
-(** The usage record of [node], created on first access. *)
-let usage rt node =
-  match Hashtbl.find_opt rt.usage node with
-  | Some u -> u
-  | None ->
-      let u = { u_blocked = 0.; u_disk = 0.; u_cpu = 0.; u_log = 0. } in
-      Hashtbl.replace rt.usage node u;
-      u
+let rec find_position nodes node i =
+  if i = Array.length nodes then invalid_arg "Messages.position: not a cohort"
+  else if nodes.(i) = node then i
+  else find_position nodes node (i + 1)
+
+(** The position in the plan of the cohort at [node]; raises
+    [Invalid_argument] when the plan has no cohort there. *)
+let position rt node = find_position rt.nodes node 0
+
+(** The usage record of the cohort at [node]. *)
+let usage rt node = rt.usage.(position rt node)

@@ -47,12 +47,16 @@ type cohort_usage = {
 }
 
 (** Per-attempt runtime shared between the coordinator and the message
-    routing layer. *)
+    routing layer. The per-cohort state lives in arrays indexed by the
+    cohort's position in the plan ({!position}), sized by the plan's
+    cohort count. *)
 type attempt_runtime = {
   txn : Txn.t;
   coord_mb : coord_msg Mailbox.t;
-  cohort_mbs : (int, cohort_msg Mailbox.t) Hashtbl.t;  (** node -> mailbox *)
-  usage : (int, cohort_usage) Hashtbl.t;  (** node -> work-phase usage *)
+  nodes : int array;  (** position -> the cohort's node, in plan order *)
+  cohort_mbs : cohort_msg Mailbox.t option array;
+      (** the cohort's mailbox, once it is loaded *)
+  usage : cohort_usage array;  (** the cohort's work-phase usage *)
   mutable last_work_node : int;
       (** node whose Work_done the coordinator processed last (-1 until
           the first arrives); the work-phase critical path under parallel
@@ -61,24 +65,24 @@ type attempt_runtime = {
       (** node whose yes vote the coordinator accepted last (-1 until the
           first); its prepare-record force gates the commit decision and
           feeds the decomposition's [log] component *)
-  arrived_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose load-cohort message was delivered; guards against a
+  arrived : bool array;
+      (** the cohort's load-cohort message was delivered; guards against a
           retransmitted load spawning a twin cohort, and tells the
           coordinator which loads may have been lost *)
-  voted_nodes : (int, unit) Hashtbl.t;
-      (** nodes that sent a yes vote — their cohorts are prepared
-          (in-doubt) and must not be victimized by a node crash *)
-  shipped_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose cohort's write-set was delivered to its backup
-          (primary/backup replication): if the node crashes before the
+  voted : bool array;
+      (** the cohort sent a yes vote — it is prepared (in-doubt) and must
+          not be victimized by a node crash *)
+  shipped : bool array;
+      (** the cohort's write-set was delivered to its backup
+          (primary/backup replication): if its node crashes before the
           cohort votes, the coordinator can fail over to the backup
           instead of dooming the attempt *)
-  preparing_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose cohort has begun processing Do_prepare (may be
-          blocked inside its CC manager); such a cohort cannot be failed
-          over — a backup proxy would double-drive the CC manager *)
-  relocated : (int, int) Hashtbl.t;
-      (** original cohort node -> backup node now running its proxy;
+  preparing : bool array;
+      (** the cohort has begun processing Do_prepare (may be blocked
+          inside its CC manager); such a cohort cannot be failed over — a
+          backup proxy would double-drive the CC manager *)
+  relocated : int array;
+      (** the backup node now running the cohort's proxy, or -1:
           coordinator sends route to the backup, and the original fiber
           exits silently when it observes the entry *)
   mutable doom_reason : Txn.abort_reason option;
@@ -89,5 +93,9 @@ type attempt_runtime = {
 
 val make_runtime : Txn.t -> attempt_runtime
 
-(** The usage record of [node], created on first access. *)
+(** The position in the plan of the cohort at [node]; raises
+    [Invalid_argument] when the plan has no cohort there. *)
+val position : attempt_runtime -> int -> int
+
+(** The usage record of the cohort at [node]. *)
 val usage : attempt_runtime -> int -> cohort_usage

@@ -66,8 +66,13 @@ let permutation t n =
   done;
   a
 
-let sample_without_replacement t ~n ~k =
-  assert (0 <= k && k <= n);
+(* The slot of the sparse map [pos.(0 .. m-1)] holding position [x], or
+   [m] when [x] was never swapped into. *)
+let rec slot pos m x s = if s < m && pos.(s) <> x then slot pos m x (s + 1) else s
+
+let sample_into t ~n dst =
+  let k = Array.length dst in
+  assert (k <= n);
   (* Partial Fisher-Yates: step [i] swaps position [i] with a uniform
      [j >= i] and emits the value that lands at [i]. Only swapped-into
      positions hold a value other than their index; step [i] writes one,
@@ -76,17 +81,9 @@ let sample_without_replacement t ~n ~k =
      partition, and no hash table is built per call. *)
   let pos = Array.make k 0 and value = Array.make k 0 in
   let m = ref 0 in
-  let slot x =
-    let s = ref 0 in
-    while !s < !m && pos.(!s) <> x do
-      incr s
-    done;
-    !s
-  in
-  let acc = ref [] in
   for i = 0 to k - 1 do
     let j = i + int t (n - i) in
-    let si = slot i and sj = slot j in
+    let si = slot pos !m i 0 and sj = slot pos !m j 0 in
     let vi = if si < !m then value.(si) else i in
     let vj = if sj < !m then value.(sj) else j in
     if sj < !m then value.(sj) <- vi
@@ -95,6 +92,11 @@ let sample_without_replacement t ~n ~k =
       value.(!m) <- vi;
       incr m
     end;
-    acc := vj :: !acc
-  done;
-  !acc
+    dst.(i) <- vj
+  done
+
+let sample_without_replacement t ~n ~k =
+  assert (0 <= k && k <= n);
+  let a = Array.make k 0 in
+  sample_into t ~n a;
+  Array.fold_left (fun acc v -> v :: acc) [] a

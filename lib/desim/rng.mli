@@ -37,8 +37,13 @@ val int_range : t -> lo:int -> hi:int -> int
 (** Bernoulli trial: true with probability [p]. *)
 val bool : t -> p:float -> bool
 
-(** [sample_without_replacement t ~n ~k] is [k] distinct integers drawn
-    uniformly from [0, n). Requires [0 <= k <= n]. Order is random. *)
+(** [sample_into t ~n dst] fills [dst] with [Array.length dst] distinct
+    integers drawn uniformly from [0, n), in draw order (a partial
+    Fisher-Yates shuffle). Requires [Array.length dst <= n]. *)
+val sample_into : t -> n:int -> int array -> unit
+
+(** [sample_without_replacement t ~n ~k] is the [k] integers
+    {!sample_into} draws, last drawn first. Requires [0 <= k <= n]. *)
 val sample_without_replacement : t -> n:int -> k:int -> int list
 
 (** Random permutation of [0, n). *)

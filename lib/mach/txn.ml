@@ -58,6 +58,21 @@ type t = {
       (** set as soon as any party decides this attempt must abort *)
 }
 
+let placeholder () =
+  let ts = { Timestamp.time = 0.; uniq = -1 } in
+  {
+    tid = -1;
+    attempt = 0;
+    origin_time = 0.;
+    attempt_time = 0.;
+    startup_ts = ts;
+    cc_ts = ts;
+    commit_ts = None;
+    plan = { Plan.relation = -1; cohorts = [] };
+    phase = Finished;
+    doomed = true;
+  }
+
 let key t = (t.tid, t.attempt)
 let same_attempt a b = a.tid = b.tid && a.attempt = b.attempt
 

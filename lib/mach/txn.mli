@@ -49,6 +49,10 @@ type t = {
       (** set as soon as any party decides this attempt must abort *)
 }
 
+(** A fresh attempt that never runs (tid -1, already finished): the
+    initial value of a field that later holds a real attempt. *)
+val placeholder : unit -> t
+
 (** [(tid, attempt)] — the hashtable key distinguishing attempts. *)
 val key : t -> int * int
 

@@ -57,24 +57,41 @@ let draw_page_count t rng =
   let hi = Int.min hi t.params.Params.database.Params.file_size in
   Desim.Rng.int_range rng ~lo ~hi
 
-let draw_partition_ops t rng ~file =
-  let d = t.params.Params.database and w = t.params.Params.workload in
-  let k = draw_page_count t rng in
-  let pages =
-    Desim.Rng.sample_without_replacement rng ~n:d.Params.file_size ~k
-  in
-  (* Pages are accessed in ascending page order, as a partition scan
-     would: this gives the approximate global lock-ordering discipline
-     that keeps 2PL's deadlock rate at the modest levels the paper
-     reports (see DESIGN.md). *)
-  let pages = List.sort Int.compare pages in
-  List.map
-    (fun index ->
-      {
-        Plan.page = Page.make ~file ~index;
-        update = Desim.Rng.bool rng ~p:w.Params.write_prob;
-      })
-    pages
+(* One partition's page indexes, ascending. Pages are accessed in
+   ascending page order, as a partition scan would: this gives the
+   approximate global lock-ordering discipline that keeps 2PL's deadlock
+   rate at the modest levels the paper reports (see DESIGN.md). *)
+let draw_partition_pages t rng =
+  let pages = Array.make (draw_page_count t rng) 0 in
+  Desim.Rng.sample_into rng ~n:t.params.Params.database.Params.file_size pages;
+  (* Insertion sort: a partition holds a handful of pages, for which
+     [Array.sort]'s heap sort costs several times more. *)
+  for i = 1 to Array.length pages - 1 do
+    let v = pages.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && pages.(!j) > v do
+      pages.(!j + 1) <- pages.(!j);
+      decr j
+    done;
+    pages.(!j + 1) <- v
+  done;
+  pages
+
+(* The ops of the partitions in [files], file by file: each partition's
+   pages are drawn, then their update flags in page order, and the list is
+   built in that same pass. *)
+let rec draw_partitions t rng = function
+  | [] -> []
+  | file :: files ->
+      draw_partition_ops t rng ~file (draw_partition_pages t rng) 0 files
+
+and draw_partition_ops t rng ~file pages i files =
+  if i = Array.length pages then draw_partitions t rng files
+  else
+    let p = t.params.Params.workload.Params.write_prob in
+    let update = Desim.Rng.bool rng ~p in
+    let op = { Plan.page = Page.make ~file ~index:pages.(i); update } in
+    op :: draw_partition_ops t rng ~file pages (i + 1) files
 
 (* --- plan fingerprints (conformance harness support) --------------- *)
 
@@ -151,21 +168,45 @@ let rec add_replica_pages t applies primary_node = function
         done;
       add_replica_pages t applies primary_node ops
 
-let replica_applies t primary_cohorts =
+let replica_applies t primaries =
   let applies = ref [||] in
   List.iter
-    (fun (primary_node, ops) -> add_replica_pages t applies primary_node ops)
-    primary_cohorts;
+    (fun (c : Plan.cohort_plan) ->
+      add_replica_pages t applies c.Plan.node c.Plan.ops)
+    primaries;
   !applies
 
 (* Node [node]'s replica pages, which then leave [applies]. *)
 let take_applies applies node =
-  if Array.length applies = 0 then []
-  else begin
-    let pages = applies.(node) in
-    applies.(node) <- [];
-    pages
-  end
+  let pages = applies.(node) in
+  applies.(node) <- [];
+  pages
+
+(* One primary cohort per node of the relation's layout, in layout order,
+   without replica duties yet. *)
+let rec draw_cohorts t rng = function
+  | [] -> []
+  | (node, files) :: layout ->
+      let ops = draw_partitions t rng files in
+      { Plan.node; ops; apply_ops = [] } :: draw_cohorts t rng layout
+
+(* The primary cohorts with their replica duties, and an update-only
+   cohort, in node order, for each node that holds copies but runs no
+   primary accesses. *)
+let with_applies applies primaries =
+  let cohorts =
+    List.map
+      (fun (c : Plan.cohort_plan) ->
+        { c with Plan.apply_ops = take_applies applies c.Plan.node })
+      primaries
+  in
+  let update_only = ref [] in
+  for node = Array.length applies - 1 downto 0 do
+    if applies.(node) <> [] then
+      update_only :=
+        { Plan.node; ops = []; apply_ops = applies.(node) } :: !update_only
+  done;
+  match !update_only with [] -> cohorts | extra -> cohorts @ extra
 
 (** Generate a fresh access plan for a transaction from [terminal]: one
     cohort per node holding a primary of the terminal's relation, plus
@@ -175,27 +216,11 @@ let take_applies applies node =
 let generate_plan t ~terminal =
   let rng = t.plan_rngs.(terminal) in
   let relation = relation_of_terminal t ~terminal in
-  let primary_cohorts =
-    List.map
-      (fun (node, files) ->
-        (node, List.concat_map (fun file -> draw_partition_ops t rng ~file) files))
-      (layout t ~relation)
-  in
-  let applies = replica_applies t primary_cohorts in
+  let primaries = draw_cohorts t rng (layout t ~relation) in
+  let applies = replica_applies t primaries in
   let cohorts =
-    List.map
-      (fun (node, ops) ->
-        { Plan.node; ops; apply_ops = take_applies applies node })
-      primary_cohorts
-  in
-  let update_only = ref [] in
-  for node = Array.length applies - 1 downto 0 do
-    if applies.(node) <> [] then
-      update_only :=
-        { Plan.node; ops = []; apply_ops = applies.(node) } :: !update_only
-  done;
-  let cohorts =
-    match !update_only with [] -> cohorts | extra -> cohorts @ extra
+    if Array.length applies = 0 then primaries
+    else with_applies applies primaries
   in
   let plan = { Plan.relation; cohorts } in
   (match t.fingerprint_log with

@@ -13,7 +13,16 @@
    guard, these cases measured, in words per operation: Engine.wait 17,
    Cpu.consume 68 (1 process) and 82 (8 processes), Cpu.consume_priority
    57, Disk.read 63, Mailbox send+recv 40 and Net.send 84; and, per
-   commit, 33,244 words untraced and 38,544 traced. *)
+   commit, 33,244 words untraced and 38,544 traced.
+
+   Before the lock table kept one mutable hold record per granted lock,
+   listed entries (not page/entry pairs) in footprints and walked its
+   lists without closures, and before plans were drawn into sorted int
+   arrays and per-attempt state moved from hash tables to arrays indexed
+   by cohort position, they measured: an
+   uncontended lock request with its share of the release 53.9, a
+   re-request of a held lock 9, Workload.generate_plan 2,334 per plan,
+   and, per commit, 15,406 untraced and 19,127 traced. *)
 
 open Desim
 open Ddbm_model
@@ -141,14 +150,93 @@ let machine_run ~traced () =
   if traced then Alcotest.(check bool) "events traced" true (!events > 0);
   w /. float_of_int commits
 
+(* Attempts that each lock [per] pages nobody else holds, half shared
+   and half exclusive, then release them all: per request, its share of
+   the attempt's footprint and of [release_all] included. Nothing blocks,
+   so no process is needed. *)
+let lock_uncontended () =
+  let h = Cc_harness.make () in
+  let locks =
+    Ddbm_cc.Lock_table.create h.Cc_harness.eng ~blocking:(Stats.Tally.create ())
+  in
+  let per = 8 in
+  let attempts = ops / per in
+  let txns =
+    Array.init attempts (fun i -> Cc_harness.txn h ~tid:i ~time:0. ())
+  in
+  let pages = Array.init per (fun i -> Cc_harness.page i) in
+  let on_block _ = () in
+  words_per_op ~ops:(attempts * per) (fun () ->
+      for a = 0 to attempts - 1 do
+        for i = 0 to per - 1 do
+          Ddbm_cc.Lock_table.request locks txns.(a) pages.(i)
+            (if i land 1 = 0 then Ddbm_cc.Lock_table.S
+             else Ddbm_cc.Lock_table.X)
+            ~on_block
+        done;
+        Ddbm_cc.Lock_table.release_all locks txns.(a) ~reject:Exit
+      done)
+
+(* Requests for locks the attempt already holds: S and X under X, and S
+   under S. *)
+let lock_rerequest () =
+  let h = Cc_harness.make () in
+  let locks =
+    Ddbm_cc.Lock_table.create h.Cc_harness.eng ~blocking:(Stats.Tally.create ())
+  in
+  let txn = Cc_harness.txn h ~time:0. () in
+  let shared = Cc_harness.page 0 and exclusive = Cc_harness.page 1 in
+  let on_block _ = () in
+  Ddbm_cc.Lock_table.request locks txn shared Ddbm_cc.Lock_table.S ~on_block;
+  Ddbm_cc.Lock_table.request locks txn exclusive Ddbm_cc.Lock_table.X ~on_block;
+  let rounds = ops / 3 in
+  words_per_op ~ops:(3 * rounds) (fun () ->
+      for _ = 1 to rounds do
+        Ddbm_cc.Lock_table.request locks txn shared Ddbm_cc.Lock_table.S
+          ~on_block;
+        Ddbm_cc.Lock_table.request locks txn exclusive Ddbm_cc.Lock_table.S
+          ~on_block;
+        Ddbm_cc.Lock_table.request locks txn exclusive Ddbm_cc.Lock_table.X
+          ~on_block
+      done)
+
+(* Plans of the paper's contention regime (8 nodes, 8-way partitioning,
+   FileSize 120, 64 terminals), per plan. *)
+let generate_plan () =
+  let d = Params.default in
+  let params =
+    {
+      d with
+      Params.database =
+        {
+          d.Params.database with
+          Params.num_proc_nodes = 8;
+          partitioning_degree = 8;
+          file_size = 120;
+        };
+      workload = { d.Params.workload with Params.num_terminals = 64 };
+    }
+  in
+  let w =
+    Workload.create params
+      (Catalog.create params.Params.database)
+      (Rng.create 11)
+  in
+  let plans = ops / 10 in
+  words_per_op ~ops:plans (fun () ->
+      for i = 1 to plans do
+        ignore (Workload.generate_plan w ~terminal:(i mod 64) : Plan.t)
+      done)
+
 let budget name ~max measure () =
   let w = measure () in
   if w > max then
     Alcotest.failf "%s allocates %.1f words per operation; the budget is %.0f"
       name w max
 
-(* name, measurement, budget in words per operation (per commit for the
-   machine runs); measured 8, 18, 23, 16, 18, 14, 23, 15,391 and 19,112 *)
+(* name, measurement, budget in words per operation (per request, per
+   plan, per commit for the machine runs); measured 8, 18, 23, 16, 18,
+   14, 23, 17.9, 2, 989, 9,754 and 13,476 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 9.);
@@ -158,8 +246,11 @@ let cases =
     ("Disk.read", disk_read, 20.);
     ("Mailbox send+recv", mailbox_send_recv, 16.);
     ("Net.send", net_send, 26.);
-    ("Machine, untraced, per commit", machine_run ~traced:false, 17_000.);
-    ("Machine, traced, per commit", machine_run ~traced:true, 21_000.);
+    ("Lock_table uncontended request+release", lock_uncontended, 19.5);
+    ("Lock_table re-request of a held lock", lock_rerequest, 2.2);
+    ("Workload.generate_plan", generate_plan, 1_090.);
+    ("Machine, untraced, per commit", machine_run ~traced:false, 10_700.);
+    ("Machine, traced, per commit", machine_run ~traced:true, 14_800.);
   ]
 
 let suite =

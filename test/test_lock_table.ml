@@ -361,6 +361,229 @@ let prop_index_matches_full_table =
           check ())
         ops)
 
+(* --- differential test against the reference model --------------- *)
+
+(* What a request in the differential test does when it must wait:
+   nothing, or wait-die's check, which raises before the request
+   enqueues. *)
+type policy = Wait | Die
+
+type dop =
+  | D_req of int * int * bool * policy
+  | D_release of int
+  | D_doom of int
+
+let pp_dop = function
+  | D_req (i, page, x, policy) ->
+      Printf.sprintf "T%d %s p%d%s" i
+        (if x then "X" else "S")
+        page
+        (match policy with Wait -> "" | Die -> " (wait-die)")
+  | D_release i -> Printf.sprintf "release T%d" i
+  | D_doom i -> Printf.sprintf "doom T%d" i
+
+let n_txns = 5
+let n_pages = 4
+
+let gen_dop =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 7,
+          map3
+            (fun (i, p) x die -> D_req (i, p, x, if die then Die else Wait))
+            (pair (int_range 0 (n_txns - 1)) (int_range 0 (n_pages - 1)))
+            bool
+            (frequencyl [ (3, false); (1, true) ]) );
+        (3, map (fun i -> D_release i) (int_range 0 (n_txns - 1)));
+        (1, map (fun i -> D_doom i) (int_range 0 (n_txns - 1)));
+      ])
+
+exception Died
+
+let die_if_younger (requester : Txn.t) blockers =
+  if
+    List.exists
+      (fun (b : Txn.t) -> (not b.Txn.doomed) && Txn.older b requester)
+      blockers
+  then raise Died
+
+let show (t : Txn.t) = Printf.sprintf "T%d.%d" t.Txn.tid t.Txn.attempt
+let show_all txns = String.concat "," (List.map show txns)
+
+(* The lock table's interface, which the reference model also has. *)
+module type LOCKS = sig
+  type t
+  type mode = S | X
+
+  val create : Engine.t -> blocking:Stats.Tally.t -> t
+
+  val request :
+    ?pre_block:(Txn.t list -> unit) ->
+    t ->
+    Txn.t ->
+    Ids.Page.t ->
+    mode ->
+    on_block:(Txn.t list -> unit) ->
+    unit
+
+  val release_all : t -> Txn.t -> reject:exn -> unit
+  val edges : t -> Cc_intf.edge list
+  val num_waiting : t -> int
+  val find_cycle_through : t -> Txn.t -> Txn.t list option
+  val exclusive_pages : t -> Txn.t -> Ids.Page.t list
+  val current_blockers : t -> Txn.t -> Ids.Page.t -> Txn.t list
+  val held : t -> Txn.t -> Ids.Page.t -> mode option
+end
+
+(* One side of the differential test: a lock table with its own engine,
+   and the log of what its requests saw, in event order. *)
+module Side (L : LOCKS) = struct
+  type t = { h : Cc_harness.t; locks : L.t; log : string list ref }
+
+  let create () =
+    let h = Cc_harness.make () in
+    {
+      h;
+      locks = L.create h.Cc_harness.eng ~blocking:(Stats.Tally.create ());
+      log = ref [];
+    }
+
+  (* A request in its own process, which logs the blockers each callback
+     receives and then the outcome; the returned flag turns [`Done] when
+     the process ends. *)
+  let request t (txn : Txn.t) (page : Ids.Page.t) x policy =
+    let state = ref `Waiting in
+    let say fmt =
+      Printf.ksprintf
+        (fun s ->
+          let line = Printf.sprintf "%s %s p%d" (show txn) s page.Ids.Page.index in
+          t.log := line :: !(t.log))
+        fmt
+    in
+    let pre_block =
+      match policy with
+      | Wait -> None
+      | Die ->
+          Some
+            (fun blockers ->
+              say "pre-block [%s]" (show_all blockers);
+              die_if_younger txn blockers)
+    in
+    let on_block blockers = say "blocked [%s]" (show_all blockers) in
+    Engine.spawn t.h.Cc_harness.eng (fun () ->
+        (try
+           L.request ?pre_block t.locks txn page
+             (if x then L.X else L.S)
+             ~on_block;
+           say "granted %s" (if x then "X" else "S")
+         with
+        | Died -> say "died"
+        | Txn.Aborted _ -> say "rejected");
+        state := `Done);
+    state
+
+  let release_all t txn =
+    L.release_all t.locks txn ~reject:(Txn.Aborted Txn.Peer_abort)
+
+  let settle t = Cc_harness.settle t.h
+
+  (* Everything the table reports at a quiescent point, as text, so a
+     failure prints where the two tables part. *)
+  let observe t txns =
+    let pages = List.init n_pages Cc_harness.page in
+    let held txn page =
+      match L.held t.locks txn page with
+      | Some L.S -> "S"
+      | Some L.X -> "X"
+      | None -> "-"
+    in
+    let report txn =
+      Printf.sprintf "%s: %s | x %s | blockers %s | cycle %s" (show txn)
+        (String.concat " " (List.map (held txn) pages))
+        (String.concat ","
+           (List.map
+              (fun (p : Ids.Page.t) -> string_of_int p.Ids.Page.index)
+              (L.exclusive_pages t.locks txn)))
+        (String.concat " "
+           (List.map
+              (fun p ->
+                "[" ^ show_all (L.current_blockers t.locks txn p) ^ "]")
+              pages))
+        (match L.find_cycle_through t.locks txn with
+        | None -> "none"
+        | Some c -> show_all c)
+    in
+    List.rev !(t.log)
+    @ [ Printf.sprintf "waiting %d" (L.num_waiting t.locks) ]
+    @ List.map report (Array.to_list txns)
+    @ List.map
+        (fun { Cc_intf.waiter; holder } -> show waiter ^ "->" ^ show holder)
+        (L.edges t.locks)
+end
+
+module Lean = Side (Lock_table)
+module Reference = Side (Lock_table_ref)
+
+(* The lock table against the reference model: random requests,
+   conversions, wait-die raises, releases of attempts with queued
+   waiters, and dooms, over a few pages, so released pages are locked
+   again and recycled entries are reused. Each transaction has at most
+   one outstanding request, as a cohort does; a released transaction
+   restarts as its next attempt. At every quiescent point both tables
+   must have logged the same blockers, grants, rejections and deaths in
+   the same order, and agree on [held], [num_waiting], [exclusive_pages],
+   [current_blockers], [edges] and [find_cycle_through], order
+   included. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"lock table matches the reference model" ~count:600
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_dop ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_dop))
+    (fun ops ->
+      let lean = Lean.create () and reference = Reference.create () in
+      let h = Cc_harness.make () in
+      let txns =
+        Array.init n_txns (fun i ->
+            Cc_harness.txn h ~tid:i ~time:(float_of_int i) ())
+      in
+      let pending = Array.make n_txns (ref `Done) in
+      let check () =
+        let a = Lean.observe lean txns
+        and b = Reference.observe reference txns in
+        if a <> b then
+          QCheck.Test.fail_reportf "lean:\n  %s\nreference:\n  %s"
+            (String.concat "\n  " a) (String.concat "\n  " b);
+        true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | D_req (i, page, x, policy) ->
+              if !(pending.(i)) = `Done then begin
+                let p = Cc_harness.page page in
+                pending.(i) <- Lean.request lean txns.(i) p x policy;
+                ignore
+                  (Reference.request reference txns.(i) p x policy
+                    : [ `Waiting | `Done ] ref)
+              end
+          | D_release i ->
+              let txn = txns.(i) in
+              Lean.release_all lean txn;
+              Reference.release_all reference txn;
+              txns.(i) <-
+                {
+                  txn with
+                  Txn.attempt = txn.Txn.attempt + 1;
+                  doomed = false;
+                  phase = Txn.Working;
+                }
+          | D_doom i -> txns.(i).Txn.doomed <- true);
+          Lean.settle lean;
+          Reference.settle reference;
+          check ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "shared compatible" `Quick test_shared_compatible;
@@ -381,4 +604,5 @@ let suite =
       test_conversion_cycle_victim;
     QCheck_alcotest.to_alcotest prop_no_conflicting_holders;
     QCheck_alcotest.to_alcotest prop_index_matches_full_table;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
