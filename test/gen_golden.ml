@@ -41,9 +41,10 @@ let golden_params =
     arrivals = Arrival.zero;
   }
 
-(* One closed-loop 2PL run, and one open-loop run with a log disk, a
-   backup per cohort and a mid-run crash, so the overload, durability
-   and recovery families carry non-zero values too. *)
+(* One closed-loop 2PL run, one open-loop run with a log disk, a
+   backup per cohort and a mid-run crash, and three faulty runs, so the
+   overload, durability, recovery and fault families carry non-zero
+   values too. *)
 let golden_runs =
   let d = Params.default in
   let ok = function Ok x -> x | Error msg -> failwith msg in
@@ -75,7 +76,57 @@ let golden_runs =
       run = { closed.Params.run with Params.seed = 6 };
     }
   in
-  [ closed; open_wal ]
+  (* Three short faulty runs reaching the commit protocol's fault paths:
+     loss, duplication and OPT's no votes; host and node crashes with
+     failover, a re-crash and chain-parallel recovery; and sequential
+     Wound-Wait with torn log tails. *)
+  let lossy_opt =
+    {
+      closed with
+      Params.cc = { d.Params.cc with Params.algorithm = Params.Opt };
+      faults =
+        ok
+          (Fault_plan.of_spec
+             "loss=0.01,dup=0.05,timeout=0.5,timeout-cap=2,retries=3,fault-seed=11");
+      run = { closed.Params.run with Params.seed = 1 };
+    }
+  in
+  let crashy_chains =
+    {
+      closed with
+      Params.workload = { closed.Params.workload with Params.think_time = 1. };
+      durability =
+        {
+          Params.default_durability with
+          Params.log_disk = true;
+          replicas = 1;
+          recovery_jobs = 2;
+        };
+      faults =
+        ok
+          (Fault_plan.of_spec
+             "crash=1@2+1,crash=2@4+1,crash=host@6+0.5,crash=0@7+1,loss=0.05,\
+              recrash=0.3,mttr=0.5,timeout=0.5,timeout-cap=2,retries=4,\
+              fault-seed=23");
+      run = { closed.Params.run with Params.seed = 1; measure = 8. };
+    }
+  in
+  let sequential_ww =
+    {
+      closed with
+      Params.workload =
+        { closed.Params.workload with Params.exec_pattern = Params.Sequential };
+      cc = { d.Params.cc with Params.algorithm = Params.Wound_wait };
+      durability = { Params.default_durability with Params.log_disk = true };
+      faults =
+        ok
+          (Fault_plan.of_spec
+             "loss=0.01,crash=0@2+1,torn-tail=1,timeout=0.5,timeout-cap=2,\
+              retries=3,fault-seed=15");
+      run = { closed.Params.run with Params.seed = 1 };
+    }
+  in
+  [ closed; open_wal; lossy_opt; crashy_chains; sequential_ww ]
 
 let write path contents =
   let oc = open_out_bin path in
