@@ -21,6 +21,7 @@ type t = {
   cohorts : cohort_plan list;  (** in activation order (for sequential) *)
 }
 
+let updates c = c.apply_ops <> [] || List.exists (fun op -> op.update) c.ops
 let num_cohorts t = List.length t.cohorts
 
 let total_reads t =

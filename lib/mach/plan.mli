@@ -19,6 +19,9 @@ type t = {
   cohorts : cohort_plan list;  (** in activation order (for sequential) *)
 }
 
+(** The cohort writes: it updates a primary copy or installs a replica. *)
+val updates : cohort_plan -> bool
+
 val num_cohorts : t -> int
 val total_reads : t -> int
 val total_writes : t -> int

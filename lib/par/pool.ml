@@ -28,11 +28,6 @@ exception Nested_parallelism
    top-level. *)
 let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-(* Exposed so embedded fan-out sites (e.g. recovery's chain analysis)
-   can degrade to a jobs = 1 pool instead of tripping the rejection when
-   the whole simulation already runs inside a pool task. *)
-let inside_task () = Domain.DLS.get in_task
-
 type t = { jobs : int }
 
 let default_jobs () = Domain.recommended_domain_count ()

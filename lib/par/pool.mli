@@ -22,13 +22,6 @@ exception Nested_parallelism
     for every [--jobs] flag. *)
 val default_jobs : unit -> int
 
-(** Whether the current domain is executing a pool task. Embedded
-    fan-out sites (e.g. recovery's chain analysis inside a simulation
-    that may itself run as a pool task) use this to degrade to a
-    [jobs = 1] pool — safe anywhere — instead of raising
-    {!Nested_parallelism}. *)
-val inside_task : unit -> bool
-
 (** [create ~jobs ()] with [jobs >= 1] worker domains per batch
     (default {!default_jobs}). [jobs = 1] short-circuits every map to
     the plain serial path on the calling domain — no domains are
