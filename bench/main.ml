@@ -2,9 +2,10 @@
 
    `main.exe` regenerates every table/figure of the paper's evaluation
    section (Figures 2-17 plus the variants described in the running text)
-   as aligned text tables, then runs Bechamel micro-benchmarks of the
-   simulator's hot data structures. See EXPERIMENTS.md for the comparison
-   against the paper. *)
+   as aligned text tables, then runs the observability, fault, recovery,
+   metrics, overload and parallel scenarios, which can gate CI. The
+   simulator's per-layer costs are timed by benchsuite/. See
+   EXPERIMENTS.md for the comparison against the paper. *)
 
 (* Wall-clock timing of the harness itself is the whole point here. *)
 (* lint: allow ambient file *)
@@ -14,7 +15,7 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Figure harness                                                      *)
 
-let wall_now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+let wall_now = Unix.gettimeofday
 
 let run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose =
   let cache = Ddbm.Experiment.create_cache ~verbose () in
@@ -63,103 +64,6 @@ let run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose =
     (wall_now () -. started)
     prefill_wall (Sys.time ()) n_runs cache.Ddbm.Experiment.hits
     (Par.Pool.jobs pool)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of simulator substrates                   *)
-
-let micro_tests () =
-  let open Bechamel in
-  let heap_test =
-    Test.make ~name:"heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Desim.Heap.create ~cmp:Int.compare in
-           for i = 0 to 999 do
-             Desim.Heap.push h ((i * 7919) mod 1000)
-           done;
-           while not (Desim.Heap.is_empty h) do
-             ignore (Desim.Heap.pop h)
-           done))
-  in
-  let rng_test =
-    let rng = Desim.Rng.create 42 in
-    Test.make ~name:"rng exponential x1000"
-      (Staged.stage (fun () ->
-           for _ = 1 to 1000 do
-             ignore (Desim.Rng.exponential rng ~mean:1.0)
-           done))
-  in
-  let engine_test =
-    Test.make ~name:"engine 1000 timed events"
-      (Staged.stage (fun () ->
-           let eng = Desim.Engine.create () in
-           for i = 1 to 1000 do
-             ignore (Desim.Engine.schedule eng ~at:(float_of_int i) ignore)
-           done;
-           Desim.Engine.run eng))
-  in
-  let process_test =
-    Test.make ~name:"engine 100 process spawns+waits"
-      (Staged.stage (fun () ->
-           let eng = Desim.Engine.create () in
-           for _ = 1 to 100 do
-             Desim.Engine.spawn eng (fun () ->
-                 for _ = 1 to 10 do
-                   Desim.Engine.wait 1.0
-                 done)
-           done;
-           Desim.Engine.run eng))
-  in
-  let cpu_test =
-    Test.make ~name:"cpu 200 PS jobs"
-      (Staged.stage (fun () ->
-           let eng = Desim.Engine.create () in
-           let cpu = Desim.Cpu.create eng ~rate:1_000_000. in
-           for i = 1 to 200 do
-             Desim.Cpu.submit cpu
-               ~instructions:(float_of_int (1000 + (i * 37 mod 5000)))
-               ignore
-           done;
-           Desim.Engine.run eng))
-  in
-  let sim_test =
-    Test.make ~name:"end-to-end NO_DC mini-sim"
-      (Staged.stage (fun () ->
-           let open Ddbm_model in
-           let p = Ddbm.Experiment.params_of_config ~profile:Ddbm.Experiment.Quick
-               { Ddbm.Experiment.base_config with
-                 Ddbm.Experiment.algorithm = Params.No_dc; think = 8. } in
-           let p = { p with Params.run =
-                       { p.Params.run with Params.warmup = 2.; measure = 10. } } in
-           ignore (Ddbm.Machine.run p)))
-  in
-  [ heap_test; rng_test; engine_test; process_test; cpu_test; sim_test ]
-
-let run_micro () =
-  let open Bechamel in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  Printf.printf "== micro-benchmarks (Bechamel, monotonic clock) ==\n%!";
-  let tests = Test.make_grouped ~name:"desim" (micro_tests ()) in
-  let results = analyze (benchmark tests) in
-  Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, result) ->
-         match Bechamel.Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-         | _ -> Printf.printf "%-40s (no estimate)\n" name);
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: events/sec plain vs traced vs exported      *)
@@ -933,8 +837,6 @@ let main =
     Arg.(
       value & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Also write each figure as CSV.")
-  and+ skip_micro =
-    Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip micro-benchmarks.")
   and+ skip_figs =
     Arg.(value & flag & info [ "no-figs" ] ~doc:"Skip figure reproduction.")
   and+ skip_obs =
@@ -1040,7 +942,6 @@ let main =
     let pool = Par.Pool.create ?jobs () in
     run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose
   end;
-  if not skip_micro then run_micro ();
   if not skip_obs then run_observability ~out:obs_out;
   if not skip_faults then run_faults ~out:faults_out;
   if not skip_recovery then
