@@ -19,18 +19,40 @@ type handle = action
    reads the time without boxing it either. *)
 type clock = { mutable now : float }
 
-(* The event queue is a binary min-heap on (time, seq), kept in three
-   parallel arrays: times are stored unboxed, and keys are compared inline
-   without following a pointer. [seq] grows with every scheduled event, so
-   (time, seq) is a strict total order and events at equal times fire in
-   scheduling order. The arrays are allocated on the first push. *)
+(* The event queue has two lanes.
+
+   - The same-time lane is a FIFO ring buffer of the events due at [now]:
+     resumptions from [resolve] and [reject], spawns, zero delays and times
+     clamped to [now]. About two events in five take it, each for one
+     array write in and one out.
+   - Later events wait in a binary min-heap on (time, seq). [seq] grows
+     with every heap push, so (time, seq) is a strict total order and
+     events at equal times fire in scheduling order. A heap node is
+     (time, seq, slot) in three parallel arrays, the time unboxed, so a
+     sift compares keys inline and moves no pointer through the write
+     barrier. The node's action sits in [acts.(slot)], written once at
+     push and cleared at pop; [free] stacks the unused slots.
+
+   A lane entry was queued after the clock reached [now] and a heap entry
+   due at [now] before it did. So firing the heap's head while it is due
+   at [now], then the lane, and moving the clock only once the lane is
+   empty, fires every event in exactly (time, scheduling order). The
+   arrays are allocated on the first push. *)
 type t = {
   clock : clock;
   mutable times : float array;
   mutable seqs : int array;
-  mutable acts : action array;
+  mutable slots : int array;
   mutable len : int;
+  mutable acts : action array;
+  mutable free : int array;
+      (* free slots in [free.(0)] .. [free.(cap - len - 1)], the top last:
+         the heap and the free slots together fill the capacity *)
   mutable seq : int;
+  mutable lane : action array;  (* capacity 0 or a power of two *)
+  mutable lane_head : int;
+  mutable lane_len : int;
+  idle : action;  (* what a cleared cell holds, so it keeps nothing alive *)
   mutable stop_requested : bool;
   mutable processed : int;
   wake : clock;
@@ -59,26 +81,33 @@ type _ Effect.t +=
 let clock t = t.clock
 let now t = t.clock.now
 
+(* Called only when the heap fills every slot, so no slot is free. *)
 let grow t =
-  let cap = Array.length t.acts in
+  let cap = Array.length t.times in
   let ncap = if cap = 0 then 16 else cap * 2 in
   let times = Array.make ncap 0. in
   let seqs = Array.make ncap 0 in
-  let acts = Array.make ncap (Call { f = ignore; cancelled = true }) in
-  Array.blit t.times 0 times 0 t.len;
-  Array.blit t.seqs 0 seqs 0 t.len;
-  Array.blit t.acts 0 acts 0 t.len;
+  let slots = Array.make ncap 0 in
+  let acts = Array.make ncap t.idle in
+  Array.blit t.times 0 times 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
+  Array.blit t.acts 0 acts 0 cap;
   t.times <- times;
   t.seqs <- seqs;
-  t.acts <- acts
+  t.slots <- slots;
+  t.acts <- acts;
+  t.free <- Array.init ncap (fun i -> ncap - 1 - i)
 
 (* Sift a hole up from the end. The new event's seq exceeds every queued
    one, so it passes a parent only when its time is strictly earlier.
    Inlined, so a time computed by the caller is never boxed. *)
 let[@inline] push t at act =
-  if t.len = Array.length t.acts then grow t;
+  if t.len = Array.length t.times then grow t;
+  let s = t.free.(Array.length t.free - t.len - 1) in
+  t.acts.(s) <- act;
   t.seq <- t.seq + 1;
-  let times = t.times and seqs = t.seqs and acts = t.acts in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
   let i = ref t.len in
   let moving = ref true in
   while !moving && !i > 0 do
@@ -87,24 +116,28 @@ let[@inline] push t at act =
     if at < pt then begin
       times.(!i) <- pt;
       seqs.(!i) <- seqs.(p);
-      acts.(!i) <- acts.(p);
+      slots.(!i) <- slots.(p);
       i := p
     end
     else moving := false
   done;
   times.(!i) <- at;
   seqs.(!i) <- t.seq;
-  acts.(!i) <- act;
+  slots.(!i) <- s;
   t.len <- t.len + 1
 
-(* Remove the head: sift a hole down from the root and drop the last
-   event into it. *)
-let drop_head t =
+(* Remove the heap's head and return its action: free its slot, then sift
+   a hole down from the root and drop the last node into it. *)
+let take_head t =
+  let s = t.slots.(0) in
+  let act = t.acts.(s) in
+  t.acts.(s) <- t.idle;
   let n = t.len - 1 in
   t.len <- n;
+  t.free.(Array.length t.free - n - 1) <- s;
   if n > 0 then begin
-    let times = t.times and seqs = t.seqs and acts = t.acts in
-    let lt = times.(n) and ls = seqs.(n) and la = acts.(n) in
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    let lt = times.(n) and ls = seqs.(n) and lslot = slots.(n) in
     let i = ref 0 in
     let moving = ref true in
     while !moving do
@@ -124,7 +157,7 @@ let drop_head t =
         if ct < lt || (ct = lt && seqs.(c) < ls) then begin
           times.(!i) <- ct;
           seqs.(!i) <- seqs.(c);
-          acts.(!i) <- acts.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else moving := false
@@ -132,11 +165,36 @@ let drop_head t =
     done;
     times.(!i) <- lt;
     seqs.(!i) <- ls;
-    acts.(!i) <- la
-  end
+    slots.(!i) <- lslot
+  end;
+  act
+
+let grow_lane t =
+  let cap = Array.length t.lane in
+  let lane = Array.make (if cap = 0 then 16 else cap * 2) t.idle in
+  for i = 0 to t.lane_len - 1 do
+    lane.(i) <- t.lane.((t.lane_head + i) land (cap - 1))
+  done;
+  t.lane <- lane;
+  t.lane_head <- 0
+
+let[@inline] push_lane t act =
+  if t.lane_len = Array.length t.lane then grow_lane t;
+  let lane = t.lane in
+  lane.((t.lane_head + t.lane_len) land (Array.length lane - 1)) <- act;
+  t.lane_len <- t.lane_len + 1
+
+let[@inline] take_lane t =
+  let lane = t.lane and h = t.lane_head in
+  let act = lane.(h) in
+  lane.(h) <- t.idle;
+  t.lane_head <- (h + 1) land (Array.length lane - 1);
+  t.lane_len <- t.lane_len - 1;
+  act
 
 (* Queue [act] at [at], which may lie at most 1e-12 in the past (float
-   rounding of [now +. delay]) and is then clamped to [now]. *)
+   rounding of [now +. delay]) and is then clamped to [now]: on the lane
+   when it is due now, else on the heap. *)
 let[@inline] enqueue t ~at act =
   let now = t.clock.now in
   if not (at >= now -. 1e-12) then
@@ -144,7 +202,7 @@ let[@inline] enqueue t ~at act =
       (if Float.is_nan at then "Engine.schedule: time is NaN"
        else
          Printf.sprintf "Engine.schedule: at %g is in the past (now %g)" at now);
-  push t (if at < now then now else at) act
+  if at <= now then push_lane t act else push t at act
 
 let schedule t ~at f =
   let ev = Call { f; cancelled = false } in
@@ -186,11 +244,11 @@ let settle r =
 
 let resolve r v =
   settle r;
-  push r.eng r.eng.clock.now (Resume (r.k, v))
+  push_lane r.eng (Resume (r.k, v))
 
 let reject r e =
   settle r;
-  push r.eng r.eng.clock.now (Reject (r.k, e))
+  push_lane r.eng (Reject (r.k, e))
 
 let run_fiber t f =
   match_with f ()
@@ -211,7 +269,7 @@ let run_fiber t f =
     }
 
 let spawn t f =
-  push t t.clock.now (Call { f = (fun () -> run_fiber t f); cancelled = false })
+  push_lane t (Call { f = (fun () -> run_fiber t f); cancelled = false })
 
 let create () =
   let t =
@@ -219,9 +277,15 @@ let create () =
       clock = { now = 0. };
       times = [||];
       seqs = [||];
-      acts = [||];
+      slots = [||];
       len = 0;
+      acts = [||];
+      free = [||];
       seq = 0;
+      lane = [||];
+      lane_head = 0;
+      lane_len = 0;
+      idle = Call { f = ignore; cancelled = true };
       stop_requested = false;
       processed = 0;
       wake = { now = 0. };
@@ -237,31 +301,53 @@ let stop t = t.stop_requested <- true
 
 let events_processed t = t.processed
 
+(* Fire one event taken from a queue; [time] is its time. A cancelled
+   event neither fires nor moves the clock. Inlined into [run], so [time]
+   is never boxed. *)
+let[@inline] fire t act time =
+  match act with
+  | Call c ->
+      if not c.cancelled then begin
+        t.clock.now <- time;
+        t.processed <- t.processed + 1;
+        c.f ()
+      end
+  | Resume (k, v) ->
+      t.clock.now <- time;
+      t.processed <- t.processed + 1;
+      continue k v
+  | Reject (k, e) ->
+      t.clock.now <- time;
+      t.processed <- t.processed + 1;
+      discontinue k e
+
 let run ?until t =
+  let horizon =
+    match until with
+    | None -> infinity
+    | Some u ->
+        if not (u >= t.clock.now) then
+          invalid_arg
+            (if Float.is_nan u then "Engine.run: until is NaN"
+             else
+               Printf.sprintf "Engine.run: until %g is in the past (now %g)" u
+                 t.clock.now);
+        u
+  in
   t.stop_requested <- false;
-  let horizon = match until with Some u -> u | None -> infinity in
-  while (not t.stop_requested) && t.len > 0 && not (t.times.(0) > horizon) do
-    let time = t.times.(0) and act = t.acts.(0) in
-    drop_head t;
-    match act with
-    | Call c ->
-        if not c.cancelled then begin
-          t.clock.now <- time;
-          t.processed <- t.processed + 1;
-          c.f ()
-        end
-    | Resume (k, v) ->
-        t.clock.now <- time;
-        t.processed <- t.processed + 1;
-        continue k v
-    | Reject (k, e) ->
-        t.clock.now <- time;
-        t.processed <- t.processed + 1;
-        discontinue k e
+  (* Lane entries are due now, which is never past [horizon]. *)
+  while
+    (not t.stop_requested)
+    && (t.lane_len > 0 || (t.len > 0 && not (t.times.(0) > horizon)))
+  do
+    if t.len > 0 && (t.lane_len = 0 || t.times.(0) <= t.clock.now) then begin
+      let time = t.times.(0) in
+      fire t (take_head t) time
+    end
+    else fire t (take_lane t) t.clock.now
   done;
-  (* Stopped at [until]: later events stay queued and the clock moves to
-     [until] (also when the queue ran dry before it). *)
+  (* Not stopped: every event due by [until] has fired, so the clock moves
+     to [until] and later events stay queued. *)
   match until with
-  | Some u when (not t.stop_requested) && (t.len > 0 || t.clock.now < u) ->
-      t.clock.now <- u
+  | Some u when not t.stop_requested -> t.clock.now <- u
   | _ -> ()

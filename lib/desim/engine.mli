@@ -10,6 +10,13 @@
     A blocked process is resumed straight from its continuation: a
     resumption costs one small queue entry and no closure.
 
+    The queue has two lanes. Events due at the current time (resumptions,
+    spawns, zero delays) go to a FIFO ring; later ones to a binary heap
+    whose nodes hold only the unboxed time, the scheduling number and the
+    index of the action's slot. The two lanes together fire in exactly the
+    (time, scheduling order) of one queue, and a fired event leaves
+    nothing of itself in either.
+
     All times are in simulated seconds. *)
 
 type t
@@ -84,7 +91,8 @@ val resolve : 'a resolver -> 'a -> unit
 val reject : 'a resolver -> exn -> unit
 
 (** Run until the event queue is empty, [until] is reached (events at later
-    times stay queued and [now] becomes [until]), or {!stop} is called. *)
+    times stay queued and [now] becomes [until]), or {!stop} is called.
+    Raises [Invalid_argument] when [until] is NaN or before {!now}. *)
 val run : ?until:float -> t -> unit
 
 (** Make [run] return after the current event completes. *)

@@ -5,7 +5,9 @@
     The simulator's own queues are not built on this module: the engine's
     event queue and the CPU's processor-sharing class each keep a
     monomorphic heap on unboxed (time, seq) keys, which neither calls a
-    comparator nor boxes a key per element. *)
+    comparator nor boxes a key per element. The engine's heap holds only
+    later events (those due now wait in a FIFO ring) and keeps each
+    action in a slot array, so its sifts move no pointer. *)
 
 type 'a t
 

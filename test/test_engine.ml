@@ -38,6 +38,26 @@ let test_until () =
   Engine.run eng;
   Alcotest.(check bool) "fires on resume" true !fired
 
+(* [until] never moves the clock back, and a NaN [until] runs nothing. *)
+let test_until_in_past_rejected () =
+  let eng = Engine.create () in
+  let fired = ref false in
+  ignore (Engine.schedule eng ~at:10. (fun () -> fired := true));
+  Engine.run ~until:5. eng;
+  Alcotest.check_raises "until before now"
+    (Invalid_argument "Engine.run: until 3 is in the past (now 5)") (fun () ->
+      Engine.run ~until:3. eng);
+  Alcotest.check_raises "until NaN" (Invalid_argument "Engine.run: until is NaN")
+    (fun () -> Engine.run ~until:nan eng);
+  Alcotest.(check (float 0.)) "clock kept" 5. (Engine.now eng);
+  Alcotest.check_raises "the past stays past"
+    (Invalid_argument "Engine.schedule: at 4 is in the past (now 5)")
+    (fun () -> ignore (Engine.schedule eng ~at:4. ignore));
+  Engine.run ~until:5. eng;
+  Alcotest.(check bool) "nothing fired" false !fired;
+  Engine.run eng;
+  Alcotest.(check bool) "fires on resume" true !fired
+
 let test_process_wait () =
   let eng = Engine.create () in
   let times = ref [] in
@@ -171,6 +191,50 @@ let test_cancel_after_fire_harmless () =
   Engine.run eng;
   Engine.cancel h;
   Alcotest.(check pass) "no effect" () ()
+
+(* Events queued for the current time fire after those already queued for
+   it, whichever way they were queued: X and Y are due at 1, and X queues Z
+   for now and resumes a suspended process. *)
+let test_now_after_queued_ties () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let slot = ref None in
+  Engine.spawn eng (fun () ->
+      Engine.suspend (fun r -> slot := Some r);
+      note "resumed");
+  ignore
+    (Engine.schedule eng ~at:1. (fun () ->
+         note "X";
+         ignore (Engine.schedule eng ~at:(Engine.now eng) (fun () -> note "Z"));
+         Option.iter (fun r -> Engine.resolve r ()) !slot));
+  ignore (Engine.schedule eng ~at:1. (fun () -> note "Y"));
+  Engine.run eng;
+  Alcotest.(check (list string)) "scheduling order at t = 1"
+    [ "X"; "Y"; "Z"; "resumed" ] (List.rev !log)
+
+(* Once [run] returns, the queue keeps nothing of the events it fired. *)
+let test_fired_events_released () =
+  let eng = Engine.create () in
+  let payloads = Weak.create 100 in
+  let schedule_all () =
+    for i = 0 to 99 do
+      let payload = Bytes.make 1024 'x' in
+      Weak.set payloads i (Some payload);
+      ignore
+        (Engine.schedule eng ~at:(float_of_int (i mod 10)) (fun () ->
+             ignore (Sys.opaque_identity payload)))
+    done
+  in
+  schedule_all ();
+  Engine.run eng;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to 99 do
+    if Weak.check payloads i then incr live
+  done;
+  Alcotest.(check int) "fired payloads reachable" 0 !live;
+  Alcotest.(check (float 0.)) "engine still live" 9. (Engine.now eng)
 
 let test_zero_delay_wait_keeps_order () =
   let eng = Engine.create () in
@@ -323,8 +387,9 @@ let test_poison_wakes_readers () =
     (List.rev !woke)
 
 (* Differential check of the event queue against a reference engine built
-   on [Heap]: random schedules, cancellations, processes that wait, and
-   bounded runs must fire the same events at the same times. *)
+   on [Heap]: random schedules, cancellations, processes that wait or
+   block until resolved or rejected, and bounded runs must fire the same
+   events at the same times. *)
 module Reference = struct
   type ev = {
     time : float;
@@ -376,12 +441,16 @@ type op =
   | Cancel of int  (** cancel the n-th handle handed out so far *)
   | Spawn_wait of int  (** spawn a process that waits, then logs *)
   | Run_until of int  (** run at most this many half-seconds ahead *)
+  | Spawn_park  (** spawn a process that blocks, then logs *)
+  | Wake of bool  (** resolve (true) or reject the oldest blocked process *)
 
 let show_op = function
   | Sched d -> Printf.sprintf "sched %d" d
   | Cancel i -> Printf.sprintf "cancel %d" i
   | Spawn_wait d -> Printf.sprintf "spawn-wait %d" d
   | Run_until d -> Printf.sprintf "until +%d" d
+  | Spawn_park -> "spawn-park"
+  | Wake ok -> if ok then "resolve" else "reject"
 
 let gen_op =
   QCheck.Gen.(
@@ -391,25 +460,39 @@ let gen_op =
         (2, map (fun i -> Cancel i) (int_range 0 50));
         (2, map (fun d -> Spawn_wait d) (int_range 0 4));
         (1, map (fun d -> Run_until d) (int_range 0 6));
+        (2, return Spawn_park);
+        (2, map (fun ok -> Wake ok) bool);
       ])
 
-(* The operations of one side of the comparison. *)
-type 'h side = {
+(* The operations of one side of the comparison. [spawn_park register k]
+   blocks a new process, hands its waker to [register], and calls [k]
+   with whether it was resolved. *)
+type ('h, 'w) side = {
   schedule : float -> (unit -> unit) -> 'h;
   cancel : 'h -> unit;
   spawn_wait : float -> (unit -> unit) -> unit;
+  spawn_park : ('w -> unit) -> (bool -> unit) -> unit;
+  wake : 'w -> bool -> unit;
   run : float option -> unit;
   clock : unit -> float;
   processed : unit -> int;
 }
 
-(* Replay [ops] on one side; fired events log their id and time, and every
-   third one schedules a follow-up. *)
+(* Replay [ops] on one side; fired events log their id, whether they were
+   resolved, and their time. Every third one schedules a follow-up, and
+   of the others every second one wakes the oldest blocked process, so
+   resumptions tie with events already due at the same time. *)
 let replay side ops =
   let log = ref [] and next_id = ref 0 and handles = ref [||] in
-  let rec fire id () =
-    log := (id, side.clock ()) :: !log;
+  let blocked = Queue.create () in
+  let wake ok =
+    if not (Queue.is_empty blocked) then side.wake (Queue.pop blocked) ok
+  in
+  let rec fire id () = fired id true
+  and fired id ok =
+    log := (id, ok, side.clock ()) :: !log;
     if id mod 3 = 0 then sched (float_of_int (id mod 4) *. 0.5)
+    else if id mod 2 = 0 then wake (id mod 4 = 0)
   and sched delay =
     let id = !next_id in
     incr next_id;
@@ -426,9 +509,14 @@ let replay side ops =
           let id = !next_id in
           incr next_id;
           side.spawn_wait (float_of_int d *. 0.5) (fire id)
+      | Spawn_park ->
+          let id = !next_id in
+          incr next_id;
+          side.spawn_park (fun w -> Queue.push w blocked) (fired id)
+      | Wake ok -> wake ok
       | Run_until d ->
           side.run (Some (side.clock () +. (float_of_int d *. 0.5)));
-          log := (-1, side.clock ()) :: !log)
+          log := (-1, true, side.clock ()) :: !log)
     ops;
   side.run None;
   (List.rev !log, side.clock (), side.processed ())
@@ -440,6 +528,7 @@ let prop_queue_matches_reference =
         Gen.(list_size (int_range 0 60) gen_op))
     (fun ops ->
       let eng = Engine.create () in
+      let exception Rejected in
       let engine_side =
         {
           schedule = (fun at f -> Engine.schedule eng ~at f);
@@ -449,6 +538,15 @@ let prop_queue_matches_reference =
               Engine.spawn eng (fun () ->
                   Engine.wait d;
                   k ()));
+          spawn_park =
+            (fun register k ->
+              Engine.spawn eng (fun () ->
+                  match Engine.suspend register with
+                  | () -> k true
+                  | exception Rejected -> k false));
+          wake =
+            (fun w ok ->
+              if ok then Engine.resolve w () else Engine.reject w Rejected);
           run = (fun until -> Engine.run ?until eng);
           clock = (fun () -> Engine.now eng);
           processed = (fun () -> Engine.events_processed eng);
@@ -464,6 +562,11 @@ let prop_queue_matches_reference =
               ignore
                 (Reference.schedule r ~at:r.now (fun () ->
                      ignore (Reference.schedule r ~at:(r.now +. d) k))));
+          spawn_park =
+            (fun register k ->
+              let at_now f = ignore (Reference.schedule r ~at:r.now f) in
+              at_now (fun () -> register (fun ok -> at_now (fun () -> k ok))));
+          wake = (fun w ok -> w ok);
           run = (fun until -> Reference.run ?until r);
           clock = (fun () -> r.now);
           processed = (fun () -> r.processed);
@@ -483,6 +586,11 @@ let suite =
     Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "run until" `Quick test_until;
+    Alcotest.test_case "run until in the past rejected" `Quick
+      test_until_in_past_rejected;
+    Alcotest.test_case "now after queued ties" `Quick test_now_after_queued_ties;
+    Alcotest.test_case "fired events released" `Quick
+      test_fired_events_released;
     Alcotest.test_case "process wait" `Quick test_process_wait;
     Alcotest.test_case "suspend/resolve" `Quick test_suspend_resolve;
     Alcotest.test_case "suspend/reject" `Quick test_suspend_reject;
