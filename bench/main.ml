@@ -1,16 +1,19 @@
 (* Benchmark harness.
 
-   `main.exe` regenerates every table/figure of the paper's evaluation
-   section (Figures 2-17 plus the variants described in the running text)
-   as aligned text tables, then runs the observability, fault, recovery,
-   metrics, overload and parallel scenarios, which can gate CI. The
-   simulator's per-layer costs are timed by benchsuite/. See
+   `main.exe [SCENARIO...]` regenerates every table/figure of the paper's
+   evaluation section (Figures 2-17 plus the variants described in the
+   running text), then runs the observability, fault, recovery, metrics,
+   overload and parallel scenarios (or only the named ones). Each writes
+   BENCH_<name>.json and exits 1 on a failed check or, under --gate, a
+   failed gate. Per-layer costs are timed by benchsuite/. See
    EXPERIMENTS.md for the comparison against the paper. *)
 
 (* Wall-clock timing of the harness itself is the whole point here. *)
 (* lint: allow ambient file *)
 
 open Cmdliner
+open Ddbm
+open Ddbm_model
 
 (* ------------------------------------------------------------------ *)
 (* Figure harness                                                      *)
@@ -18,15 +21,15 @@ open Cmdliner
 let wall_now = Unix.gettimeofday
 
 let run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose =
-  let cache = Ddbm.Experiment.create_cache ~verbose () in
+  let cache = Experiment.create_cache ~verbose () in
   let started = wall_now () in
   let generators =
     match ids with
-    | [] -> Ddbm.Figures.all
+    | [] -> Figures.all
     | ids ->
         List.map
           (fun id ->
-            match Ddbm.Figures.find id with
+            match Figures.find id with
             | Some g -> (id, g)
             | None ->
                 Printf.eprintf "unknown figure id %S\n" id;
@@ -36,237 +39,170 @@ let run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose =
   Printf.printf
     "Reproducing %d figures (profile %s; %d think-time points; %d jobs)\n\n%!"
     (List.length generators)
-    (Ddbm.Experiment.profile_name profile)
+    (Experiment.profile_name profile)
     (List.length thinks) (Par.Pool.jobs pool);
   (* All simulation work happens here, fanned out over the pool; the
      per-figure pass below is then pure cache hits and formatting. *)
-  let n_runs =
-    Ddbm.Figures.prefill_cache cache pool ~profile ~thinks generators
-  in
+  let n_runs = Figures.prefill_cache cache pool ~profile ~thinks generators in
   let prefill_wall = wall_now () -. started in
   List.iter
     (fun (id, generate) ->
       let figure = generate cache ~profile ~thinks in
-      print_string (Ddbm.Figure.to_table figure);
+      print_string (Figure.to_table figure);
       print_newline ();
       match csv_dir with
       | None -> ()
       | Some dir ->
-          let path = Filename.concat dir (id ^ ".csv") in
-          let oc = open_out path in
-          output_string oc (Ddbm.Figure.to_csv figure);
-          close_out oc)
+          Out_channel.with_open_text (Filename.concat dir (id ^ ".csv"))
+            (fun oc -> output_string oc (Figure.to_csv figure)))
     generators;
   Printf.printf
     "Total: %.1f s wall (%.1f s simulating, %.1f s cpu), %d simulation runs \
      (%d cache hits) at %d jobs\n\
      %!"
     (wall_now () -. started)
-    prefill_wall (Sys.time ()) n_runs cache.Ddbm.Experiment.hits
+    prefill_wall (Sys.time ()) n_runs cache.Experiment.hits
     (Par.Pool.jobs pool)
 
 (* ------------------------------------------------------------------ *)
-(* Observability overhead: events/sec plain vs traced vs exported      *)
+(* Scenario shape, report and enforcement                              *)
 
-let run_observability ~out =
-  let open Ddbm_model in
-  let d = Params.default in
-  let params =
-    {
-      Params.database =
-        {
-          d.Params.database with
-          Params.num_proc_nodes = 8;
-          partitioning_degree = 8;
-          file_size = 120;
-        };
-      workload =
-        { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-      resources = d.Params.resources;
-      cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-      run =
-        {
-          Params.seed = 1;
-          warmup = 5.;
-          measure = 30.;
-          restart_delay_floor = 0.5;
-          fresh_restart_plan = false;
-        };
-      durability = Params.default_durability;
-      faults = Fault_plan.zero;
-      arrivals = Arrival.zero;
-    }
+(* [Num (d, x)] prints [x] with [d] decimals: each key keeps its format. *)
+type value =
+  | Str of string
+  | Int of int
+  | Bool of bool
+  | Num of int * float
+  | Obj of (string * value) list
+
+type gate =
+  | Pin of float
+      (** normalized events/sec, which must stay at or above 0.9 x the
+          figure pinned in bench/BENCH_<name>.pin.json *)
+  | Overhead of float  (** events/sec overhead in %, at most 5 *)
+
+type outcome = {
+  fields : (string * value) list;  (** BENCH_<name>.json, in key order *)
+  checks : (string * bool) list;  (** always enforced *)
+  gate : gate option;  (** enforced under --gate *)
+}
+
+type scenario = { name : string; run : unit -> outcome }
+
+let rec json = function
+  | Str s -> "\"" ^ s ^ "\""
+  | Int i -> string_of_int i
+  | Bool b -> string_of_bool b
+  | Num (digits, x) -> Printf.sprintf "%.*f" digits x
+  | Obj kvs -> "{" ^ String.concat ", " (List.map member kvs) ^ "}"
+
+and member (key, v) = Printf.sprintf "\"%s\": %s" key (json v)
+
+let emit name fields =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n  %s\n}\n"
+        (String.concat ",\n  " (List.map member fields)));
+  Printf.printf "== %s ==\n" name;
+  List.iter (fun (key, v) -> Printf.printf "%-32s %s\n" key (json v)) fields;
+  Printf.printf "written to %s\n%!" path
+
+(* The number on the pin file's "normalized_events_per_calib" line (no
+   JSON library is available in this environment). An unreadable pin,
+   or one without that line, fails the gate. *)
+let read_pin name =
+  let path = Printf.sprintf "bench/BENCH_%s.pin.json" name in
+  let fail msg =
+    Printf.eprintf "BENCH_%s gate: %s\n%!" name msg;
+    exit 1
   in
-  (* best of [reps] to damp scheduler noise *)
-  let measure instrument =
-    let reps = 3 in
-    let best = ref 0. in
-    let heap = ref 0 in
-    for _ = 1 to reps do
-      let m = Ddbm.Machine.create params in
-      instrument m;
-      let r = Ddbm.Machine.execute m in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      heap := Stdlib.max !heap r.Ddbm.Sim_result.top_heap_words
-    done;
-    (!best, !heap)
+  let number line =
+    Scanf.sscanf_opt line " \"normalized_events_per_calib\" : %f" Fun.id
   in
-  let plain, plain_heap = measure (fun _ -> ()) in
-  let traced, traced_heap =
-    measure (fun m ->
-        let tracer = Ddbm.Machine.enable_events m in
-        Tracer.attach tracer (fun ~time:_ _ -> ()))
+  match In_channel.with_open_text path In_channel.input_lines with
+  | exception Sys_error msg -> fail ("cannot read pin " ^ msg)
+  | lines -> (
+      match List.find_map number lines with
+      | Some pinned -> pinned
+      | None -> fail ("no normalized_events_per_calib in " ^ path))
+
+(* A failed check always exits 1; the gate is judged only under --gate. *)
+let enforce ~gate name o =
+  let gate_result =
+    match o.gate with
+    | Some (Pin normalized) when gate ->
+        let pin = read_pin name in
+        [
+          ( Printf.sprintf "gate: normalized events/sec %.2f >= 0.9 x pin %.2f"
+              normalized pin,
+            normalized >= pin *. 0.9 );
+        ]
+    | Some (Overhead pct) when gate ->
+        [ (Printf.sprintf "gate: overhead %.2f%% <= 5%%" pct, pct <= 5.0) ]
+    | _ -> []
   in
-  let exported, exported_heap =
-    measure (fun m ->
-        Ddbm.Machine.enable_sampler m ~interval:1.;
-        let tracer = Ddbm.Machine.enable_events m in
-        let buf = Buffer.create (1 lsl 20) in
-        let chrome =
-          Ddbm.Trace_export.Chrome.create ~num_nodes:8 (Buffer.add_string buf)
-        in
-        Tracer.attach tracer (Ddbm.Trace_export.Chrome.sink chrome))
-  in
-  let overhead base x = (base -. x) /. base *. 100. in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated\",\n\
-    \  \"events_per_sec_plain\": %.0f,\n\
-    \  \"events_per_sec_traced\": %.0f,\n\
-    \  \"events_per_sec_exported\": %.0f,\n\
-    \  \"overhead_traced_pct\": %.2f,\n\
-    \  \"overhead_exported_pct\": %.2f,\n\
-    \  \"top_heap_words_plain\": %d,\n\
-    \  \"top_heap_words_traced\": %d,\n\
-    \  \"top_heap_words_exported\": %d\n\
-     }\n"
-    plain traced exported (overhead plain traced) (overhead plain exported)
-    plain_heap traced_heap exported_heap;
-  close_out oc;
-  Printf.printf
-    "== observability overhead ==\n\
-     plain     %10.0f events/s\n\
-     traced    %10.0f events/s (%.1f%% overhead)\n\
-     exported  %10.0f events/s (%.1f%% overhead)\n\
-     written to %s\n\n\
-     %!"
-    plain traced
-    (overhead plain traced)
-    exported
-    (overhead plain exported)
-    out
+  let results = o.checks @ gate_result in
+  List.iter
+    (fun (msg, ok) ->
+      Printf.printf "%s: %s\n%!" msg (if ok then "ok" else "FAILED");
+      if not ok then Printf.eprintf "BENCH_%s FAILED: %s\n%!" name msg)
+    results;
+  print_newline ();
+  if not (List.for_all snd results) then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Fault-machinery overhead: a zero plan must cost nothing (it installs
-   no runtime at all); an armed-but-quiet plan (runtime installed, no
-   fault ever fires) prices the timeout/judge machinery itself; a lossy
-   plan shows the real degradation and the availability/goodput metrics
-   working. *)
+(* Shared configuration and measurement                                *)
 
-let run_faults ~out =
-  let open Ddbm_model in
+(* The paper's Section 4 machine every scenario starts from: 8 nodes,
+   8-way declustering, FileSize 120, 64 terminals at 1 s think time,
+   2PL, 5 s warm-up and 30 s measured. *)
+let base seed =
   let d = Params.default in
-  let params faults =
-    {
-      d with
-      Params.database =
-        {
-          d.Params.database with
-          Params.num_proc_nodes = 8;
-          partitioning_degree = 8;
-          file_size = 120;
-        };
-      workload =
-        { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-      cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-      run =
-        {
-          Params.seed = 1;
-          warmup = 5.;
-          measure = 30.;
-          restart_delay_floor = 0.5;
-          fresh_restart_plan = false;
-        };
-      faults;
-    }
-  in
-  (* armed: the fault runtime (timeouts, message judge, decision log) is
-     installed, but the only scheduled fault lies far past the horizon *)
-  let armed_plan =
-    {
-      Fault_plan.zero with
-      Fault_plan.crashes =
-        [ { Fault_plan.target = Ids.Proc 0; at = 1e6; duration = 1. } ];
-      fault_seed = 1;
-    }
-  in
-  let lossy_plan =
-    {
-      Fault_plan.zero with
-      Fault_plan.msg_loss = 0.05;
-      msg_dup = 0.01;
-      msg_delay = 0.001;
-      timeout = 0.5;
-      timeout_cap = 2.;
-      max_retries = 6;
-      fault_seed = 1;
-    }
-  in
-  let measure faults =
-    let reps = 3 in
-    let best = ref 0. in
-    let last = ref None in
-    for _ = 1 to reps do
-      let r = Ddbm.Machine.run (params faults) in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let off, off_r = measure Fault_plan.zero in
-  let armed, _ = measure armed_plan in
-  let lossy, lossy_r = measure lossy_plan in
-  let overhead base x = (base -. x) /. base *. 100. in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated\",\n\
-    \  \"events_per_sec_faults_off\": %.0f,\n\
-    \  \"events_per_sec_armed_quiet\": %.0f,\n\
-    \  \"events_per_sec_lossy\": %.0f,\n\
-    \  \"overhead_armed_pct\": %.2f,\n\
-    \  \"overhead_lossy_pct\": %.2f,\n\
-    \  \"off_throughput\": %.4f,\n\
-    \  \"lossy_throughput\": %.4f,\n\
-    \  \"lossy_goodput\": %.4f,\n\
-    \  \"lossy_availability\": %.6f,\n\
-    \  \"lossy_timeouts\": %d,\n\
-    \  \"lossy_retries\": %d,\n\
-    \  \"lossy_msgs_dropped\": %d\n\
-     }\n"
-    off armed lossy (overhead off armed) (overhead off lossy)
-    off_r.Ddbm.Sim_result.throughput lossy_r.Ddbm.Sim_result.throughput
-    lossy_r.Ddbm.Sim_result.goodput lossy_r.Ddbm.Sim_result.availability
-    lossy_r.Ddbm.Sim_result.timeouts lossy_r.Ddbm.Sim_result.retries
-    lossy_r.Ddbm.Sim_result.msgs_dropped;
-  close_out oc;
-  Printf.printf
-    "== fault-machinery overhead ==\n\
-     faults off   %10.0f events/s\n\
-     armed quiet  %10.0f events/s (%.1f%% overhead)\n\
-     lossy 5%%     %10.0f events/s (tput %.2f -> %.2f tx/s, availability \
-     %.4f)\n\
-     written to %s\n\n\
-     %!"
-    off armed
-    (overhead off armed)
-    lossy off_r.Ddbm.Sim_result.throughput lossy_r.Ddbm.Sim_result.throughput
-    lossy_r.Ddbm.Sim_result.availability out
+  {
+    d with
+    Params.database =
+      {
+        d.Params.database with
+        Params.num_proc_nodes = 8;
+        partitioning_degree = 8;
+        file_size = 120;
+      };
+    workload =
+      { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
+    cc = { d.Params.cc with Params.algorithm = Params.Twopl };
+    run = { d.Params.run with Params.seed; warmup = 5.; measure = 30. };
+  }
 
-(* ------------------------------------------------------------------ *)
+(* A fixed plan or arrival spec, in the CLI's grammar *)
+let spec of_spec s = match of_spec s with Ok x -> x | Error msg -> failwith msg
+
+let config_35s = Str "2pl, 8 nodes, 64 terminals, 35 s simulated"
+
+type measured = { best : float; last : Sim_result.t; heap : int }
+
+(* Best of 3 events/sec per side of a comparison, in order, against
+   scheduler noise. Sides take turns (A B A B A B) so a burst of host
+   noise hits all of them, not one. [heap]: the largest GC high-water. *)
+let measure sides =
+  let take m (r : Sim_result.t) =
+    {
+      best = Float.max m.best r.events_per_sec;
+      last = r;
+      heap = Int.max m.heap r.top_heap_words;
+    }
+  in
+  let run_all () = List.map (fun m -> Machine.execute (m ())) sides in
+  let first = List.map (fun r -> take { best = 0.; last = r; heap = 0 } r) in
+  let round ms = List.map2 take ms (run_all ()) in
+  round (round (first (run_all ())))
+
+let overhead base x = (base -. x) /. base *. 100.
+
+let timed f =
+  let t0 = wall_now () in
+  let r = f () in
+  (r, wall_now () -. t0)
+
 (* Raw events/sec is hardware-dependent, so a pinned number would not
    transfer between a laptop and the CI runner. Gated scenarios
    (BENCH_parallel, BENCH_recovery) therefore pin events/sec
@@ -274,7 +210,6 @@ let run_faults ~out =
    heap exercise measured in the same process): the ratio cancels most
    of the machine-speed difference and moves only when the simulator's
    own hot path moves. *)
-
 let calibration_units_per_sec () =
   let iters = 2_000 in
   let sink = ref 0 in
@@ -291,69 +226,108 @@ let calibration_units_per_sec () =
   ignore (Sys.opaque_identity !sink);
   float_of_int iters /. (wall_now () -. t0)
 
-(* Minimal scanner for the flat pin file: the float following
-   ["key": ]. No JSON library is available in this environment. *)
-let json_number ~key text =
-  let needle = Printf.sprintf "\"%s\"" key in
-  let n = String.length text and m = String.length needle in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub text i m = needle then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let i = ref i in
-      while
-        !i < n && (text.[!i] = ':' || text.[!i] = ' ' || text.[!i] = '\n')
-      do
-        incr i
-      done;
-      let start = !i in
-      while
-        !i < n
-        && (match text.[!i] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr i
-      done;
-      if !i = start then None
-      else float_of_string_opt (String.sub text start (!i - start))
+(* The calibration fields of a pinned scenario and its gate. *)
+let pinned events_per_sec =
+  let calib = calibration_units_per_sec () in
+  let normalized = events_per_sec /. calib in
+  ( [
+      ("calibration_units_per_sec", Num (1, calib));
+      ("normalized_events_per_calib", Num (2, normalized));
+    ],
+    Some (Pin normalized) )
 
-(* The --gate check shared by the gated scenarios: exit 1 when [pin]
-   cannot be read or has no normalized figure, or when [normalized] falls
-   more than 10 % below the pinned one. [bench] prefixes the error lines,
-   [title] heads the report. *)
-let gate_against_pin ~bench ~title ~pin normalized =
-  let text =
-    try In_channel.with_open_text pin In_channel.input_all
-    with Sys_error msg ->
-      Printf.eprintf "%s gate: cannot read pin %s: %s\n%!" bench pin msg;
-      exit 1
+(* Observer overhead: events/sec plain vs traced (a no-op sink) vs
+   exported (a Chrome trace plus the 1 s sampler). Observers may not
+   change the simulation: the traced run must equal the plain one, and
+   the exported run may differ only by the sampler's own tick events. *)
+let observability () =
+  let instrumented instrument () =
+    let m = Machine.create (base 1) in
+    instrument m;
+    m
   in
-  match json_number ~key:"normalized_events_per_calib" text with
-  | None ->
-      Printf.eprintf "%s gate: no normalized_events_per_calib in %s\n%!" bench
-        pin;
-      exit 1
-  | Some pinned ->
-      let floor = pinned *. 0.9 in
-      Printf.printf
-        "== %s ==\n\
-         pinned normalized events/sec %.2f (floor %.2f), measured %.2f: %s\n\n\
-         %!"
-        title pinned floor normalized
-        (if normalized >= floor then "PASS" else "FAIL");
-      if normalized < floor then begin
-        Printf.eprintf
-          "%s gate: normalized events/sec regressed >10%% (%.2f < %.2f)\n%!"
-          bench normalized floor;
-        exit 1
-      end
+  let trace m = Tracer.attach (Machine.enable_events m) (fun ~time:_ _ -> ()) in
+  let export m =
+    Machine.enable_sampler m ~interval:1.;
+    let sink = Buffer.add_string (Buffer.create (1 lsl 20)) in
+    let chrome = Trace_export.Chrome.create ~num_nodes:8 sink in
+    Tracer.attach (Machine.enable_events m) (Trace_export.Chrome.sink chrome)
+  in
+  let[@warning "-8"] [ plain; traced; exported ] =
+    measure [ instrumented ignore; instrumented trace; instrumented export ]
+  in
+  (* the 1 s sampler ticks once per simulated second *)
+  let untick (r : Sim_result.t) =
+    { r with sim_events = r.sim_events - Float.to_int r.sim_end }
+  in
+  {
+    fields =
+      [
+        ("config", config_35s);
+        ("events_per_sec_plain", Num (0, plain.best));
+        ("events_per_sec_traced", Num (0, traced.best));
+        ("events_per_sec_exported", Num (0, exported.best));
+        ("overhead_traced_pct", Num (2, overhead plain.best traced.best));
+        ("overhead_exported_pct", Num (2, overhead plain.best exported.best));
+        ("top_heap_words_plain", Int plain.heap);
+        ("top_heap_words_traced", Int traced.heap);
+        ("top_heap_words_exported", Int exported.heap);
+      ];
+    checks =
+      [
+        ( "traced run equals the plain run",
+          Sim_result.equal plain.last traced.last );
+        ( "exported run differs from the plain run only by one event per \
+           sampler tick",
+          Sim_result.equal plain.last (untick exported.last) );
+      ];
+    gate = None;
+  }
 
-(* ------------------------------------------------------------------ *)
+(* Fault-machinery overhead. A zero plan installs no fault runtime at
+   all. The armed plan installs it (timeouts, message judge, decision
+   log) and injects no fault: its only crash lies far past the horizon.
+   It is not quiet, though: its default 1 s protocol timeout is shorter
+   than this saturated machine's waits, so at seed 1 it fires 1,999
+   timeouts and 1,883 retries (165,142 -> 192,038 events), and its
+   overhead prices that timeout/retry traffic, not an idle runtime. The
+   lossy plan shows the real degradation and the availability/goodput
+   metrics working. *)
+let faults () =
+  let side faults () = Machine.create { (base 1) with Params.faults } in
+  let armed_plan = spec Fault_plan.of_spec "crash=0@1e6+1,fault-seed=1" in
+  let lossy_plan =
+    spec Fault_plan.of_spec
+      "loss=0.05,dup=0.01,delay=0.001,timeout=0.5,timeout-cap=2,retries=6,\
+       fault-seed=1"
+  in
+  let[@warning "-8"] [ off; armed; lossy ] =
+    measure [ side Fault_plan.zero; side armed_plan; side lossy_plan ]
+  in
+  {
+    fields =
+      [
+        ("config", config_35s);
+        ("events_per_sec_faults_off", Num (0, off.best));
+        ("events_per_sec_armed_quiet", Num (0, armed.best));
+        ("events_per_sec_lossy", Num (0, lossy.best));
+        ("overhead_armed_pct", Num (2, overhead off.best armed.best));
+        ("overhead_lossy_pct", Num (2, overhead off.best lossy.best));
+        ("off_throughput", Num (4, off.last.throughput));
+        ("lossy_throughput", Num (4, lossy.last.throughput));
+        ("lossy_goodput", Num (4, lossy.last.goodput));
+        ("lossy_availability", Num (6, lossy.last.availability));
+        ("lossy_timeouts", Int lossy.last.timeouts);
+        ("lossy_retries", Int lossy.last.retries);
+        ("lossy_msgs_dropped", Int lossy.last.msgs_dropped);
+        ("armed_timeouts", Int armed.last.timeouts);
+        ("armed_retries", Int armed.last.retries);
+        ("armed_sim_events", Int armed.last.sim_events);
+      ];
+    checks = [];
+    gate = None;
+  }
+
 (* Durability & recovery: under a rate-driven crash plan with the log
    disk on, primary/backup failover (replicas=1) must strictly beat the
    doom-every-resident-cohort baseline (replicas=0) on goodput without
@@ -361,57 +335,30 @@ let gate_against_pin ~bench ~title ~pin normalized =
    transaction. (Availability counts node-seconds up, so under one
    crash plan it is identical by construction; failover's gain is the
    committed work salvaged while nodes are down.) *)
-
-let run_recovery ~out ~gate ~pin =
-  let open Ddbm_model in
-  let d = Params.default in
+let recovery () =
   let crashy =
-    {
-      Fault_plan.zero with
-      Fault_plan.crash_rate = 0.02;
-      mean_repair = 1.5;
-      msg_loss = 0.02;
-      timeout = 0.5;
-      timeout_cap = 2.;
-      max_retries = 4;
-      fault_seed = 31;
-    }
+    "crash-rate=0.02,mttr=1.5,loss=0.02,timeout=0.5,timeout-cap=2,retries=4,\
+     fault-seed=31"
   in
-  let params ?(recovery_jobs = 1) ?(faults = crashy) replicas =
-    {
-      d with
-      Params.database =
-        {
-          d.Params.database with
-          Params.num_proc_nodes = 8;
-          partitioning_degree = 8;
-          file_size = 120;
-        };
-      workload =
-        { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-      cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-      run =
-        {
-          Params.seed = 1;
-          warmup = 5.;
-          measure = 30.;
-          restart_delay_floor = 0.5;
-          fresh_restart_plan = false;
-        };
-      durability =
-        {
-          Params.log_disk = true;
-          log_min_time = 0.002;
-          log_max_time = 0.006;
-          log_force = Params.At_prepare;
-          replicas;
-          recovery_jobs;
-        };
-      faults;
-    }
+  let run ?(recovery_jobs = 1) ?(faults = spec Fault_plan.of_spec crashy)
+      replicas =
+    Machine.run
+      {
+        (base 1) with
+        Params.durability =
+          {
+            Params.log_disk = true;
+            log_min_time = 0.002;
+            log_max_time = 0.006;
+            log_force = Params.At_prepare;
+            replicas;
+            recovery_jobs;
+          };
+        faults;
+      }
   in
-  let doom = Ddbm.Machine.run (params 0) in
-  let failover = Ddbm.Machine.run (params 1) in
+  let doom = run 0 in
+  let failover = run 1 in
   (* recovery at scale: the same crashy machine with torn tails and
      crash-during-recovery layered on, recovered serially and with four
      chain-parallel redo workers. Correctness must be mode-independent
@@ -419,408 +366,233 @@ let run_recovery ~out ~gate ~pin =
      chain-parallel run's wall-clock cost is pinned normalized to the
      calibration workload, like BENCH_parallel. *)
   let chaos =
-    { crashy with Fault_plan.torn_tail = 0.25; recrash = 0.2; fault_seed = 47 }
+    spec Fault_plan.of_spec
+      (crashy ^ ",torn-tail=0.25,recrash=0.2,fault-seed=47")
   in
-  let serial_chaos = Ddbm.Machine.run (params ~faults:chaos 1) in
-  let t0 = wall_now () in
-  let chained = Ddbm.Machine.run (params ~recovery_jobs:4 ~faults:chaos 1) in
-  let wall_chained = wall_now () -. t0 in
-  let t1 = wall_now () in
-  let chained2 = Ddbm.Machine.run (params ~recovery_jobs:4 ~faults:chaos 1) in
-  let wall_chained2 = wall_now () -. t1 in
-  let deterministic = Ddbm.Sim_result.equal chained chained2 in
+  let serial_chaos = run ~faults:chaos 1 in
+  let chained_run () = run ~recovery_jobs:4 ~faults:chaos 1 in
+  let chained, wall = timed chained_run in
+  let chained2, wall2 = timed chained_run in
+  let deterministic = Sim_result.equal chained chained2 in
   (* best of the two (identical) runs: a scheduling hiccup in one run
      must not read as a simulator regression *)
   let events_per_sec =
-    float_of_int chained.Ddbm.Sim_result.sim_events
-    /. Stdlib.min wall_chained wall_chained2
+    float_of_int chained.sim_events /. Float.min wall wall2
   in
-  let calib = calibration_units_per_sec () in
-  let normalized = events_per_sec /. calib in
+  let calibration, gate = pinned events_per_sec in
   let improved =
-    failover.Ddbm.Sim_result.availability >= doom.Ddbm.Sim_result.availability
-    && failover.Ddbm.Sim_result.goodput > doom.Ddbm.Sim_result.goodput
+    failover.availability >= doom.availability
+    && failover.goodput > doom.goodput
   in
-  let line tag (r : Ddbm.Sim_result.t) =
-    Printf.sprintf
-      "  \"%s\": {\"availability\": %.6f, \"goodput\": %.4f, \"throughput\": \
-       %.4f, \"recoveries\": %d, \"mean_recovery_time\": %.4f, \"failovers\": \
-       %d, \"orphaned\": %d, \"lost_commits\": %d, \"recovery_chains\": %d, \
-       \"recovery_degraded\": %d, \"wal_torn_tails\": %d}"
-      tag r.Ddbm.Sim_result.availability r.Ddbm.Sim_result.goodput
-      r.Ddbm.Sim_result.throughput r.Ddbm.Sim_result.recoveries
-      r.Ddbm.Sim_result.mean_recovery_time r.Ddbm.Sim_result.failovers
-      r.Ddbm.Sim_result.orphaned r.Ddbm.Sim_result.lost_commits
-      r.Ddbm.Sim_result.recovery_chains r.Ddbm.Sim_result.recovery_degraded
-      r.Ddbm.Sim_result.wal_torn_tails
+  let runs =
+    [
+      ("replicas_0", doom);
+      ("replicas_1", failover);
+      ("chaos_serial", serial_chaos);
+      ("chaos_jobs4", chained);
+    ]
   in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, log disk + rate-driven \
-     crashes, 35 s simulated\",\n\
-     %s,\n\
-     %s,\n\
-     %s,\n\
-     %s,\n\
-    \  \"failover_improves\": %b,\n\
-    \  \"chained_deterministic\": %b,\n\
-    \  \"events_per_sec\": %.0f,\n\
-    \  \"calibration_units_per_sec\": %.1f,\n\
-    \  \"normalized_events_per_calib\": %.2f\n\
-     }\n"
-    (line "replicas_0" doom)
-    (line "replicas_1" failover)
-    (line "chaos_serial" serial_chaos)
-    (line "chaos_jobs4" chained)
-    improved deterministic events_per_sec calib normalized;
-  close_out oc;
-  Printf.printf
-    "== durability & recovery ==\n\
-     replicas=0  availability %.4f, goodput %6.2f pages/s, %d recoveries, %d \
-     orphaned, %d lost\n\
-     replicas=1  availability %.4f, goodput %6.2f pages/s, %d recoveries, %d \
-     failovers, %d lost\n\
-     failover improves goodput without hurting availability: %b\n\
-     chaos serial  mttr %.4f s, %d recoveries, %d torn tails, %d degraded, %d \
-     lost\n\
-     chaos jobs=4  mttr %.4f s, %d recoveries, %d chains replayed, %d lost \
-     (normalized %.2f, deterministic %b)\n\
-     written to %s\n\n\
-     %!"
-    doom.Ddbm.Sim_result.availability doom.Ddbm.Sim_result.goodput
-    doom.Ddbm.Sim_result.recoveries doom.Ddbm.Sim_result.orphaned
-    doom.Ddbm.Sim_result.lost_commits failover.Ddbm.Sim_result.availability
-    failover.Ddbm.Sim_result.goodput failover.Ddbm.Sim_result.recoveries
-    failover.Ddbm.Sim_result.failovers failover.Ddbm.Sim_result.lost_commits
-    improved serial_chaos.Ddbm.Sim_result.mean_recovery_time
-    serial_chaos.Ddbm.Sim_result.recoveries
-    serial_chaos.Ddbm.Sim_result.wal_torn_tails
-    serial_chaos.Ddbm.Sim_result.recovery_degraded
-    serial_chaos.Ddbm.Sim_result.lost_commits
-    chained.Ddbm.Sim_result.mean_recovery_time
-    chained.Ddbm.Sim_result.recoveries chained.Ddbm.Sim_result.recovery_chains
-    chained.Ddbm.Sim_result.lost_commits normalized deterministic out;
-  if doom.Ddbm.Sim_result.lost_commits <> 0
-     || failover.Ddbm.Sim_result.lost_commits <> 0
-     || not improved
-  then begin
-    Printf.eprintf "BENCH_recovery: durability acceptance FAILED\n%!";
-    exit 1
-  end;
-  if serial_chaos.Ddbm.Sim_result.lost_commits <> 0
-     || chained.Ddbm.Sim_result.lost_commits <> 0
-  then begin
-    Printf.eprintf
-      "BENCH_recovery: chaos run lost committed transactions (serial %d, \
-       jobs=4 %d)\n\
-       %!"
-      serial_chaos.Ddbm.Sim_result.lost_commits
-      chained.Ddbm.Sim_result.lost_commits;
-    exit 1
-  end;
-  if chained.Ddbm.Sim_result.recovery_chains = 0 then begin
-    Printf.eprintf
-      "BENCH_recovery: jobs=4 chaos run replayed no chains (recovery never \
-       took the parallel path)\n\
-       %!";
-    exit 1
-  end;
-  if not deterministic then begin
-    Printf.eprintf
-      "BENCH_recovery: jobs=4 chaos run is not deterministic (run-twice \
-       results diverged)\n\
-       %!";
-    exit 1
-  end;
-  if gate then
-    gate_against_pin ~bench:"BENCH_recovery" ~title:"recovery bench gate" ~pin
-      normalized
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sweep scenario: wall-clock speedup over the pool, per-seed
-   bit-identity against serial execution, and an events/sec regression
-   gate against a committed pin.
-
-   The gate pins events/sec normalized by the calibration workload (see
-   above). *)
-
-let parallel_batch_params seed =
-  let open Ddbm_model in
-  let d = Params.default in
+  let summary (r : Sim_result.t) =
+    Obj
+      [
+        ("availability", Num (6, r.availability));
+        ("goodput", Num (4, r.goodput));
+        ("throughput", Num (4, r.throughput));
+        ("recoveries", Int r.recoveries);
+        ("mean_recovery_time", Num (4, r.mean_recovery_time));
+        ("failovers", Int r.failovers);
+        ("orphaned", Int r.orphaned);
+        ("lost_commits", Int r.lost_commits);
+        ("recovery_chains", Int r.recovery_chains);
+        ("recovery_degraded", Int r.recovery_degraded);
+        ("wal_torn_tails", Int r.wal_torn_tails);
+      ]
+  in
   {
-    d with
-    Params.database =
-      {
-        d.Params.database with
-        Params.num_proc_nodes = 8;
-        partitioning_degree = 8;
-        file_size = 120;
-      };
-    workload =
-      { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-    cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-    run =
-      {
-        Params.seed;
-        warmup = 5.;
-        measure = 30.;
-        restart_delay_floor = 0.5;
-        fresh_restart_plan = false;
-      };
+    fields =
+      (( "config",
+         Str
+           "2pl, 8 nodes, 64 terminals, log disk + rate-driven crashes, 35 s \
+            simulated" )
+       :: List.map (fun (tag, r) -> (tag, summary r)) runs)
+      @ [
+          ("failover_improves", Bool improved);
+          ("chained_deterministic", Bool deterministic);
+          ("events_per_sec", Num (0, events_per_sec));
+        ]
+      @ calibration;
+    checks =
+      List.map
+        (fun (tag, (r : Sim_result.t)) ->
+          (tag ^ " lost no committed transaction", r.lost_commits = 0))
+        runs
+      @ [
+          ("failover improves goodput without hurting availability", improved);
+          ("jobs=4 chaos run replayed chains", chained.recovery_chains > 0);
+          ("jobs=4 chaos run is deterministic (run twice)", deterministic);
+        ];
+    gate;
   }
 
-let run_parallel ~jobs ~out ~gate ~pin =
-  let jobs =
-    match jobs with Some j -> j | None -> Par.Pool.default_jobs ()
-  in
-  let seeds = List.init 16 (fun i -> i + 1) in
-  let batch = List.map parallel_batch_params seeds in
-  let serial_pool = Par.Pool.create ~jobs:1 () in
-  let t0 = wall_now () in
-  let serial = Par.Pool.map serial_pool Ddbm.Machine.run batch in
-  let wall_serial = wall_now () -. t0 in
-  let pool = Par.Pool.create ~jobs () in
-  let t1 = wall_now () in
-  let parallel = Par.Pool.map pool Ddbm.Machine.run batch in
-  let wall_parallel = wall_now () -. t1 in
-  let bit_identical = List.for_all2 Ddbm.Sim_result.equal serial parallel in
-  let events =
-    List.fold_left (fun acc r -> acc + r.Ddbm.Sim_result.sim_events) 0 serial
-  in
-  let events_per_sec = float_of_int events /. wall_serial in
-  let calib = calibration_units_per_sec () in
-  let normalized = events_per_sec /. calib in
-  let speedup = wall_serial /. wall_parallel in
-  let cores = Par.Pool.default_jobs () in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated, %d seeds\",\n\
-    \  \"jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"events_total\": %d,\n\
-    \  \"wall_serial_s\": %.3f,\n\
-    \  \"wall_parallel_s\": %.3f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"events_per_sec_serial\": %.0f,\n\
-    \  \"calibration_units_per_sec\": %.1f,\n\
-    \  \"normalized_events_per_calib\": %.2f,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    (List.length seeds) jobs cores events wall_serial wall_parallel speedup
-    events_per_sec calib normalized bit_identical;
-  close_out oc;
-  Printf.printf
-    "== parallel sweep (%d runs) ==\n\
-     serial    %8.2f s wall (%.0f events/s, normalized %.2f)\n\
-     jobs=%-3d  %8.2f s wall (speedup %.2fx on %d cores)\n\
-     per-seed results bit-identical to serial: %b\n\
-     written to %s\n\n\
-     %!"
-    (List.length seeds) wall_serial events_per_sec normalized jobs
-    wall_parallel speedup cores bit_identical out;
-  if not bit_identical then begin
-    Printf.eprintf
-      "BENCH_parallel: parallel results diverged from serial execution\n%!";
-    exit 1
-  end;
-  if gate then
-    gate_against_pin ~bench:"BENCH_parallel" ~title:"bench gate" ~pin
-      normalized
-
-(* ------------------------------------------------------------------ *)
 (* Tail-latency telemetry overhead: the HDR histograms ride every
    commit's record path (response + eight decomposition components) and
    every 2PC decision/WAL force, so they must be close to free — the
    gate bounds their cost at <5% events/sec vs a histogram-free but
    otherwise identical machine. The histogram-free run must also produce
-   a bit-identical simulation (histograms are pure observers); that is
-   checked unconditionally. *)
-
-let run_metrics ~out ~gate =
-  let params = parallel_batch_params 1 in
-  let measure histograms =
-    let reps = 3 in
-    let best = ref 0. in
-    let last = ref None in
-    for _ = 1 to reps do
-      let m = Ddbm.Machine.create ~histograms params in
-      let r = Ddbm.Machine.execute m in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      last := Some r
-    done;
-    (!best, Option.get !last)
+   a bit-identical simulation (histograms are pure observers). *)
+let metrics () =
+  let side histograms () = Machine.create ~histograms (base 1) in
+  let[@warning "-8"] [ plain; hist ] = measure [ side false; side true ] in
+  let pct = overhead plain.best hist.best in
+  (* everything except the histogram-derived p99/p999 must match *)
+  let untailed r =
+    { r with Sim_result.response_p99 = 0.; response_p999 = 0. }
   in
-  let plain, plain_r = measure false in
-  let with_h, with_r = measure true in
-  let overhead = (plain -. with_h) /. plain *. 100. in
-  (* histograms may not perturb the simulation itself: everything except
-     the histogram-derived p99/p999 must match bit-for-bit *)
-  let same_sim =
-    Ddbm.Sim_result.equal
-      { plain_r with Ddbm.Sim_result.response_p99 = 0.; response_p999 = 0. }
-      { with_r with Ddbm.Sim_result.response_p99 = 0.; response_p999 = 0. }
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated\",\n\
-    \  \"events_per_sec_plain\": %.0f,\n\
-    \  \"events_per_sec_histograms\": %.0f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"simulation_bit_identical\": %b,\n\
-    \  \"response_p50\": %.6f,\n\
-    \  \"response_p95\": %.6f,\n\
-    \  \"response_p99\": %.6f,\n\
-    \  \"response_p999\": %.6f\n\
-     }\n"
-    plain with_h overhead same_sim with_r.Ddbm.Sim_result.response_p50
-    with_r.Ddbm.Sim_result.response_p95 with_r.Ddbm.Sim_result.response_p99
-    with_r.Ddbm.Sim_result.response_p999;
-  close_out oc;
-  Printf.printf
-    "== tail-latency telemetry overhead ==\n\
-     no histograms   %10.0f events/s\n\
-     histograms      %10.0f events/s (%.1f%% overhead)\n\
-     simulation bit-identical with histograms off: %b\n\
-     tail: p50 %.3f p95 %.3f p99 %.3f p999 %.3f s\n\
-     written to %s\n\n\
-     %!"
-    plain with_h overhead same_sim with_r.Ddbm.Sim_result.response_p50
-    with_r.Ddbm.Sim_result.response_p95 with_r.Ddbm.Sim_result.response_p99
-    with_r.Ddbm.Sim_result.response_p999 out;
-  if not same_sim then begin
-    Printf.eprintf
-      "BENCH_metrics: histograms perturbed the simulation outcome\n%!";
-    exit 1
-  end;
-  if gate && overhead > 5.0 then begin
-    Printf.eprintf
-      "BENCH_metrics gate: histogram overhead %.2f%% exceeds the 5%% bound\n%!"
-      overhead;
-    exit 1
-  end
+  let same_sim = Sim_result.equal (untailed plain.last) (untailed hist.last) in
+  {
+    fields =
+      [
+        ("config", config_35s);
+        ("events_per_sec_plain", Num (0, plain.best));
+        ("events_per_sec_histograms", Num (0, hist.best));
+        ("overhead_pct", Num (2, pct));
+        ("simulation_bit_identical", Bool same_sim);
+        ("response_p50", Num (6, hist.last.response_p50));
+        ("response_p95", Num (6, hist.last.response_p95));
+        ("response_p99", Num (6, hist.last.response_p99));
+        ("response_p999", Num (6, hist.last.response_p999));
+      ];
+    checks = [ ("histograms left the simulation bit-identical", same_sim) ];
+    gate = Some (Overhead pct);
+  }
 
-(* ------------------------------------------------------------------ *)
 (* Open-loop admission-control overhead: the arrival pump, admission
    queue and MPL limiter replace the closed-loop terminal processes, so
    driving the same machine open loop must cost at most 5% events/sec vs
    the closed-loop baseline. The open-loop run's admission books must
-   also balance exactly — offered = admitted + shed + expired +
-   still_queued — which is asserted unconditionally. *)
-
-let run_overload ~out ~gate =
-  let closed_params =
-    let open Ddbm_model in
-    let p = parallel_batch_params 1 in
-    (* longer than the parallel batch so the wall clock dominates any
-       fixed setup cost *)
+   also balance exactly: offered = admitted + shed + expired +
+   still_queued. *)
+let overload () =
+  let closed =
+    let p = base 1 in
+    (* longer than the base so the wall clock dominates any fixed setup
+       cost *)
     { p with Params.run = { p.Params.run with Params.measure = 120. } }
   in
-  let open_params =
-    let open Ddbm_model in
-    (* qps just under the closed loop's ~6.7 tx/s capacity, MPL near its
-       ~57 mean population: the same machine at a comparable operating
-       point, driven open loop instead of by terminals. Overloading it
-       instead would change the event mix (deadlock thrash) and measure
-       the regime, not the admission machinery. *)
-    let arrivals =
-      match Arrival.of_spec "qps=6,cap=64,mpl=56" with
-      | Ok a -> a
-      | Error msg -> failwith msg
-    in
+  (* qps just under the closed loop's ~6.7 tx/s capacity, MPL near its
+     ~57 mean population: the same machine at a comparable operating
+     point, driven open loop instead of by terminals. Overloading it
+     instead would change the event mix (deadlock thrash) and measure
+     the regime, not the admission machinery. *)
+  let opened =
     {
-      closed_params with
-      Params.workload =
-        { closed_params.Params.workload with Params.think_time = 0. };
-      arrivals;
+      closed with
+      Params.workload = { closed.Params.workload with Params.think_time = 0. };
+      arrivals = spec Arrival.of_spec "qps=6,cap=64,mpl=56";
     }
   in
-  let measure params =
-    let reps = 3 in
-    let best = ref 0. in
-    let last = ref None in
-    for _ = 1 to reps do
-      let m = Ddbm.Machine.create params in
-      let r = Ddbm.Machine.execute m in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      last := Some r
-    done;
-    (!best, Option.get !last)
+  let side params () = Machine.create params in
+  let[@warning "-8"] [ c; o ] = measure [ side closed; side opened ] in
+  let pct = overhead c.best o.best in
+  let r = o.last in
+  let conserved =
+    r.offered = r.admitted + r.shed + r.expired + r.still_queued
   in
-  let closed, closed_r = measure closed_params in
-  let opened, open_r = measure open_params in
-  let overhead = (closed -. opened) /. closed *. 100. in
-  let offered = open_r.Ddbm.Sim_result.offered
-  and admitted = open_r.Ddbm.Sim_result.admitted
-  and shed = open_r.Ddbm.Sim_result.shed
-  and expired = open_r.Ddbm.Sim_result.expired
-  and still_queued = open_r.Ddbm.Sim_result.still_queued in
-  let conserved = offered = admitted + shed + expired + still_queued in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, qps=6 cap=64 mpl=56 vs 64 closed \
-     terminals, 125 s simulated\",\n\
-    \  \"events_per_sec_closed\": %.0f,\n\
-    \  \"events_per_sec_open\": %.0f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"offered\": %d,\n\
-    \  \"admitted\": %d,\n\
-    \  \"shed\": %d,\n\
-    \  \"expired\": %d,\n\
-    \  \"still_queued\": %d,\n\
-    \  \"conservation_holds\": %b,\n\
-    \  \"queue_depth_max\": %d,\n\
-    \  \"closed_overload_counters_zero\": %b\n\
-     }\n"
-    closed opened overhead offered admitted shed expired still_queued conserved
-    open_r.Ddbm.Sim_result.queue_depth_max
-    (closed_r.Ddbm.Sim_result.offered = 0
-    && closed_r.Ddbm.Sim_result.queue_depth_max = 0);
-  close_out oc;
-  Printf.printf
-    "== open-loop admission overhead ==\n\
-     closed loop     %10.0f events/s\n\
-     open loop       %10.0f events/s (%.1f%% overhead)\n\
-     admission books: %d offered = %d admitted + %d shed + %d expired + %d \
-     queued (%s)\n\
-     written to %s\n\n\
-     %!"
-    closed opened overhead offered admitted shed expired still_queued
-    (if conserved then "balanced" else "VIOLATED")
-    out;
-  if not conserved then begin
-    Printf.eprintf "BENCH_overload: admission conservation violated\n%!";
-    exit 1
-  end;
-  if gate && overhead > 5.0 then begin
-    Printf.eprintf
-      "BENCH_overload gate: open-loop overhead %.2f%% exceeds the 5%% bound\n%!"
-      overhead;
-    exit 1
-  end
+  {
+    fields =
+      [
+        ( "config",
+          Str
+            "2pl, 8 nodes, qps=6 cap=64 mpl=56 vs 64 closed terminals, 125 s \
+             simulated" );
+        ("events_per_sec_closed", Num (0, c.best));
+        ("events_per_sec_open", Num (0, o.best));
+        ("overhead_pct", Num (2, pct));
+        ("offered", Int r.offered);
+        ("admitted", Int r.admitted);
+        ("shed", Int r.shed);
+        ("expired", Int r.expired);
+        ("still_queued", Int r.still_queued);
+        ("conservation_holds", Bool conserved);
+        ("queue_depth_max", Int r.queue_depth_max);
+        ( "closed_overload_counters_zero",
+          Bool (c.last.offered = 0 && c.last.queue_depth_max = 0) );
+      ];
+    checks =
+      [
+        ( "admission books balance (offered = admitted + shed + expired + \
+           queued)",
+          conserved );
+      ];
+    gate = Some (Overhead pct);
+  }
 
-(* ------------------------------------------------------------------ *)
-
-let profile_conv =
-  let parse s =
-    match Ddbm.Experiment.profile_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg "profile must be quick, standard or full")
+(* Parallel sweep: wall-clock speedup over the pool, per-seed
+   bit-identity against serial execution, and the serial events/sec
+   pinned normalized by the calibration workload. *)
+let parallel ~jobs () =
+  let jobs = Option.value jobs ~default:(Par.Pool.default_jobs ()) in
+  let batch = List.init 16 (fun i -> base (i + 1)) in
+  let serial_pool = Par.Pool.create ~jobs:1 () in
+  let serial, wall_serial =
+    timed (fun () -> Par.Pool.map serial_pool Machine.run batch)
   in
-  Arg.conv (parse, fun fmt p ->
-      Format.pp_print_string fmt (Ddbm.Experiment.profile_name p))
+  let pool = Par.Pool.create ~jobs () in
+  let parallel, wall_parallel =
+    timed (fun () -> Par.Pool.map pool Machine.run batch)
+  in
+  let bit_identical = List.for_all2 Sim_result.equal serial parallel in
+  let events =
+    List.fold_left (fun acc (r : Sim_result.t) -> acc + r.sim_events) 0 serial
+  in
+  let events_per_sec = float_of_int events /. wall_serial in
+  let calibration, gate = pinned events_per_sec in
+  {
+    fields =
+      [
+        ("config", Str "2pl, 8 nodes, 64 terminals, 35 s simulated, 16 seeds");
+        ("jobs", Int jobs);
+        ("cores", Int (Par.Pool.default_jobs ()));
+        ("events_total", Int events);
+        ("wall_serial_s", Num (3, wall_serial));
+        ("wall_parallel_s", Num (3, wall_parallel));
+        ("speedup", Num (3, wall_serial /. wall_parallel));
+        ("events_per_sec_serial", Num (0, events_per_sec));
+      ]
+      @ calibration
+      @ [ ("bit_identical", Bool bit_identical) ];
+    checks = [ ("parallel results bit-identical to serial", bit_identical) ];
+    gate;
+  }
+
+let scenarios ~jobs =
+  [
+    { name = "observability"; run = observability };
+    { name = "faults"; run = faults };
+    { name = "recovery"; run = recovery };
+    { name = "metrics"; run = metrics };
+    { name = "overload"; run = overload };
+    { name = "parallel"; run = parallel ~jobs };
+  ]
 
 let main =
   let open Term.Syntax in
-  let+ profile =
+  let names = "figures" :: List.map (fun s -> s.name) (scenarios ~jobs:None) in
+  let+ selected =
     Arg.(
       value
-      & opt profile_conv Ddbm.Experiment.Quick
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+      & info [] ~docv:"SCENARIO"
+          ~doc:("All by default; each is " ^ Arg.doc_alts names ^ "."))
+  and+ profile =
+    Arg.(
+      value
+      & opt
+          (enum
+             (List.map
+                (fun p -> (Experiment.profile_name p, p))
+                [ Experiment.Quick; Standard; Full ]))
+          Experiment.Quick
       & info [ "p"; "profile" ] ~docv:"PROFILE"
           ~doc:"Simulation length: quick, standard or full.")
   and+ ids =
@@ -831,124 +603,43 @@ let main =
   and+ thinks =
     Arg.(
       value
-      & opt (list float) Ddbm.Experiment.default_think_times
+      & opt (list float) Experiment.default_think_times
       & info [ "thinks" ] ~docv:"T1,T2,..." ~doc:"Think times to sweep.")
   and+ csv_dir =
     Arg.(
       value & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Also write each figure as CSV.")
-  and+ skip_figs =
-    Arg.(value & flag & info [ "no-figs" ] ~doc:"Skip figure reproduction.")
-  and+ skip_obs =
-    Arg.(
-      value & flag
-      & info [ "no-obs" ] ~doc:"Skip the observability overhead benchmark.")
-  and+ obs_out =
-    Arg.(
-      value
-      & opt string "BENCH_observability.json"
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:"Where to write the observability overhead report.")
-  and+ skip_faults =
-    Arg.(
-      value & flag
-      & info [ "no-faults" ] ~doc:"Skip the fault-machinery overhead benchmark.")
-  and+ faults_out =
-    Arg.(
-      value
-      & opt string "BENCH_faults.json"
-      & info [ "faults-out" ] ~docv:"FILE"
-          ~doc:"Where to write the fault-machinery overhead report.")
-  and+ skip_recovery =
-    Arg.(
-      value & flag
-      & info [ "no-recovery" ]
-          ~doc:"Skip the durability & recovery benchmark.")
-  and+ recovery_out =
-    Arg.(
-      value
-      & opt string "BENCH_recovery.json"
-      & info [ "recovery-out" ] ~docv:"FILE"
-          ~doc:"Where to write the durability & recovery report.")
-  and+ skip_parallel =
-    Arg.(
-      value & flag
-      & info [ "no-parallel" ]
-          ~doc:"Skip the parallel sweep speedup/bit-identity benchmark.")
-  and+ parallel_out =
-    Arg.(
-      value
-      & opt string "BENCH_parallel.json"
-      & info [ "parallel-out" ] ~docv:"FILE"
-          ~doc:"Where to write the parallel sweep report.")
-  and+ skip_metrics =
-    Arg.(
-      value & flag
-      & info [ "no-metrics" ]
-          ~doc:"Skip the tail-latency telemetry overhead benchmark.")
-  and+ metrics_out =
-    Arg.(
-      value
-      & opt string "BENCH_metrics.json"
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Where to write the tail-latency telemetry overhead report.")
-  and+ skip_overload =
-    Arg.(
-      value & flag
-      & info [ "no-overload" ]
-          ~doc:"Skip the open-loop admission overhead benchmark.")
-  and+ overload_out =
-    Arg.(
-      value
-      & opt string "BENCH_overload.json"
-      & info [ "overload-out" ] ~docv:"FILE"
-          ~doc:"Where to write the open-loop admission overhead report.")
   and+ gate =
     Arg.(
       value & flag
       & info [ "gate" ]
           ~doc:
-            "Fail (exit 1) when the parallel or recovery benchmark's \
-             normalized events/sec regresses more than 10% below its \
-             committed pin, or when the metrics benchmark's histogram \
-             overhead or the overload benchmark's open-loop overhead \
-             exceeds 5% events/sec.")
-  and+ pin =
-    Arg.(
-      value
-      & opt string "bench/BENCH_parallel.pin.json"
-      & info [ "pin" ] ~docv:"FILE"
-          ~doc:"Committed pin the --gate compares against.")
-  and+ recovery_pin =
-    Arg.(
-      value
-      & opt string "bench/BENCH_recovery.pin.json"
-      & info [ "recovery-pin" ] ~docv:"FILE"
-          ~doc:
-            "Committed pin the --gate compares the recovery benchmark's \
-             normalized events/sec against.")
+            "Also fail on the performance gates: normalized events/sec \
+             below 0.9 x bench/BENCH_<name>.pin.json (recovery, parallel), \
+             events/sec overhead above 5% (metrics, overload).")
   and+ jobs =
     Arg.(
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the figure suite and the parallel \
-             benchmark (default: the number of cores).")
+          ~doc:"Worker domains for figures and parallel (default: cores).")
   and+ verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log each run.")
   in
-  if not skip_figs then begin
-    let pool = Par.Pool.create ?jobs () in
-    run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose
-  end;
-  if not skip_obs then run_observability ~out:obs_out;
-  if not skip_faults then run_faults ~out:faults_out;
-  if not skip_recovery then
-    run_recovery ~out:recovery_out ~gate ~pin:recovery_pin;
-  if not skip_metrics then run_metrics ~out:metrics_out ~gate;
-  if not skip_overload then run_overload ~out:overload_out ~gate;
-  if not skip_parallel then run_parallel ~jobs ~out:parallel_out ~gate ~pin
+  let runs name =
+    List.is_empty selected || List.exists (String.equal name) selected
+  in
+  if runs "figures" then
+    run_figures ~pool:(Par.Pool.create ?jobs ()) ~profile ~ids ~thinks ~csv_dir
+      ~verbose;
+  List.iter
+    (fun s ->
+      if runs s.name then begin
+        let o = s.run () in
+        emit s.name o.fields;
+        enforce ~gate s.name o
+      end)
+    (scenarios ~jobs)
 
 let () =
   exit
