@@ -60,7 +60,8 @@ let global_deadlock_demo () =
           (Txn.abort_reason_name reason))
   in
   (* two "nodes", each with its own 2PL manager *)
-  let node0 = Twopl.make hooks and node1 = Twopl.make hooks in
+  let node0 = Locking.make Params.Twopl hooks
+  and node1 = Locking.make Params.Twopl hooks in
   let t1 = mk_txn clock ~tid:1 ~time:0.0 in
   let t2 = mk_txn clock ~tid:2 ~time:0.1 in
   (* cohort processes: lock the local page, then reach for the remote one *)
@@ -121,7 +122,8 @@ let wound_wait_demo () =
           txn.Txn.tid
           (Txn.abort_reason_name reason))
   in
-  let node0 = Wound_wait.make hooks and node1 = Wound_wait.make hooks in
+  let node0 = Locking.make Params.Wound_wait hooks
+  and node1 = Locking.make Params.Wound_wait hooks in
   let t1 = mk_txn clock ~tid:1 ~time:0.0 (* older *) in
   let t2 = mk_txn clock ~tid:2 ~time:0.1 (* younger *) in
   Engine.spawn eng (fun () ->

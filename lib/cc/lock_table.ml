@@ -1,12 +1,11 @@
 (** Page-level lock manager with shared/exclusive modes, FCFS queuing, and
     read-to-write lock conversion (upgrade) that jumps ahead of ordinary
-    waiters — the locking substrate of 2PL (and O2PL, which shares its
-    manager), 2PL with deferred write locks, wound-wait and wait-die.
+    waiters — the locking substrate of {!Locking}: 2PL, O2PL, 2PL with
+    deferred write locks, wound-wait and wait-die.
 
     Policy decisions (what to do when a request must wait) are delegated to
-    the caller through the [on_block] callback, which fires after the
-    request is enqueued and receives the set of transactions currently
-    blocking it.
+    {!Locking} through the [pre_block] and [on_block] callbacks of
+    [request].
 
     A granted lock is one mutable hold record in its page's entry; a
     conversion upgrades that record in place. Beside the page table, the

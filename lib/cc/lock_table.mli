@@ -1,12 +1,13 @@
 (** Page-level lock manager with shared/exclusive modes, strict-FCFS
     queuing, and read-to-write conversion (upgrade) that jumps ahead of
-    ordinary waiters — the locking substrate of 2PL (and O2PL), 2PL with
-    deferred write locks, wound-wait and wait-die.
+    ordinary waiters — the locking substrate of {!Locking}: 2PL, O2PL,
+    2PL with deferred write locks, wound-wait and wait-die.
 
     Policy decisions (what to do when a request must wait) are delegated
-    to the caller through the [on_block] callback, which fires after the
-    request is enqueued and receives the transactions currently blocking
-    it.
+    to the caller through two callbacks of {!request}, both supplied by
+    {!Locking}: [pre_block] runs before the request is queued and may
+    abort it instead (wait-die); [on_block] runs after it is queued
+    (deadlock detection, wounds).
 
     The table is indexed by transaction attempt as well as by page: each
     attempt's footprint lists the lock entries it holds or awaits (each
@@ -28,13 +29,18 @@ val mode_compatible : mode -> mode -> bool
     [blocking]. *)
 val create : Desim.Engine.t -> blocking:Desim.Stats.Tally.t -> t
 
-(** [request t txn page mode ~on_block] acquires [mode] on [page] for
-    [txn], blocking the calling cohort process until granted. A request
-    for a mode already covered by a held lock returns immediately; an
-    [X] request while holding [S] is an upgrade, granted immediately iff
-    [txn] is the sole holder and otherwise queued ahead of ordinary
-    waiters. Raises whatever exception the waiter is rejected with when
-    the transaction is aborted while blocked. *)
+(** [request ?pre_block t txn page mode ~on_block] acquires [mode] on
+    [page] for [txn], blocking the calling cohort process until granted.
+    A request for a mode already covered by a held lock returns
+    immediately; an [X] request while holding [S] is an upgrade, granted
+    immediately iff [txn] is the sole holder and otherwise queued ahead
+    of ordinary waiters. When the request must wait, [pre_block] (if
+    given) first runs in the caller's process with the prospective
+    blockers — the transactions the request would wait for — before
+    anything is queued; it may raise to abort the request instead of
+    waiting. Then the request is queued and [on_block] runs with its
+    actual blockers. Raises whatever exception the waiter is rejected
+    with when the transaction is aborted while blocked. *)
 val request :
   ?pre_block:(Txn.t list -> unit) ->
   t ->

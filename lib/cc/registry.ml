@@ -6,13 +6,11 @@ let make (algorithm : Params.cc_algorithm) (hooks : Cc_intf.hooks) :
     Cc_intf.node_cc =
   match algorithm with
   | Params.No_dc -> No_dc.make hooks
-  | Params.Twopl -> Twopl.make hooks
-  | Params.Wound_wait -> Wound_wait.make hooks
   | Params.Bto -> Bto.make hooks
   | Params.Opt -> Opt_cert.make hooks
-  | Params.Wait_die -> Wait_die.make hooks
-  | Params.Twopl_defer -> Twopl_defer.make hooks
-  | Params.O2pl -> Twopl.make ~algorithm:Params.O2pl hooks
+  | Params.Twopl | Params.Wound_wait | Params.Wait_die | Params.Twopl_defer
+  | Params.O2pl ->
+      Locking.make algorithm hooks
 
 (** Every registered algorithm, in a stable order. The conformance
     harness runs each of these on every generated configuration. *)
@@ -27,10 +25,3 @@ let all =
     Params.Twopl_defer;
     Params.O2pl;
   ]
-
-(** Whether the algorithm needs the Snoop global deadlock detector. *)
-let needs_snoop = function
-  | Params.Twopl | Params.Twopl_defer | Params.O2pl -> true
-  | Params.No_dc | Params.Wound_wait | Params.Bto | Params.Opt
-  | Params.Wait_die ->
-      false

@@ -7,6 +7,3 @@ val make :
 
 (** Every registered algorithm, in a stable order. *)
 val all : Ddbm_model.Params.cc_algorithm list
-
-(** Whether the algorithm needs the Snoop global deadlock detector. *)
-val needs_snoop : Ddbm_model.Params.cc_algorithm -> bool

@@ -191,7 +191,7 @@ let install_cc t =
       in
       Node.install_cc node (Ddbm_cc.Registry.make algorithm hooks))
     t.procs;
-  if Ddbm_cc.Registry.needs_snoop algorithm then
+  if Ddbm_cc.Locking.needs_snoop algorithm then
     t.snoop <-
       Some
         (Ddbm_cc.Snoop.create t.eng ~net:t.net

@@ -1,13 +1,15 @@
 (* 2PL node-manager tests: blocking, release on commit/abort, block-time
-   local deadlock detection with youngest-victim selection. *)
+   local deadlock detection with youngest-victim selection (for O2PL too,
+   which shares the manager); and the registry table that routes the
+   lock-based algorithms to {!Locking}. *)
 
 open Desim
 open Ddbm_cc
 open Ddbm_model
 
-let mk () =
+let mk ?(algorithm = Params.Twopl) () =
   let h = Cc_harness.make () in
-  (h, Twopl.make h.Cc_harness.hooks)
+  (h, Locking.make algorithm h.Cc_harness.hooks)
 
 let spawn_status h f =
   let state = ref `Waiting in
@@ -48,8 +50,8 @@ let test_readers_share () =
   Alcotest.(check bool) "no aborts requested" true
     (Cc_harness.requested_aborts h = [])
 
-let test_local_deadlock_detected () =
-  let h, cc = mk () in
+let test_local_deadlock_detected algorithm () =
+  let h, cc = mk ~algorithm () in
   let t0 = Cc_harness.txn h ~tid:0 ~time:0. () in
   let t1 = Cc_harness.txn h ~tid:1 ~time:1. () in
   let p = Cc_harness.page 1 and q = Cc_harness.page 2 in
@@ -132,15 +134,59 @@ let test_conversion_deadlock () =
   Alcotest.(check bool) "upgrade deadlock victimizes youngest" true
     (Cc_harness.abort_requested_for h t1)
 
+(* Each registered algorithm: whether it is lock-based (built by
+   [Locking.make]) and whether it needs Snoop. *)
+let registry_table =
+  Params.
+    [
+      (No_dc, false, false);
+      (Twopl, true, true);
+      (Wound_wait, true, false);
+      (Bto, false, false);
+      (Opt, false, false);
+      (Wait_die, true, false);
+      (Twopl_defer, true, true);
+      (O2pl, true, true);
+    ]
+
+let test_registry_table () =
+  Alcotest.(check (list string))
+    "table covers Registry.all"
+    (List.map Params.cc_algorithm_name Registry.all)
+    (List.map (fun (a, _, _) -> Params.cc_algorithm_name a) registry_table);
+  List.iter
+    (fun (algorithm, lock_based, snoop) ->
+      let name = Params.cc_algorithm_name algorithm in
+      let h = Cc_harness.make () in
+      let cc = Registry.make algorithm h.Cc_harness.hooks in
+      Alcotest.(check string)
+        (name ^ " manager algorithm")
+        name
+        (Params.cc_algorithm_name cc.Cc_intf.algorithm);
+      let built =
+        match Locking.make algorithm h.Cc_harness.hooks with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      Alcotest.(check bool) (name ^ " built by Locking") lock_based built;
+      Alcotest.(check bool)
+        (name ^ " needs Snoop")
+        snoop
+        (Locking.needs_snoop algorithm))
+    registry_table
+
 let suite =
   [
     Alcotest.test_case "write blocks reader until commit" `Quick
       test_write_conflict_blocks_until_commit;
     Alcotest.test_case "readers share" `Quick test_readers_share;
     Alcotest.test_case "local deadlock detected" `Quick
-      test_local_deadlock_detected;
+      (test_local_deadlock_detected Params.Twopl);
+    Alcotest.test_case "local deadlock detected (O2PL)" `Quick
+      (test_local_deadlock_detected Params.O2pl);
     Alcotest.test_case "no false deadlock" `Quick test_no_false_deadlock;
     Alcotest.test_case "abort idempotent" `Quick test_abort_is_idempotent;
     Alcotest.test_case "prepare votes" `Quick test_prepare_votes;
     Alcotest.test_case "conversion deadlock" `Quick test_conversion_deadlock;
+    Alcotest.test_case "registry table" `Quick test_registry_table;
   ]

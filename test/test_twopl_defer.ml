@@ -9,7 +9,7 @@ open Ddbm_model
 
 let mk () =
   let h = Cc_harness.make () in
-  (h, Twopl_defer.make h.Cc_harness.hooks)
+  (h, Locking.make Params.Twopl_defer h.Cc_harness.hooks)
 
 let spawn_status h f =
   let state = ref `Waiting in

@@ -7,7 +7,7 @@ open Ddbm_model
 
 let mk () =
   let h = Cc_harness.make () in
-  (h, Wait_die.make h.Cc_harness.hooks)
+  (h, Locking.make Params.Wait_die h.Cc_harness.hooks)
 
 let spawn_status h f =
   let state = ref `Waiting in

@@ -7,7 +7,7 @@ open Ddbm_model
 
 let mk () =
   let h = Cc_harness.make () in
-  (h, Wound_wait.make h.Cc_harness.hooks)
+  (h, Locking.make Params.Wound_wait h.Cc_harness.hooks)
 
 let spawn_status h f =
   let state = ref `Waiting in
