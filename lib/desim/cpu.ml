@@ -29,11 +29,14 @@
 
    Allocation: a CPU runs at every page access and twice per message,
    so the steady state allocates only what a request must: the
-   engine's resolver and event entries, the [Waiter.t], and one timer
-   event per re-arm. The PS heap keeps its finish tags unboxed in
-   parallel arrays, the floats live in an all-float record, the timer
-   and completion callbacks are built once in [create], and the blocking
-   wrappers park the process with a prebuilt {!Engine.parker}. *)
+   engine's resolver and resumption entry and the [Waiter.t]. Each
+   class has one timer, built on its first arm and re-armed in place
+   from then on ({!Engine.arm}), so an arm allocates nothing and a
+   superseded PS completion leaves nothing behind in the event queue.
+   The PS heap keeps its finish tags unboxed in parallel arrays, the
+   floats (the timers' due time included) live in all-float records,
+   and the blocking wrappers park the process with a prebuilt
+   {!Engine.parker}. *)
 
 (* The kernel's floats, stored flat. [pending] carries a blocking
    wrapper's demand into its parker's registration, which runs
@@ -65,9 +68,11 @@ type t = {
   hi : hi_job Queue.t;
   mutable hi_busy : bool;
   mutable hi_w : Waiter.t;
-  mutable timer : Engine.handle;
-  mutable on_timer : unit -> unit;
-  mutable on_hi_done : unit -> unit;
+  (* the PS class's completion timer and the high class's, each built on
+     its first arm and re-armed from then on, and their due time *)
+  mutable ps_timer : Engine.handle option;
+  mutable hi_timer : Engine.handle option;
+  due : Engine.due;
   mutable park_ps : unit Engine.parker option;
   mutable park_hi : unit Engine.parker option;
   util : Stats.Utilization.t;
@@ -173,15 +178,8 @@ let drop_job t =
 
 (* --- timers and completions ----------------------------------------- *)
 
-let cancel_timer t = Engine.cancel t.timer
-
-let reschedule t =
-  cancel_timer t;
-  if (not t.hi_busy) && t.n > 0 then begin
-    let n = float_of_int t.n in
-    let delay = Float.max 0. ((t.tags.(0) -. t.acct.v) *. n /. t.rate) in
-    t.timer <- Engine.schedule_after t.eng ~delay t.on_timer
-  end
+let cancel_ps_timer t =
+  match t.ps_timer with Some h -> Engine.cancel t.eng h | None -> ()
 
 let finish t =
   if t.n_finished = Array.length t.finished then begin
@@ -198,7 +196,7 @@ let finish t =
    Completions run after all bookkeeping, so a callback that resubmits
    work sees a consistent CPU, in deterministic (finish tag, seq)
    order. *)
-let fire t =
+let rec fire t =
   account t;
   while t.n > 0 && t.tags.(0) -. t.acct.v <= epsilon do
     finish t
@@ -218,18 +216,49 @@ let fire t =
     Waiter.wake w
   done
 
-let[@inline] start_hi t work w =
+(* Arm the PS timer for the head job's finish, or cancel it when the PS
+   class is empty or preempted. *)
+and reschedule t =
+  if (not t.hi_busy) && t.n > 0 then begin
+    let n = float_of_int t.n in
+    let delay = (t.tags.(0) -. t.acct.v) *. n /. t.rate in
+    (* not [Float.max], whose result would be boxed *)
+    t.due.at <- t.clock.now +. if delay < 0. then 0. else delay;
+    let h =
+      match t.ps_timer with
+      | Some h -> h
+      | None ->
+          let h = Engine.timer (fun () -> fire t) in
+          t.ps_timer <- Some h;
+          h
+    in
+    Engine.arm t.eng h t.due
+  end
+  else cancel_ps_timer t
+
+(* Serving [work] instructions of the high class ends at [t.due.at]. *)
+let[@inline] set_hi_due t work = t.due.at <- t.clock.now +. (work /. t.rate)
+
+(* Put [w] in service; the caller has just set its due time. *)
+let rec serve_hi t w =
   account t;
-  cancel_timer t;
+  cancel_ps_timer t;
   t.hi_busy <- true;
   record_util t;
   t.hi_w <- w;
-  ignore (Engine.schedule_after t.eng ~delay:(work /. t.rate) t.on_hi_done
-    : Engine.handle)
+  let h =
+    match t.hi_timer with
+    | Some h -> h
+    | None ->
+        let h = Engine.timer (fun () -> hi_done t) in
+        t.hi_timer <- Some h;
+        h
+  in
+  Engine.arm t.eng h t.due
 
 (* The job in service is done: serve the next one, or resume the PS
    class, then wake the finished job. *)
-let hi_done t =
+and hi_done t =
   let w = t.hi_w in
   t.hi_w <- idle;
   account t;
@@ -238,7 +267,8 @@ let hi_done t =
   if Queue.is_empty t.hi then reschedule t
   else begin
     let j = Queue.pop t.hi in
-    start_hi t j.work j.w
+    set_hi_due t j.work;
+    serve_hi t j.w
   end;
   Waiter.wake w
 
@@ -256,38 +286,36 @@ let[@inline] submit_waiter t work w =
 let[@inline] submit_priority_waiter t work w =
   if work <= 0. then Waiter.wake w
   else if t.hi_busy then Queue.push { work; w } t.hi
-  else start_hi t work w
+  else begin
+    set_hi_due t work;
+    serve_hi t w
+  end
 
 let create eng ~rate =
   assert (rate > 0.);
   let clock = Engine.clock eng in
-  let t =
-    {
-      eng;
-      clock;
-      rate;
-      acct = { v = 0.; last = clock.now; pending = 0. };
-      tags = [||];
-      seqs = [||];
-      jobs = [||];
-      n = 0;
-      jseq = 0;
-      finished = [||];
-      n_finished = 0;
-      hi = Queue.create ();
-      hi_busy = false;
-      hi_w = idle;
-      timer = Engine.cancelled_handle ();
-      on_timer = ignore;
-      on_hi_done = ignore;
-      park_ps = None;
-      park_hi = None;
-      util = Stats.Utilization.create clock;
-    }
-  in
-  t.on_timer <- (fun () -> fire t);
-  t.on_hi_done <- (fun () -> hi_done t);
-  t
+  {
+    eng;
+    clock;
+    rate;
+    acct = { v = 0.; last = clock.now; pending = 0. };
+    tags = [||];
+    seqs = [||];
+    jobs = [||];
+    n = 0;
+    jseq = 0;
+    finished = [||];
+    n_finished = 0;
+    hi = Queue.create ();
+    hi_busy = false;
+    hi_w = idle;
+    ps_timer = None;
+    hi_timer = None;
+    due = { at = 0. };
+    park_ps = None;
+    park_hi = None;
+    util = Stats.Utilization.create clock;
+  }
 
 let submit t ~instructions k = submit_waiter t instructions (Waiter.Call k)
 

@@ -1,9 +1,10 @@
 (* An idle disk serves a request at once, so the queues fill only behind
    an access in service. The access in service and its kind live in
-   mutable fields, its completion callback is built once in [create],
-   and the blocking wrappers park the process with a prebuilt
-   {!Engine.parker}: a steady-state access allocates only the engine's
-   resolver and event entries and its [Waiter.t]. *)
+   mutable fields, one completion timer is built on the first access and
+   re-armed for every later one, and the blocking wrappers park the
+   process with a prebuilt {!Engine.parker}: a steady-state access
+   allocates only the engine's resolver and resumption entry, its
+   [Waiter.t] and its draw of the service time. *)
 
 type t = {
   eng : Engine.t;
@@ -16,7 +17,9 @@ type t = {
   mutable busy : bool;
   mutable writing : bool;  (** kind of the access in service *)
   mutable serving : Waiter.t;
-  mutable on_done : unit -> unit;
+  mutable timer : Engine.handle option;
+      (** the completion timer, built on its first arm and re-armed *)
+  due : Engine.due;
   mutable park_read : unit Engine.parker option;
   mutable park_write : unit Engine.parker option;
   util : Stats.Utilization.t;
@@ -28,16 +31,25 @@ let idle = Waiter.Call ignore
 
 let record_util t = Stats.Utilization.set_busy t.util ~busy:t.busy
 
-let start t ~write w =
+let rec start t ~write w =
   t.busy <- true;
   t.writing <- write;
   t.serving <- w;
   record_util t;
   let service = Rng.uniform t.rng ~lo:t.min_time ~hi:t.max_time in
-  ignore (Engine.schedule_after t.eng ~delay:service t.on_done : Engine.handle)
+  t.due.at <- t.clock.now +. service;
+  let h =
+    match t.timer with
+    | Some h -> h
+    | None ->
+        let h = Engine.timer (fun () -> served t) in
+        t.timer <- Some h;
+        h
+  in
+  Engine.arm t.eng h t.due
 
 (* Writes are served before reads. *)
-let served t =
+and served t =
   let w = t.serving in
   t.serving <- idle;
   t.busy <- false;
@@ -52,28 +64,25 @@ let served t =
 let create eng rng ~min_time ~max_time =
   assert (0. <= min_time && min_time <= max_time);
   let clock = Engine.clock eng in
-  let t =
-    {
-      eng;
-      clock;
-      rng;
-      min_time;
-      max_time;
-      reads = Queue.create ();
-      writes = Queue.create ();
-      busy = false;
-      writing = false;
-      serving = idle;
-      on_done = ignore;
-      park_read = None;
-      park_write = None;
-      util = Stats.Utilization.create clock;
-      n_reads = 0;
-      n_writes = 0;
-    }
-  in
-  t.on_done <- (fun () -> served t);
-  t
+  {
+    eng;
+    clock;
+    rng;
+    min_time;
+    max_time;
+    reads = Queue.create ();
+    writes = Queue.create ();
+    busy = false;
+    writing = false;
+    serving = idle;
+    timer = None;
+    due = { at = 0. };
+    park_read = None;
+    park_write = None;
+    util = Stats.Utilization.create clock;
+    n_reads = 0;
+    n_writes = 0;
+  }
 
 let submit t ~write w =
   if t.busy then Queue.push w (if write then t.writes else t.reads)

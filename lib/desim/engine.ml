@@ -6,9 +6,17 @@ exception Not_in_process
 (* What an event does when it fires. A process blocked in [wait] or
    [suspend] is resumed straight from its continuation, so a resumption
    allocates this one small block and nothing else. Only [Call] events are
-   handed out as handles, so only they carry a cancellation flag. *)
+   handed out as handles; [state] says where a handle's event is queued:
+
+   - [s >= 0]: on the heap, in slot [s];
+   - [-1]: nowhere (never armed, fired or cancelled);
+   - [-2 - i]: on the same-time lane, as its [i]-th entry ever pushed.
+
+   A lane entry fires only while its handle still names it. Cancelling or
+   re-arming a handle queued on the lane leaves its old entry there, dead;
+   that is rare, as only events due now take the lane. *)
 type action =
-  | Call of { f : unit -> unit; mutable cancelled : bool }
+  | Call of { f : unit -> unit; mutable state : int }
   | Resume : ('a, unit) continuation * 'a -> action
   | Reject : (_, unit) continuation * exn -> action
 
@@ -19,19 +27,25 @@ type handle = action
    reads the time without boxing it either. *)
 type clock = { mutable now : float }
 
+type due = { mutable at : float }
+
 (* The event queue has two lanes.
 
    - The same-time lane is a FIFO ring buffer of the events due at [now]:
      resumptions from [resolve] and [reject], spawns, zero delays and times
      clamped to [now]. About two events in five take it, each for one
-     array write in and one out.
+     array write in and one out. [lane_head] counts every entry ever
+     taken, so entry [i] sits in cell [i land (capacity - 1)].
    - Later events wait in a binary min-heap on (time, seq). [seq] grows
-     with every heap push, so (time, seq) is a strict total order and
-     events at equal times fire in scheduling order. A heap node is
-     (time, seq, slot) in three parallel arrays, the time unboxed, so a
-     sift compares keys inline and moves no pointer through the write
-     barrier. The node's action sits in [acts.(slot)], written once at
-     push and cleared at pop; [free] stacks the unused slots.
+     with every heap push or re-key, so (time, seq) is a strict total
+     order and events at equal times fire in scheduling order. A heap
+     node is (time, seq, slot) in three parallel arrays, the time
+     unboxed, so a sift compares keys inline and moves no pointer through
+     the write barrier. The node's action sits in [acts.(slot)], written
+     once at push and cleared at pop or cancel; [pos.(slot)] is the
+     node's index, kept by every sift, so a cancelled event leaves the
+     heap at once and a re-armed one is re-keyed where it stands. [free]
+     stacks the unused slots.
 
    A lane entry was queued after the clock reached [now] and a heap entry
    due at [now] before it did. So firing the heap's head while it is due
@@ -45,6 +59,7 @@ type t = {
   mutable slots : int array;
   mutable len : int;
   mutable acts : action array;
+  mutable pos : int array;
   mutable free : int array;
       (* free slots in [free.(0)] .. [free.(cap - len - 1)], the top last:
          the heap and the free slots together fill the capacity *)
@@ -89,134 +104,200 @@ let grow t =
   let seqs = Array.make ncap 0 in
   let slots = Array.make ncap 0 in
   let acts = Array.make ncap t.idle in
+  let pos = Array.make ncap 0 in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
   Array.blit t.slots 0 slots 0 cap;
   Array.blit t.acts 0 acts 0 cap;
+  Array.blit t.pos 0 pos 0 cap;
   t.times <- times;
   t.seqs <- seqs;
   t.slots <- slots;
   t.acts <- acts;
+  t.pos <- pos;
   t.free <- Array.init ncap (fun i -> ncap - 1 - i)
 
-(* Sift a hole up from the end. The new event's seq exceeds every queued
-   one, so it passes a parent only when its time is strictly earlier.
-   Inlined, so a time computed by the caller is never boxed. *)
+(* The sifts move a hole: [sift_up] and [sift_down] carry the node
+   (time [at], seq [sq], slot [s]) from the hole at [i] to its place and
+   write it there. Inlined, so [at] is never boxed. *)
+let[@inline] place t i at sq s =
+  t.times.(i) <- at;
+  t.seqs.(i) <- sq;
+  t.slots.(i) <- s;
+  t.pos.(s) <- i
+
+let[@inline] sift_up t i at sq s =
+  let times = t.times and seqs = t.seqs and slots = t.slots and pos = t.pos in
+  let i = ref i in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pt = times.(p) in
+    if at < pt || (at = pt && sq < seqs.(p)) then begin
+      let ps = slots.(p) in
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(p);
+      slots.(!i) <- ps;
+      pos.(ps) <- !i;
+      i := p
+    end
+    else moving := false
+  done;
+  place t !i at sq s
+
+let[@inline] sift_down t i at sq s =
+  let times = t.times and seqs = t.seqs and slots = t.slots and pos = t.pos in
+  let n = t.len in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < n
+          && (times.(r) < times.(l)
+             || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+        then r
+        else l
+      in
+      let ct = times.(c) in
+      if ct < at || (ct = at && seqs.(c) < sq) then begin
+        let cs = slots.(c) in
+        times.(!i) <- ct;
+        seqs.(!i) <- seqs.(c);
+        slots.(!i) <- cs;
+        pos.(cs) <- !i;
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  place t !i at sq s
+
+(* Queue [act] at [at] on the heap and return its slot. Inlined, so a time
+   computed by the caller is never boxed. *)
 let[@inline] push t at act =
   if t.len = Array.length t.times then grow t;
   let s = t.free.(Array.length t.free - t.len - 1) in
   t.acts.(s) <- act;
   t.seq <- t.seq + 1;
-  let times = t.times and seqs = t.seqs and slots = t.slots in
-  let i = ref t.len in
-  let moving = ref true in
-  while !moving && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pt = times.(p) in
-    if at < pt then begin
-      times.(!i) <- pt;
-      seqs.(!i) <- seqs.(p);
-      slots.(!i) <- slots.(p);
-      i := p
-    end
-    else moving := false
-  done;
-  times.(!i) <- at;
-  seqs.(!i) <- t.seq;
-  slots.(!i) <- s;
-  t.len <- t.len + 1
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i at t.seq s;
+  s
 
-(* Remove the heap's head and return its action: free its slot, then sift
-   a hole down from the root and drop the last node into it. *)
-let take_head t =
-  let s = t.slots.(0) in
-  let act = t.acts.(s) in
+(* Take the node in slot [s] out of the heap and free the slot: the last
+   node fills the hole it leaves. *)
+let release t s =
+  let i = t.pos.(s) in
   t.acts.(s) <- t.idle;
   let n = t.len - 1 in
   t.len <- n;
   t.free.(Array.length t.free - n - 1) <- s;
-  if n > 0 then begin
-    let times = t.times and seqs = t.seqs and slots = t.slots in
-    let lt = times.(n) and ls = seqs.(n) and lslot = slots.(n) in
-    let i = ref 0 in
-    let moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 in
-      if l >= n then moving := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if
-            r < n
-            && (times.(r) < times.(l)
-               || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
-          then r
-          else l
-        in
-        let ct = times.(c) in
-        if ct < lt || (ct = lt && seqs.(c) < ls) then begin
-          times.(!i) <- ct;
-          seqs.(!i) <- seqs.(c);
-          slots.(!i) <- slots.(c);
-          i := c
-        end
-        else moving := false
-      end
-    done;
-    times.(!i) <- lt;
-    seqs.(!i) <- ls;
-    slots.(!i) <- lslot
-  end;
+  if i < n then begin
+    let lt = t.times.(n) and ls = t.seqs.(n) and lslot = t.slots.(n) in
+    let p = (i - 1) / 2 in
+    if i > 0 && (lt < t.times.(p) || (lt = t.times.(p) && ls < t.seqs.(p)))
+    then sift_up t i lt ls lslot
+    else sift_down t i lt ls lslot
+  end
+
+(* Remove the heap's head and return its action. *)
+let take_head t =
+  let s = t.slots.(0) in
+  let act = t.acts.(s) in
+  release t s;
   act
+
+(* Give the node in slot [s] the key (at, a fresh seq), as a new push
+   would get, and move it to its place. *)
+let[@inline] rekey t s at =
+  t.seq <- t.seq + 1;
+  let i = t.pos.(s) in
+  let p = (i - 1) / 2 in
+  if i > 0 && at < t.times.(p) then sift_up t i at t.seq s
+  else sift_down t i at t.seq s
 
 let grow_lane t =
   let cap = Array.length t.lane in
-  let lane = Array.make (if cap = 0 then 16 else cap * 2) t.idle in
-  for i = 0 to t.lane_len - 1 do
-    lane.(i) <- t.lane.((t.lane_head + i) land (cap - 1))
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let lane = Array.make ncap t.idle in
+  for i = t.lane_head to t.lane_head + t.lane_len - 1 do
+    lane.(i land (ncap - 1)) <- t.lane.(i land (cap - 1))
   done;
-  t.lane <- lane;
-  t.lane_head <- 0
+  t.lane <- lane
 
+(* Queue [act] on the lane and return its number. *)
 let[@inline] push_lane t act =
   if t.lane_len = Array.length t.lane then grow_lane t;
   let lane = t.lane in
-  lane.((t.lane_head + t.lane_len) land (Array.length lane - 1)) <- act;
-  t.lane_len <- t.lane_len + 1
+  let i = t.lane_head + t.lane_len in
+  lane.(i land (Array.length lane - 1)) <- act;
+  t.lane_len <- t.lane_len + 1;
+  i
 
 let[@inline] take_lane t =
-  let lane = t.lane and h = t.lane_head in
-  let act = lane.(h) in
-  lane.(h) <- t.idle;
-  t.lane_head <- (h + 1) land (Array.length lane - 1);
+  let lane = t.lane and i = t.lane_head land (Array.length t.lane - 1) in
+  let act = lane.(i) in
+  lane.(i) <- t.idle;
+  t.lane_head <- t.lane_head + 1;
   t.lane_len <- t.lane_len - 1;
   act
 
-(* Queue [act] at [at], which may lie at most 1e-12 in the past (float
-   rounding of [now +. delay]) and is then clamped to [now]: on the lane
-   when it is due now, else on the heap. *)
-let[@inline] enqueue t ~at act =
+(* Check a time to queue at: it may lie at most 1e-12 in the past (float
+   rounding of [now +. delay]) and is then clamped to [now]. *)
+let[@inline] check_time t at =
   let now = t.clock.now in
   if not (at >= now -. 1e-12) then
     invalid_arg
       (if Float.is_nan at then "Engine.schedule: time is NaN"
        else
-         Printf.sprintf "Engine.schedule: at %g is in the past (now %g)" at now);
-  if at <= now then push_lane t act else push t at act
+         Printf.sprintf "Engine.schedule: at %g is in the past (now %g)" at now)
+
+(* Queue a resumption at [at]: on the lane when it is due now, else on the
+   heap. *)
+let[@inline] enqueue t ~at act =
+  check_time t at;
+  if at <= t.clock.now then ignore (push_lane t act : int)
+  else ignore (push t at act : int)
+
+(* Queue the event of handle [h] at [at], wherever it is queued now: a
+   queued heap node is re-keyed in place. An event due now goes to the
+   back of the lane like any other, so its heap node, if any, leaves. *)
+let[@inline] arm_at t h at =
+  check_time t at;
+  match h with
+  | Call c ->
+      if at <= t.clock.now then begin
+        if c.state >= 0 then release t c.state;
+        c.state <- -2 - push_lane t h
+      end
+      else if c.state >= 0 then rekey t c.state at
+      else c.state <- push t at h
+  | Resume _ | Reject _ -> assert false (* never handed out *)
+
+let arm t h due = arm_at t h due.at
+
+let timer f = Call { f; state = -1 }
 
 let schedule t ~at f =
-  let ev = Call { f; cancelled = false } in
-  enqueue t ~at ev;
-  ev
+  let h = timer f in
+  arm_at t h at;
+  h
 
 let schedule_after t ~delay f =
-  let ev = Call { f; cancelled = false } in
-  enqueue t ~at:(t.clock.now +. delay) ev;
-  ev
+  let h = timer f in
+  arm_at t h (t.clock.now +. delay);
+  h
 
-let cancelled_handle () = Call { f = ignore; cancelled = true }
-
-let cancel = function Call c -> c.cancelled <- true | Resume _ | Reject _ -> ()
+let cancel t = function
+  | Call c ->
+      if c.state >= 0 then release t c.state;
+      c.state <- -1
+  | Resume _ | Reject _ -> ()
 
 let wait delay =
   if Float.is_nan delay then invalid_arg "Engine.wait: delay is NaN";
@@ -244,11 +325,11 @@ let settle r =
 
 let resolve r v =
   settle r;
-  push_lane r.eng (Resume (r.k, v))
+  ignore (push_lane r.eng (Resume (r.k, v)) : int)
 
 let reject r e =
   settle r;
-  push_lane r.eng (Reject (r.k, e))
+  ignore (push_lane r.eng (Reject (r.k, e)) : int)
 
 let run_fiber t f =
   match_with f ()
@@ -268,8 +349,7 @@ let run_fiber t f =
           | _ -> None);
     }
 
-let spawn t f =
-  push_lane t (Call { f = (fun () -> run_fiber t f); cancelled = false })
+let spawn t f = arm_at t (timer (fun () -> run_fiber t f)) t.clock.now
 
 let create () =
   let t =
@@ -280,12 +360,13 @@ let create () =
       slots = [||];
       len = 0;
       acts = [||];
+      pos = [||];
       free = [||];
       seq = 0;
       lane = [||];
       lane_head = 0;
       lane_len = 0;
-      idle = Call { f = ignore; cancelled = true };
+      idle = timer ignore;
       stop_requested = false;
       processed = 0;
       wake = { now = 0. };
@@ -301,25 +382,17 @@ let stop t = t.stop_requested <- true
 
 let events_processed t = t.processed
 
-(* Fire one event taken from a queue; [time] is its time. A cancelled
-   event neither fires nor moves the clock. Inlined into [run], so [time]
-   is never boxed. *)
+(* Fire one event taken from a queue; [time] is its time. Inlined into
+   [run], so [time] is never boxed. *)
 let[@inline] fire t act time =
+  t.clock.now <- time;
+  t.processed <- t.processed + 1;
   match act with
   | Call c ->
-      if not c.cancelled then begin
-        t.clock.now <- time;
-        t.processed <- t.processed + 1;
-        c.f ()
-      end
-  | Resume (k, v) ->
-      t.clock.now <- time;
-      t.processed <- t.processed + 1;
-      continue k v
-  | Reject (k, e) ->
-      t.clock.now <- time;
-      t.processed <- t.processed + 1;
-      discontinue k e
+      c.state <- -1;
+      c.f ()
+  | Resume (k, v) -> continue k v
+  | Reject (k, e) -> discontinue k e
 
 let run ?until t =
   let horizon =
@@ -344,7 +417,12 @@ let run ?until t =
       let time = t.times.(0) in
       fire t (take_head t) time
     end
-    else fire t (take_lane t) t.clock.now
+    else begin
+      let i = t.lane_head in
+      match take_lane t with
+      | Call c when c.state <> -2 - i -> () (* cancelled or re-armed *)
+      | act -> fire t act t.clock.now
+    end
   done;
   (* Not stopped: every event due by [until] has fired, so the clock moves
      to [until] and later events stay queued. *)

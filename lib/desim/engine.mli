@@ -14,14 +14,16 @@
     spawns, zero delays) go to a FIFO ring; later ones to a binary heap
     whose nodes hold only the unboxed time, the scheduling number and the
     index of the action's slot. The two lanes together fire in exactly the
-    (time, scheduling order) of one queue, and a fired event leaves
-    nothing of itself in either.
+    (time, scheduling order) of one queue. The heap is indexed: a
+    cancelled event leaves it at once, keeping nothing alive, and a
+    re-armed one is re-keyed where it stands.
 
     All times are in simulated seconds. *)
 
 type t
 
-(** A cancellable scheduled event. *)
+(** A scheduled event that can be cancelled, or re-armed with {!arm}. It
+    is queued at most once at a time, and only ever on one engine. *)
 type handle
 
 (** One-shot continuation of a suspended process, used through {!resolve}
@@ -42,18 +44,34 @@ type clock = private { mutable now : float }
 val clock : t -> clock
 
 (** [schedule t ~at f] runs [f] at simulated time [at] (>= now). The
-    returned handle can cancel it before it fires. Raises
+    returned handle can cancel or re-arm it. Raises
     [Invalid_argument] when [at] is in the past or NaN. *)
 val schedule : t -> at:float -> (unit -> unit) -> handle
 
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f]. *)
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 
-val cancel : handle -> unit
+(** [cancel t h] removes [h]'s event from the queue of [t]. Cancelling a
+    handle that is not queued (never armed, fired or cancelled) does
+    nothing, even once its heap slot holds another event. *)
+val cancel : t -> handle -> unit
 
-(** A handle that is already cancelled and was never queued, to
-    initialise a timer field; cancelling it again does nothing. *)
-val cancelled_handle : unit -> handle
+(** [timer f] is a handle for [f] that is not queued yet: a re-armable
+    timer, built once and queued again and again with {!arm}. *)
+val timer : (unit -> unit) -> handle
+
+(** A due time for {!arm}. All its fields are floats, so it is stored
+    flat: a model keeps one, writes [at] and passes the record, where a
+    float passed to a function of another module is boxed. *)
+type due = { mutable at : float }
+
+(** [arm t h due] queues [h]'s event at [due.at] (>= now) in place of
+    any time it is queued for, exactly as {!cancel} followed by a fresh
+    {!schedule} of the same function would: a queued event is re-keyed
+    in place, with a new scheduling number, and one due now joins the
+    back of the same-time lane. Unless the queue grows, it allocates
+    nothing. Raises [Invalid_argument] as {!schedule} does. *)
+val arm : t -> handle -> due -> unit
 
 (** [spawn t f] starts a new process executing [f ()] at the current time
     (it begins running when the scheduler reaches that event). Uncaught

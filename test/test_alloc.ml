@@ -22,7 +22,13 @@
    by cohort position, they measured: an
    uncontended lock request with its share of the release 53.9, a
    re-request of a held lock 9, Workload.generate_plan 2,334 per plan,
-   and, per commit, 15,406 untraced and 19,127 traced. *)
+   and, per commit, 15,406 untraced and 19,127 traced.
+
+   Before each CPU and disk re-armed one timer of its own in place (each
+   arm built a fresh event, and its time was boxed on the way to the
+   engine), they measured: Cpu.consume 18 (1 process) and 23 (8
+   processes), Cpu.consume_priority 16, Disk.read 18 and Net.send 23;
+   and, per commit, 9,403 untraced and 13,125 traced. *)
 
 open Desim
 open Ddbm_model
@@ -235,22 +241,22 @@ let budget name ~max measure () =
       name w max
 
 (* name, measurement, budget in words per operation (per request, per
-   plan, per commit for the machine runs); measured 8, 18, 23, 16, 18,
-   14, 23, 17.9, 2, 989, 9,754 and 13,476 *)
+   plan, per commit for the machine runs); measured 8, 13, 13, 11, 15,
+   14, 13, 17.9, 2, 989, 8,032 and 11,753 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 9.);
-    ("Cpu.consume, 1 process", cpu_consume ~procs:1, 20.);
-    ("Cpu.consume, 8 processes", cpu_consume ~procs:8, 26.);
-    ("Cpu.consume_priority", cpu_consume_priority, 18.);
-    ("Disk.read", disk_read, 20.);
+    ("Cpu.consume, 1 process", cpu_consume ~procs:1, 14.5);
+    ("Cpu.consume, 8 processes", cpu_consume ~procs:8, 14.5);
+    ("Cpu.consume_priority", cpu_consume_priority, 12.);
+    ("Disk.read", disk_read, 16.5);
     ("Mailbox send+recv", mailbox_send_recv, 16.);
-    ("Net.send", net_send, 26.);
+    ("Net.send", net_send, 14.5);
     ("Lock_table uncontended request+release", lock_uncontended, 19.5);
     ("Lock_table re-request of a held lock", lock_rerequest, 2.2);
     ("Workload.generate_plan", generate_plan, 1_090.);
-    ("Machine, untraced, per commit", machine_run ~traced:false, 10_700.);
-    ("Machine, traced, per commit", machine_run ~traced:true, 14_800.);
+    ("Machine, untraced, per commit", machine_run ~traced:false, 8_850.);
+    ("Machine, traced, per commit", machine_run ~traced:true, 12_900.);
   ]
 
 let suite =

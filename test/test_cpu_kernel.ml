@@ -50,7 +50,7 @@ module Cpu_reference = struct
   let cancel_timer t =
     match t.timer with
     | Some h ->
-        Desim.Engine.cancel h;
+        Desim.Engine.cancel t.eng h;
         t.timer <- None
     | None -> ()
 

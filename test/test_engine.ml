@@ -24,7 +24,7 @@ let test_cancel () =
   let eng = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule eng ~at:1. (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel eng h;
   Engine.run eng;
   Alcotest.(check bool) "cancelled event does not fire" false !fired
 
@@ -189,7 +189,7 @@ let test_cancel_after_fire_harmless () =
   let eng = Engine.create () in
   let h = Engine.schedule eng ~at:1. ignore in
   Engine.run eng;
-  Engine.cancel h;
+  Engine.cancel eng h;
   Alcotest.(check pass) "no effect" () ()
 
 (* Events queued for the current time fire after those already queued for
@@ -235,6 +235,53 @@ let test_fired_events_released () =
   done;
   Alcotest.(check int) "fired payloads reachable" 0 !live;
   Alcotest.(check (float 0.)) "engine still live" 9. (Engine.now eng)
+
+(* A cancelled event leaves the queue at once: its closure is garbage
+   long before [run] reaches its time. The handles are dropped before the
+   collection; they are cancelled in a scattered order, so most leave
+   from the middle of the heap. *)
+let test_cancelled_events_released () =
+  let eng = Engine.create () in
+  let payloads = Weak.create 100 in
+  let schedule_and_cancel () =
+    let handles =
+      Array.init 100 (fun i ->
+          let payload = Bytes.make 1024 'x' in
+          Weak.set payloads i (Some payload);
+          Engine.schedule eng
+            ~at:(float_of_int (10 + (i * 7 mod 10)))
+            (fun () -> ignore (Sys.opaque_identity payload)))
+    in
+    for i = 0 to 99 do
+      Engine.cancel eng handles.(i * 37 mod 100)
+    done
+  in
+  schedule_and_cancel ();
+  let fired = ref false in
+  ignore (Engine.schedule eng ~at:30. (fun () -> fired := true));
+  Engine.run ~until:5. eng;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to 99 do
+    if Weak.check payloads i then incr live
+  done;
+  Alcotest.(check int) "cancelled payloads reachable" 0 !live;
+  Engine.run eng;
+  Alcotest.(check bool) "the event left queued fires" true !fired;
+  Alcotest.(check int) "only it fired" 1 (Engine.events_processed eng)
+
+(* The handle of a fired event names no slot any more: cancelling it
+   after its slot went to another event leaves that event queued. *)
+let test_stale_handle_after_slot_reuse () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let first = Engine.schedule eng ~at:1. (fun () -> log := "first" :: !log) in
+  Engine.run eng;
+  ignore (Engine.schedule eng ~at:2. (fun () -> log := "second" :: !log));
+  Engine.cancel eng first;
+  Engine.run eng;
+  Alcotest.(check (list string)) "the new occupant fires" [ "first"; "second" ]
+    (List.rev !log)
 
 let test_zero_delay_wait_keeps_order () =
   let eng = Engine.create () in
@@ -387,9 +434,10 @@ let test_poison_wakes_readers () =
     (List.rev !woke)
 
 (* Differential check of the event queue against a reference engine built
-   on [Heap]: random schedules, cancellations, processes that wait or
-   block until resolved or rejected, and bounded runs must fire the same
-   events at the same times. *)
+   on [Heap]: random schedules, cancellations, re-arms, processes that
+   wait or block until resolved or rejected, and bounded runs must fire
+   the same events at the same times. The reference re-arms an event as a
+   cancellation plus a fresh schedule. *)
 module Reference = struct
   type ev = {
     time : float;
@@ -418,6 +466,10 @@ module Reference = struct
     Heap.push t.q ev;
     ev
 
+  let rearm t ev ~at =
+    ev.cancelled <- true;
+    schedule t ~at ev.f
+
   let run ?until t =
     let rec loop () =
       match (Heap.peek t.q, until) with
@@ -439,6 +491,12 @@ end
 type op =
   | Sched of int  (** schedule a callback this many half-seconds ahead *)
   | Cancel of int  (** cancel the n-th handle handed out so far *)
+  | Cancel_recent of int
+      (** cancel the n-th most recent handle of the last eight, most
+          likely still queued and below the heap's root *)
+  | Rearm of int * int
+      (** re-arm the n-th handle handed out so far this many half-seconds
+          ahead *)
   | Spawn_wait of int  (** spawn a process that waits, then logs *)
   | Run_until of int  (** run at most this many half-seconds ahead *)
   | Spawn_park  (** spawn a process that blocks, then logs *)
@@ -447,6 +505,8 @@ type op =
 let show_op = function
   | Sched d -> Printf.sprintf "sched %d" d
   | Cancel i -> Printf.sprintf "cancel %d" i
+  | Cancel_recent i -> Printf.sprintf "cancel-recent %d" i
+  | Rearm (i, d) -> Printf.sprintf "rearm %d %d" i d
   | Spawn_wait d -> Printf.sprintf "spawn-wait %d" d
   | Run_until d -> Printf.sprintf "until +%d" d
   | Spawn_park -> "spawn-park"
@@ -458,6 +518,9 @@ let gen_op =
       [
         (4, map (fun d -> Sched d) (int_range 0 4));
         (2, map (fun i -> Cancel i) (int_range 0 50));
+        (2, map (fun i -> Cancel_recent i) (int_range 0 7));
+        (2, map (fun d -> Sched d) (int_range 5 40));
+        (3, map2 (fun i d -> Rearm (i, d)) (int_range 0 50) (int_range 0 6));
         (2, map (fun d -> Spawn_wait d) (int_range 0 4));
         (1, map (fun d -> Run_until d) (int_range 0 6));
         (2, return Spawn_park);
@@ -470,6 +533,7 @@ let gen_op =
 type ('h, 'w) side = {
   schedule : float -> (unit -> unit) -> 'h;
   cancel : 'h -> unit;
+  rearm : 'h -> float -> 'h;
   spawn_wait : float -> (unit -> unit) -> unit;
   spawn_park : ('w -> unit) -> (bool -> unit) -> unit;
   wake : 'w -> bool -> unit;
@@ -479,20 +543,34 @@ type ('h, 'w) side = {
 }
 
 (* Replay [ops] on one side; fired events log their id, whether they were
-   resolved, and their time. Every third one schedules a follow-up, and
-   of the others every second one wakes the oldest blocked process, so
-   resumptions tie with events already due at the same time. *)
+   resolved, and their time. Every third one schedules a follow-up, of
+   the others every second one wakes the oldest blocked process, so
+   resumptions tie with events already due at the same time, and of the
+   rest every fifth re-arms a handle, up to 30 times in all, so re-arms
+   also meet a non-empty same-time lane. *)
 let replay side ops =
   let log = ref [] and next_id = ref 0 and handles = ref [||] in
   let blocked = Queue.create () in
+  let rearms_left = ref 30 in
   let wake ok =
     if not (Queue.is_empty blocked) then side.wake (Queue.pop blocked) ok
+  in
+  let rearm i delay =
+    let n = Array.length !handles in
+    if n > 0 then begin
+      let i = i mod n in
+      !handles.(i) <- side.rearm !handles.(i) (side.clock () +. delay)
+    end
   in
   let rec fire id () = fired id true
   and fired id ok =
     log := (id, ok, side.clock ()) :: !log;
     if id mod 3 = 0 then sched (float_of_int (id mod 4) *. 0.5)
     else if id mod 2 = 0 then wake (id mod 4 = 0)
+    else if id mod 5 = 1 && !rearms_left > 0 then begin
+      decr rearms_left;
+      rearm (id / 5) (float_of_int (id mod 3) *. 0.5)
+    end
   and sched delay =
     let id = !next_id in
     incr next_id;
@@ -505,6 +583,10 @@ let replay side ops =
       | Cancel i ->
           let n = Array.length !handles in
           if n > 0 then side.cancel !handles.(i mod n)
+      | Cancel_recent i ->
+          let n = Array.length !handles in
+          if n > 0 then side.cancel !handles.(n - 1 - (i mod min n 8))
+      | Rearm (i, d) -> rearm i (float_of_int d *. 0.5)
       | Spawn_wait d ->
           let id = !next_id in
           incr next_id;
@@ -532,7 +614,11 @@ let prop_queue_matches_reference =
       let engine_side =
         {
           schedule = (fun at f -> Engine.schedule eng ~at f);
-          cancel = Engine.cancel;
+          cancel = Engine.cancel eng;
+          rearm =
+            (fun h at ->
+              Engine.arm eng h { Engine.at };
+              h);
           spawn_wait =
             (fun d k ->
               Engine.spawn eng (fun () ->
@@ -557,6 +643,7 @@ let prop_queue_matches_reference =
         {
           schedule = (fun at f -> Reference.schedule r ~at f);
           cancel = (fun ev -> ev.Reference.cancelled <- true);
+          rearm = (fun ev at -> Reference.rearm r ev ~at);
           spawn_wait =
             (fun d k ->
               ignore
@@ -591,6 +678,10 @@ let suite =
     Alcotest.test_case "now after queued ties" `Quick test_now_after_queued_ties;
     Alcotest.test_case "fired events released" `Quick
       test_fired_events_released;
+    Alcotest.test_case "cancelled events released" `Quick
+      test_cancelled_events_released;
+    Alcotest.test_case "stale handle after slot reuse" `Quick
+      test_stale_handle_after_slot_reuse;
     Alcotest.test_case "process wait" `Quick test_process_wait;
     Alcotest.test_case "suspend/resolve" `Quick test_suspend_resolve;
     Alcotest.test_case "suspend/reject" `Quick test_suspend_reject;
