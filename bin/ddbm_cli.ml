@@ -1,5 +1,6 @@
 (* Command-line front end: run one simulation of the distributed database
-   machine and print its metrics, or sweep think times. *)
+   machine and print its metrics, sweep think times, or regenerate the
+   paper's figures. *)
 
 open Cmdliner
 open Ddbm_model
@@ -423,7 +424,7 @@ let sweep_cmd =
     and+ thinks =
       Arg.(
         value
-        & opt (list float) [ 0.; 2.; 4.; 8.; 12.; 24.; 48.; 120. ]
+        & opt (list float) Ddbm.Experiment.default_think_times
         & info [ "thinks" ] ~docv:"T1,T2,..."
             ~doc:"Think times to sweep (seconds).")
     and+ trace_out, sample_interval, metrics_out = obs_flags
@@ -436,7 +437,7 @@ let sweep_cmd =
     let points =
       List.concat_map
         (fun algorithm -> List.map (fun think -> (algorithm, think)) thinks)
-        [ Params.No_dc; Params.Twopl; Params.Bto; Params.Wound_wait; Params.Opt ]
+        Ddbm.Experiment.all_algorithms
     in
     let results =
       Par.Pool.map pool
@@ -467,6 +468,96 @@ let sweep_cmd =
     List.iter (fun r -> print_endline (Ddbm.Sim_result.to_csv_row r)) results
   in
   Cmd.v (Cmd.info "sweep" ~doc) term
+
+let figures_cmd =
+  let doc =
+    "Regenerate the paper's figures (2-17, the variants its text \
+     describes, and the ablations and extensions) as tables. Every \
+     simulation a figure reads runs first, over --jobs worker domains; \
+     the tables are independent of the job count."
+  in
+  let term =
+    let open Term.Syntax in
+    let+ ids =
+      Arg.(
+        value
+        & pos_all
+            (list
+               (enum
+                  (List.map
+                     (fun (f : Ddbm.Figures.t) -> (f.id, f))
+                     Ddbm.Figures.all)))
+            []
+        & info [] ~docv:"IDS"
+            ~doc:"Figure ids, e.g. fig2 fig5 or fig2,fig5 (default: all).")
+    and+ profile =
+      Arg.(
+        value
+        & opt
+            (enum
+               (List.map
+                  (fun p -> (Ddbm.Experiment.profile_name p, p))
+                  [ Ddbm.Experiment.Quick; Standard; Full ]))
+            Ddbm.Experiment.Quick
+        & info [ "p"; "profile" ] ~docv:"PROFILE"
+            ~doc:"Simulation length: quick, standard or full.")
+    and+ thinks =
+      Arg.(
+        value
+        & opt (list float) Ddbm.Experiment.default_think_times
+        & info [ "thinks" ] ~docv:"T1,T2,..."
+            ~doc:"Think times of the think-time sweeps (seconds).")
+    and+ csv_dir =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "csv-dir" ] ~docv:"DIR"
+            ~doc:"Also write each figure to $(docv)/<id>.csv.")
+    and+ pool = jobs_term in
+    let figures =
+      match List.concat ids with [] -> Ddbm.Figures.all | figures -> figures
+    in
+    (* lint: allow ambient *)
+    let wall_now = Unix.gettimeofday in
+    let started = wall_now () in
+    Printf.printf
+      "Reproducing %d figures (profile %s; %d think-time points; %d jobs)\n\n%!"
+      (List.length figures)
+      (Ddbm.Experiment.profile_name profile)
+      (List.length thinks) (Par.Pool.jobs pool);
+    (* All simulation happens here; rendering below is cache hits. *)
+    let cache = Ddbm.Experiment.create_cache () in
+    let runs =
+      Ddbm.Experiment.prefill cache pool
+        (List.concat_map (Ddbm.Figures.points ~profile ~thinks) figures)
+    in
+    let simulated = wall_now () -. started in
+    Option.iter
+      (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+      csv_dir;
+    List.iter
+      (fun (fig : Ddbm.Figures.t) ->
+        let figure = Ddbm.Figures.render cache ~profile ~thinks fig in
+        print_string (Ddbm.Figure.to_table figure);
+        print_newline ();
+        Option.iter
+          (fun dir ->
+            Out_channel.with_open_text
+              (Filename.concat dir (fig.id ^ ".csv"))
+              (fun oc -> output_string oc (Ddbm.Figure.to_csv figure)))
+          csv_dir)
+      figures;
+    Printf.printf
+      "Total: %.1f s wall (%.1f s simulating, %.1f s cpu), %d simulation runs \
+       (%d cache hits) at %d jobs\n\
+       %!"
+      (wall_now () -. started)
+      simulated
+      (Sys.time () (* lint: allow ambient *))
+      runs cache.Ddbm.Experiment.hits
+      (Par.Pool.jobs pool)
+  in
+  Cmd.v (Cmd.info "figures" ~doc) term
 
 let check_cmd =
   let doc =
@@ -659,4 +750,5 @@ let () =
   let info = Cmd.info "ddbm" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info [ run_cmd; sweep_cmd; check_cmd; replay_cmd; trace_cmd ]))
+       (Cmd.group info
+          [ run_cmd; sweep_cmd; figures_cmd; check_cmd; replay_cmd; trace_cmd ]))

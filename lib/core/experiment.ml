@@ -120,85 +120,58 @@ type cache = {
   table : (Params.t, Sim_result.t) Hashtbl.t;
   mutable runs : int;
   mutable hits : int;
-  verbose : bool;
   mutable collecting : Params.t list option;
-      (** when [Some acc], {!run} records cache misses (newest first)
-          and returns placeholders instead of simulating *)
 }
 
-let create_cache ?(verbose = false) () =
-  { table = Hashtbl.create 64; runs = 0; hits = 0; verbose; collecting = None }
+let create_cache () =
+  { table = Hashtbl.create 64; runs = 0; hits = 0; collecting = None }
 
 let run cache params =
+  if Option.is_some cache.collecting then
+    invalid_arg "Experiment.run: called inside collect_misses";
   match Hashtbl.find_opt cache.table params with
   | Some r ->
-      if cache.collecting = None then cache.hits <- cache.hits + 1;
+      cache.hits <- cache.hits + 1;
       r
-  | None -> (
-      match cache.collecting with
-      | Some acc ->
-          cache.collecting <- Some (params :: acc);
-          Sim_result.placeholder params
-      | None ->
-          cache.runs <- cache.runs + 1;
-          if cache.verbose then
-            Printf.eprintf
-              "  [run %3d] %s nodes=%d degree=%d think=%g fs=%d\n%!" cache.runs
-              (Params.cc_algorithm_name params.Params.cc.Params.algorithm)
-              params.Params.database.Params.num_proc_nodes
-              params.Params.database.Params.partitioning_degree
-              params.Params.workload.Params.think_time
-              params.Params.database.Params.file_size;
-          let r = Machine.run params in
-          Hashtbl.replace cache.table params r;
-          r)
-
-(* Parameter points [f] would simulate that are not yet cached, deduped,
-   in first-request order. [f]'s output is meaningless during the dry
-   pass (it sees placeholder results) and is discarded. *)
-let collect_misses cache f =
-  match cache.collecting with
-  | Some _ -> invalid_arg "Experiment.collect_misses: already collecting"
   | None ->
-      cache.collecting <- Some [];
-      let restore () =
-        let acc =
-          match cache.collecting with Some acc -> acc | None -> []
-        in
-        cache.collecting <- None;
-        acc
-      in
-      let acc =
-        match f cache with
-        | () -> restore ()
-        | exception e ->
-            ignore (restore () : Params.t list);
-            raise e
-      in
-      let seen = Hashtbl.create 64 in
-      List.fold_left
-        (fun uniq p ->
-          if Hashtbl.mem seen p then uniq
-          else begin
-            Hashtbl.replace seen p ();
-            p :: uniq
-          end)
-        [] acc
-(* acc is newest-first, so the fold returns first-request order *)
-
-let prefill cache pool params_list =
-  let fresh =
-    List.filter (fun p -> not (Hashtbl.mem cache.table p)) params_list
-  in
-  let results = Par.Pool.map pool Machine.run fresh in
-  List.iter2
-    (fun p (r : Sim_result.t) ->
       cache.runs <- cache.runs + 1;
-      Hashtbl.replace cache.table p r)
-    fresh results
+      let r = Machine.run params in
+      Hashtbl.replace cache.table params r;
+      r
 
-let run_config cache ?profile ?seed config =
-  run cache (params_of_config ?profile ?seed config)
+let distinct points =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun p ->
+      if Hashtbl.mem seen p then false
+      else (
+        Hashtbl.replace seen p ();
+        true))
+    points
+
+(* The distinct points not yet cached, in first-request order. *)
+let misses cache points =
+  List.filter (fun p -> not (Hashtbl.mem cache.table p)) (distinct points)
+
+let prefill cache pool points =
+  let fresh = misses cache points in
+  let results = Par.Pool.map pool Machine.run fresh in
+  List.iter2 (Hashtbl.replace cache.table) fresh results;
+  cache.runs <- cache.runs + List.length fresh;
+  List.length fresh
+
+let collect_misses cache f =
+  if Option.is_some cache.collecting then
+    invalid_arg "Experiment.collect_misses: already collecting";
+  cache.collecting <- Some [];
+  let declared =
+    Fun.protect
+      ~finally:(fun () -> cache.collecting <- None)
+      (fun () ->
+        f cache;
+        Option.value cache.collecting ~default:[])
+  in
+  misses cache (List.rev declared)
 
 (** Mean and across-replicate 95% CI of the key metrics over independent
     simulation runs (different seeds). Replicates are independent, so the

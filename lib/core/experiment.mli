@@ -46,31 +46,33 @@ type cache = {
   table : (Params.t, Sim_result.t) Hashtbl.t;
   mutable runs : int;
   mutable hits : int;
-  verbose : bool;
   mutable collecting : Params.t list option;
-      (** dry-pass mode, managed by {!collect_misses}: when [Some _],
-          {!run} records misses and returns placeholders *)
+      (** [Some declared] (newest first) while {!collect_misses} runs;
+          only the figure generators of {!Figures.find} add to it *)
 }
 
-val create_cache : ?verbose:bool -> unit -> cache
+val create_cache : unit -> cache
 
-(** Run (or reuse) the simulation for exactly these parameters. *)
+(** Run (or reuse) the simulation for exactly these parameters.
+    @raise Invalid_argument inside {!collect_misses}. *)
 val run : cache -> Params.t -> Sim_result.t
 
-(** [collect_misses cache f] runs [f cache] in dry mode: cache misses
-    are recorded (and answered with {!Sim_result.placeholder}s) instead
-    of simulated. Returns the missed parameter points, deduped, in
-    first-request order — the exact work-list a parallel prefill needs.
-    [f]'s own output must be discarded. *)
+(** The list without repeats, each point at its first position. *)
+val distinct : Params.t list -> Params.t list
+
+(** [prefill cache pool points] simulates every distinct point not yet
+    cached over the pool, stores the results and returns how many it
+    ran. Each run is an independent (seed, params) simulation, so
+    results are bit-identical to serial execution regardless of job
+    count. *)
+val prefill : cache -> Par.Pool.t -> Params.t list -> int
+
+(** [collect_misses cache f] runs [f cache], during which the figure
+    generators of {!Figures.find} declare their points instead of
+    rendering. Returns the declared points not yet cached, distinct, in
+    first-request order. Kept for callers that know a figure only by its
+    generator; {!Figures.points} reads the same list directly. *)
 val collect_misses : cache -> (cache -> unit) -> Params.t list
-
-(** [prefill cache pool params] simulates every not-yet-cached point
-    over the pool and stores the results. Each run is an independent
-    (seed, params) simulation, so results are bit-identical to serial
-    execution regardless of job count. *)
-val prefill : cache -> Par.Pool.t -> Params.t list -> unit
-
-val run_config : cache -> ?profile:profile -> ?seed:int -> config -> Sim_result.t
 
 (** Across-replicate mean and 95% CI over independent seeds. *)
 type summary = {

@@ -159,10 +159,76 @@ let test_figures_registry_complete () =
       "fig10"; "fig11"; "fig12"; "fig13"; "fig14"; "fig15"; "fig16"; "fig17";
       "fig4n"; "fig5n"; "fig16s"; "fig17s"; "abl-exec"; "abl-snoop";
       "abl-txsize"; "abl-writeprob"; "abl-mpl"; "abl-restart"; "ext-algos"; "fig16n"; "ext-repl";
-      "abl-logging";
+      "abl-logging"; "tail-mpl"; "saturation";
     ];
   Alcotest.(check (option Alcotest.reject)) "unknown id" None
     (Option.map ignore (Ddbm.Figures.find "fig99"))
+
+(* Each figure's work-list, read off its declaration without simulating.
+   The counts are those the dry pass over placeholder results found
+   before figures were declared as data. *)
+let test_figure_point_counts () =
+  let profile = Ddbm.Experiment.Quick in
+  let expected =
+    List.map (fun id -> (id, 20))
+      [ "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig4n"; "fig5n";
+        "fig16n"; "fig8"; "fig9"; "fig14"; "fig15"; "fig16"; "fig17";
+        "fig16s"; "fig17s" ]
+    @ [
+        ("fig10", 10); ("fig11", 10); ("fig12", 8); ("fig13", 8);
+        ("abl-exec", 12); ("abl-snoop", 5); ("abl-txsize", 12);
+        ("abl-writeprob", 20); ("abl-mpl", 25); ("tail-mpl", 10);
+        ("saturation", 12); ("abl-restart", 8); ("ext-algos", 10);
+        ("ext-repl", 20); ("abl-logging", 8);
+      ]
+  in
+  let count (fig : Ddbm.Figures.t) =
+    List.length (Ddbm.Figures.points ~profile ~thinks:[ 0.; 8. ] fig)
+  in
+  let by_id = List.sort (fun (a, _) (b, _) -> String.compare a b) in
+  Alcotest.(check (list (pair string int)))
+    "points per figure at thinks 0,8" (by_id expected)
+    (by_id
+       (List.map (fun (fig : Ddbm.Figures.t) -> (fig.id, count fig))
+          Ddbm.Figures.all));
+  let suite =
+    Ddbm.Experiment.distinct
+      (List.concat_map
+         (Ddbm.Figures.points ~profile
+            ~thinks:Ddbm.Experiment.default_think_times)
+         Ddbm.Figures.all)
+  in
+  Alcotest.(check int) "distinct points of the suite" 551 (List.length suite)
+
+(* The dry-pass entry point kept for callers that hold only a
+   generator: on a fresh cache it returns exactly the figure's declared
+   points, and simulating inside it is an error. *)
+let test_collect_misses_shim () =
+  let profile = Ddbm.Experiment.Quick and thinks = [ 0.; 8. ] in
+  let fig =
+    List.find
+      (fun (f : Ddbm.Figures.t) -> String.equal f.id "abl-snoop")
+      Ddbm.Figures.all
+  in
+  let gen = Option.get (Ddbm.Figures.find "abl-snoop") in
+  let cache = Ddbm.Experiment.create_cache () in
+  let misses =
+    Ddbm.Experiment.collect_misses cache (fun c ->
+        ignore (gen c ~profile ~thinks : Ddbm.Figure.t))
+  in
+  let bytes p = Marshal.to_string p [ Marshal.No_sharing ] in
+  Alcotest.(check (list string)) "the declared points, in order"
+    (List.map bytes (Ddbm.Figures.points ~profile ~thinks fig))
+    (List.map bytes misses);
+  Alcotest.check_raises "run inside collect_misses"
+    (Invalid_argument "Experiment.run: called inside collect_misses")
+    (fun () ->
+      ignore
+        (Ddbm.Experiment.collect_misses cache (fun c ->
+             ignore (Ddbm.Experiment.run c (List.hd misses)))
+          : Params.t list));
+  Alcotest.(check bool) "collecting ends with the call" true
+    (Option.is_none cache.Ddbm.Experiment.collecting)
 
 let suite =
   [
@@ -177,4 +243,6 @@ let suite =
     Alcotest.test_case "figure table renders" `Quick test_figure_table_renders;
     Alcotest.test_case "figure csv shape" `Quick test_figure_csv_shape;
     Alcotest.test_case "figures registry" `Quick test_figures_registry_complete;
+    Alcotest.test_case "figure point counts" `Quick test_figure_point_counts;
+    Alcotest.test_case "collect_misses shim" `Quick test_collect_misses_shim;
   ]

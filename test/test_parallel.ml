@@ -63,10 +63,13 @@ let test_replicates_serial_vs_jobs () =
 
 let test_prefilled_cache_matches_serial () =
   (* the figure path: a pool-prefilled cache must hold exactly the
-     results a serial cache computes *)
+     results a serial cache computes, and the figure's declared points
+     must cover every result its render reads *)
   let thinks = [ 0.; 8. ] in
   let gens =
-    List.filter (fun (id, _) -> String.equal id "fig2") Ddbm.Figures.all
+    List.filter_map
+      (fun id -> Option.map (fun g -> (id, g)) (Ddbm.Figures.find id))
+      [ "fig2" ]
   in
   let profile = Ddbm.Experiment.Quick in
   let serial_cache = Ddbm.Experiment.create_cache () in
@@ -79,6 +82,12 @@ let test_prefilled_cache_matches_serial () =
   Alcotest.(check int)
     "prefill runs everything the serial pass ran" serial_cache.Ddbm.Experiment.runs
     runs;
+  List.iter
+    (fun (_, g) -> ignore (g par_cache ~profile ~thinks : Ddbm.Figure.t))
+    gens;
+  Alcotest.(check int)
+    "rendering after the prefill simulates nothing more" runs
+    par_cache.Ddbm.Experiment.runs;
   (* per-entry assertions only, no order dependence *)
   Hashtbl.iter (* lint: allow hashtbl-order *)
     (fun params r ->
