@@ -24,7 +24,7 @@ type pending_write = {
 type waiting_read = {
   wr_txn : Txn.t;
   wr_ts : Timestamp.t;
-  wr_resolver : unit Engine.resolver;
+  wr_resolver : Engine.resolver;
   wr_enqueued : float;
 }
 
@@ -100,7 +100,7 @@ let settle t state =
           | Some r -> Timestamp.max r wr.wr_ts
           | None -> wr.wr_ts);
       Stats.Tally.add t.blocking (Engine.now t.hooks.Cc_intf.eng -. wr.wr_enqueued);
-      Engine.resolve wr.wr_resolver ())
+      Engine.resolve wr.wr_resolver)
     ready
 
 let insert_sorted_pending state pw =
@@ -126,7 +126,7 @@ let cc_read t (txn : Txn.t) page =
   if opt_gt state.wts ts then raise (Txn.Aborted Txn.Bto_conflict);
   note_footprint t txn page;
   if must_wait state ts then
-    Engine.suspend (fun (r : unit Engine.resolver) ->
+    Engine.suspend (fun (r : Engine.resolver) ->
         insert_sorted_waiting state
           {
             wr_txn = txn;

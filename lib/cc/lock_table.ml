@@ -42,7 +42,7 @@ type waiting = {
   w_txn : Txn.t;
   w_mode : mode;
   w_conversion : bool;
-  w_resolver : unit Engine.resolver;
+  w_resolver : Engine.resolver;
   w_enqueued : float;
   w_entry : lock_entry;  (** the entry it is queued in *)
   w_owner : footprint;  (** its attempt's footprint *)
@@ -178,7 +178,7 @@ let grant t w rest =
    else
      entry.holders <- { h_txn = w.w_txn; h_mode = w.w_mode } :: entry.holders);
   Stats.Tally.add t.blocking (Engine.now t.eng -. w.w_enqueued);
-  Engine.resolve w.w_resolver ()
+  Engine.resolve w.w_resolver
 
 (** Grant eligible queued requests, strictly in queue order (head only, to
     avoid starvation): stop at the first request that cannot be granted. *)
@@ -224,7 +224,7 @@ let block ?pre_block t txn entry mode ~conversion ~on_block =
   | None -> ());
   let f = footprint_of t txn in
   if not conversion then f.locks <- entry :: f.locks;
-  Engine.suspend (fun (r : unit Engine.resolver) ->
+  Engine.suspend (fun (r : Engine.resolver) ->
       let w =
         {
           w_txn = txn;

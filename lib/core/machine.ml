@@ -567,11 +567,13 @@ type cohort = {
   updater : bool;
 }
 
-(* Only an updating cohort writes log records. *)
+(* Only an updating cohort writes log records. On the page path a caller
+   matches on [logging c] before it builds a record, so a cohort that
+   writes none builds none. *)
+let logging c = if c.updater then c.log else None
+
 let append_log c record =
-  match c.log with
-  | Some w when c.updater -> Wal.append w record
-  | Some _ | None -> ()
+  match logging c with Some w -> Wal.append w record | None -> ()
 
 (* Log forces: blocking FCFS writes on this node's log disk. A prepare
    force gates the cohort's yes vote and accrues to the decomposition's
@@ -677,7 +679,10 @@ let work t c =
   let txn = c.txn in
   let tid = txn.Txn.tid and attempt = txn.Txn.attempt in
   if traced t then emit t (Event.Cohort_start { tid; attempt; node = c.node });
-  append_log c (Wal.Begin { tid; attempt });
+  let log = logging c in
+  (match log with
+  | Some w -> Wal.append w (Wal.Begin { tid; attempt })
+  | None -> ());
   List.iter
     (fun (op : Plan.page_op) ->
       check_doomed txn;
@@ -685,7 +690,10 @@ let work t c =
       if op.Plan.update then begin
         check_doomed txn;
         access t c ~work:true Event.Write op.Plan.page;
-        append_log c (Wal.Update { tid; attempt; page = op.Plan.page });
+        (match log with
+        | Some w ->
+            Wal.append w (Wal.Update { tid; attempt; page = op.Plan.page })
+        | None -> ());
         (* read-one/write-all: lock the remote copies now unless the
            algorithm defers them to the commit protocol. The round trips
            land in the decomposition's message/other residual. *)
@@ -699,7 +707,9 @@ let work t c =
       end;
       (* permission fully granted: the auditor observes the version this
          access sees, atomically with the grant *)
-      Option.iter (fun a -> Audit.record_read a txn op.Plan.page) t.audit;
+      (match t.audit with
+      | Some a -> Audit.record_read a txn op.Plan.page
+      | None -> ());
       check_doomed txn;
       let t0 = t.time.now in
       Disk.read (Node.random_disk c.exec);
@@ -826,8 +836,8 @@ let commit t c =
   let installed = c.cc.Cc_intf.cc_installed txn in
   c.cc.Cc_intf.cc_commit txn;
   note_release t c;
-  Option.iter
-    (fun a ->
+  (match t.audit with
+  | Some a ->
       (* replica installs are physical copies of the same logical page;
          the auditor counts only primary installs *)
       let primary page =
@@ -837,8 +847,8 @@ let commit t c =
       in
       List.iter
         (fun page -> if primary page then Audit.record_install a txn page)
-        installed)
-    t.audit;
+        installed
+  | None -> ());
   (match c.log with
   | Some w when c.updater ->
       Wal.append w (Wal.Commit { tid; attempt });
@@ -1636,7 +1646,9 @@ let run_transaction t ~terminal plan =
     Metrics.record_completion t.metrics;
     match outcome with
     | Committed decomp ->
-        Option.iter (fun a -> Audit.record_commit a txn) t.audit;
+        (match t.audit with
+        | Some a -> Audit.record_commit a txn
+        | None -> ());
         if traced t then
           emit t
             (Event.Committed
@@ -1644,7 +1656,9 @@ let run_transaction t ~terminal plan =
         Metrics.record_commit t.metrics ~origin_time
           ~pages:(plan_pages txn.Txn.plan) ~decomp
     | Aborted reason ->
-        Option.iter (fun a -> Audit.record_abort a txn) t.audit;
+        (match t.audit with
+        | Some a -> Audit.record_abort a txn
+        | None -> ());
         if traced t then
           emit t (Event.Aborted { tid; attempt = k; reason });
         Metrics.record_abort t.metrics ~reason;

@@ -28,10 +28,11 @@
    simulated time.
 
    Allocation: a CPU runs at every page access and twice per message,
-   so the steady state allocates only what a request must: the
-   engine's resolver and resumption entry and the [Waiter.t]. Each
-   class has one timer, built on its first arm and re-armed in place
-   from then on ({!Engine.arm}), so an arm allocates nothing and a
+   so the steady state allocates only what a request must. A job is an
+   {!Engine.handle}, fired by {!Engine.wake}: a callback's timer, or a
+   blocked process's resolver, which is its wake-up too. Each class has
+   one timer, built on its first arm and re-armed in place from then on
+   ({!Engine.arm}), so an arm allocates nothing and a
    superseded PS completion leaves nothing behind in the event queue.
    The PS heap keeps its finish tags unboxed in parallel arrays, the
    floats (the timers' due time included) live in all-float records,
@@ -47,7 +48,7 @@ type acct = {
   mutable pending : float;
 }
 
-type hi_job = { work : float; w : Waiter.t }
+type hi_job = { work : float; w : Engine.handle }
 
 type t = {
   eng : Engine.t;
@@ -58,29 +59,27 @@ type t = {
      parallel arrays, grown on demand. *)
   mutable tags : float array;
   mutable seqs : int array;
-  mutable jobs : Waiter.t array;
+  mutable jobs : Engine.handle array;
   mutable n : int;
   mutable jseq : int;
   (* finished PS jobs of one timer firing, woken after the bookkeeping *)
-  mutable finished : Waiter.t array;
+  mutable finished : Engine.handle array;
   mutable n_finished : int;
   (* high-priority FCFS class: the job in service and the queue behind *)
   hi : hi_job Queue.t;
   mutable hi_busy : bool;
-  mutable hi_w : Waiter.t;
+  mutable hi_w : Engine.handle;
   (* the PS class's completion timer and the high class's, each built on
      its first arm and re-armed from then on, and their due time *)
   mutable ps_timer : Engine.handle option;
   mutable hi_timer : Engine.handle option;
   due : Engine.due;
-  mutable park_ps : unit Engine.parker option;
-  mutable park_hi : unit Engine.parker option;
+  mutable park_ps : Engine.parker option;
+  mutable park_hi : Engine.parker option;
   util : Stats.Utilization.t;
 }
 
 let epsilon = 1e-6 (* instructions *)
-
-let idle = Waiter.Call ignore
 
 let rate t = t.rate
 
@@ -107,7 +106,7 @@ let grow t =
   let ncap = if cap = 0 then 16 else cap * 2 in
   let tags = Array.make ncap 0. in
   let seqs = Array.make ncap 0 in
-  let jobs = Array.make ncap idle in
+  let jobs = Array.make ncap Engine.idle in
   Array.blit t.tags 0 tags 0 t.n;
   Array.blit t.seqs 0 seqs 0 t.n;
   Array.blit t.jobs 0 jobs 0 t.n;
@@ -145,7 +144,7 @@ let drop_job t =
   t.n <- n;
   let tags = t.tags and seqs = t.seqs and jobs = t.jobs in
   let lt = tags.(n) and ls = seqs.(n) and lw = jobs.(n) in
-  jobs.(n) <- idle;
+  jobs.(n) <- Engine.idle;
   if n > 0 then begin
     let i = ref 0 in
     let moving = ref true in
@@ -183,7 +182,7 @@ let cancel_ps_timer t =
 
 let finish t =
   if t.n_finished = Array.length t.finished then begin
-    let bigger = Array.make (max 4 (2 * t.n_finished)) idle in
+    let bigger = Array.make (max 4 (2 * t.n_finished)) Engine.idle in
     Array.blit t.finished 0 bigger 0 t.n_finished;
     t.finished <- bigger
   end;
@@ -212,8 +211,8 @@ let rec fire t =
   t.n_finished <- 0;
   for i = 0 to n - 1 do
     let w = t.finished.(i) in
-    t.finished.(i) <- idle;
-    Waiter.wake w
+    t.finished.(i) <- Engine.idle;
+    Engine.wake w
   done
 
 (* Arm the PS timer for the head job's finish, or cancel it when the PS
@@ -260,7 +259,7 @@ let rec serve_hi t w =
    class, then wake the finished job. *)
 and hi_done t =
   let w = t.hi_w in
-  t.hi_w <- idle;
+  t.hi_w <- Engine.idle;
   account t;
   t.hi_busy <- false;
   record_util t;
@@ -270,10 +269,10 @@ and hi_done t =
     set_hi_due t j.work;
     serve_hi t j.w
   end;
-  Waiter.wake w
+  Engine.wake w
 
-let[@inline] submit_waiter t work w =
-  if work <= 0. then Waiter.wake w
+let[@inline] submit_job t work w =
+  if work <= 0. then Engine.wake w
   else begin
     account t;
     push_job t (t.acct.v +. work) w;
@@ -283,8 +282,8 @@ let[@inline] submit_waiter t work w =
 
 (* The high class never waits while idle, so the queue is non-empty only
    behind a job in service. *)
-let[@inline] submit_priority_waiter t work w =
-  if work <= 0. then Waiter.wake w
+let[@inline] submit_priority_job t work w =
+  if work <= 0. then Engine.wake w
   else if t.hi_busy then Queue.push { work; w } t.hi
   else begin
     set_hi_due t work;
@@ -308,7 +307,7 @@ let create eng ~rate =
     n_finished = 0;
     hi = Queue.create ();
     hi_busy = false;
-    hi_w = idle;
+    hi_w = Engine.idle;
     ps_timer = None;
     hi_timer = None;
     due = { at = 0. };
@@ -317,10 +316,10 @@ let create eng ~rate =
     util = Stats.Utilization.create clock;
   }
 
-let submit t ~instructions k = submit_waiter t instructions (Waiter.Call k)
+let submit t ~instructions k = submit_job t instructions (Engine.timer k)
 
 let submit_priority t ~instructions k =
-  submit_priority_waiter t instructions (Waiter.Call k)
+  submit_priority_job t instructions (Engine.timer k)
 
 (* The parkers are built on the first block, not in [create]: every
    CPU and disk blocks a process sooner or later, but building their
@@ -332,9 +331,9 @@ let park t ~hi =
   | None ->
       let p =
         Engine.parker (fun r ->
-            let w = Waiter.Resume r in
-            if hi then submit_priority_waiter t t.acct.pending w
-            else submit_waiter t t.acct.pending w)
+            let w = (r :> Engine.handle) in
+            if hi then submit_priority_job t t.acct.pending w
+            else submit_job t t.acct.pending w)
       in
       if hi then t.park_hi <- Some p else t.park_ps <- Some p;
       p

@@ -2,9 +2,11 @@
    an access in service. The access in service and its kind live in
    mutable fields, one completion timer is built on the first access and
    re-armed for every later one, and the blocking wrappers park the
-   process with a prebuilt {!Engine.parker}: a steady-state access
-   allocates only the engine's resolver and resumption entry, its
-   [Waiter.t] and its draw of the service time. *)
+   process with a prebuilt {!Engine.parker}. A queued access is an
+   {!Engine.handle}, fired by {!Engine.wake}: a callback's timer, or the
+   blocked process's resolver, which is its wake-up too. So a
+   steady-state blocking access allocates only the resolver and its draw
+   of the service time. *)
 
 type t = {
   eng : Engine.t;
@@ -12,22 +14,20 @@ type t = {
   rng : Rng.t;
   min_time : float;
   max_time : float;
-  reads : Waiter.t Queue.t;
-  writes : Waiter.t Queue.t;
+  reads : Engine.handle Queue.t;
+  writes : Engine.handle Queue.t;
   mutable busy : bool;
   mutable writing : bool;  (** kind of the access in service *)
-  mutable serving : Waiter.t;
+  mutable serving : Engine.handle;
   mutable timer : Engine.handle option;
       (** the completion timer, built on its first arm and re-armed *)
   due : Engine.due;
-  mutable park_read : unit Engine.parker option;
-  mutable park_write : unit Engine.parker option;
+  mutable park_read : Engine.parker option;
+  mutable park_write : Engine.parker option;
   util : Stats.Utilization.t;
   mutable n_reads : int;
   mutable n_writes : int;
 }
-
-let idle = Waiter.Call ignore
 
 let record_util t = Stats.Utilization.set_busy t.util ~busy:t.busy
 
@@ -51,7 +51,7 @@ let rec start t ~write w =
 (* Writes are served before reads. *)
 and served t =
   let w = t.serving in
-  t.serving <- idle;
+  t.serving <- Engine.idle;
   t.busy <- false;
   if t.writing then t.n_writes <- t.n_writes + 1
   else t.n_reads <- t.n_reads + 1;
@@ -59,7 +59,7 @@ and served t =
   if not (Queue.is_empty t.writes) then start t ~write:true (Queue.pop t.writes)
   else if not (Queue.is_empty t.reads) then
     start t ~write:false (Queue.pop t.reads);
-  Waiter.wake w
+  Engine.wake w
 
 let create eng rng ~min_time ~max_time =
   assert (0. <= min_time && min_time <= max_time);
@@ -74,7 +74,7 @@ let create eng rng ~min_time ~max_time =
     writes = Queue.create ();
     busy = false;
     writing = false;
-    serving = idle;
+    serving = Engine.idle;
     timer = None;
     due = { at = 0. };
     park_read = None;
@@ -88,8 +88,8 @@ let submit t ~write w =
   if t.busy then Queue.push w (if write then t.writes else t.reads)
   else start t ~write w
 
-let submit_read t k = submit t ~write:false (Waiter.Call k)
-let submit_write t k = submit t ~write:true (Waiter.Call k)
+let submit_read t k = submit t ~write:false (Engine.timer k)
+let submit_write t k = submit t ~write:true (Engine.timer k)
 
 (* Built on the first block, not in [create], for the reason the CPU's
    parkers are. *)
@@ -97,7 +97,7 @@ let park t ~write =
   match if write then t.park_write else t.park_read with
   | Some p -> p
   | None ->
-      let p = Engine.parker (fun r -> submit t ~write (Waiter.Resume r)) in
+      let p = Engine.parker (fun r -> submit t ~write (r :> Engine.handle)) in
       if write then t.park_write <- Some p else t.park_read <- Some p;
       p
 

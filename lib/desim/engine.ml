@@ -3,31 +3,30 @@ open Effect.Deep
 
 exception Not_in_process
 
-(* What an event does when it fires. A process blocked in [wait] or
-   [suspend] is resumed straight from its continuation, so a resumption
-   allocates this one small block and nothing else. Only [Call] events are
-   handed out as handles; [state] says where a handle's event is queued:
+(* What an event does when it fires.
 
-   - [s >= 0]: on the heap, in slot [s];
-   - [-1]: nowhere (never armed, fired or cancelled);
-   - [-2 - i]: on the same-time lane, as its [i]-th entry ever pushed.
+   - [Call]: a scheduled event or timer. [state] says where it is queued:
+     [s >= 0] on the heap, in slot [s]; [-1] nowhere (never armed, fired
+     or cancelled); [-2 - i] on the same-time lane, as its [i]-th entry
+     ever pushed. A lane entry fires only while its handle still names
+     it. Cancelling or re-arming a handle queued on the lane leaves its
+     old entry there, dead; that is rare, as only events due now take
+     the lane.
+   - [Resolver]: a process blocked in [suspend] or [park], built by the
+     handler once per block. [resolve] queues this very record, so the
+     wake-up allocates nothing more; [used] makes it single-use.
+   - [Waited]: a process whose [wait] ends.
+   - [Reject]: a rejected resolver's process, resumed by raising.
+   - [Idle]: a placeholder; it is never queued.
 
-   A lane entry fires only while its handle still names it. Cancelling or
-   re-arming a handle queued on the lane leaves its old entry there, dead;
-   that is rare, as only events due now take the lane. *)
+   A blocked process is resumed straight from its continuation, and only
+   [Call], [Resolver] and [Idle] are handed out as handles. *)
 type action =
   | Call of { f : unit -> unit; mutable state : int }
-  | Resume : ('a, unit) continuation * 'a -> action
-  | Reject : (_, unit) continuation * exn -> action
-
-type handle = action
-
-(* An all-float record is stored flat, so advancing the clock once per
-   event does not box the new time, and a model that keeps the record
-   reads the time without boxing it either. *)
-type clock = { mutable now : float }
-
-type due = { mutable at : float }
+  | Resolver of { eng : t; k : (unit, unit) continuation; mutable used : bool }
+  | Waited of (unit, unit) continuation
+  | Reject of (unit, unit) continuation * exn
+  | Idle
 
 (* The event queue has two lanes.
 
@@ -52,7 +51,7 @@ type due = { mutable at : float }
    at [now], then the lane, and moving the clock only once the lane is
    empty, fires every event in exactly (time, scheduling order). The
    arrays are allocated on the first push. *)
-type t = {
+and t = {
   clock : clock;
   mutable times : float array;
   mutable seqs : int array;
@@ -67,7 +66,6 @@ type t = {
   mutable lane : action array;  (* capacity 0 or a power of two *)
   mutable lane_head : int;
   mutable lane_len : int;
-  idle : action;  (* what a cleared cell holds, so it keeps nothing alive *)
   mutable stop_requested : bool;
   mutable processed : int;
   wake : clock;
@@ -77,7 +75,17 @@ type t = {
   mutable self : t option;  (* what a caught parker records *)
 }
 
-type 'a resolver = { eng : t; k : ('a, unit) continuation; mutable used : bool }
+(* An all-float record is stored flat, so advancing the clock once per
+   event does not box the new time, and a model that keeps the record
+   reads the time without boxing it either. *)
+and clock = { mutable now : float }
+
+type due = { mutable at : float }
+
+type handle = action
+type resolver = action
+
+let idle = Idle
 
 (* A parker is the effect value itself, built once together with its
    answer to the handler, so performing it allocates no effect, option or
@@ -85,13 +93,13 @@ type 'a resolver = { eng : t; k : ('a, unit) continuation; mutable used : bool }
    before the answer runs. *)
 type parked = { mutable on : t option }
 
-type 'a parker = 'a Effect.t
+type parker = unit Effect.t
 
 (* The effects carry no engine: the innermost handler, the one [spawn]
    installed around the performing process, belongs to its engine. *)
 type _ Effect.t +=
   | Wait : float -> unit Effect.t
-  | Park : parked * (('a, unit) continuation -> unit) option -> 'a Effect.t
+  | Park : parked * ((unit, unit) continuation -> unit) option -> unit Effect.t
 
 let clock t = t.clock
 let now t = t.clock.now
@@ -103,7 +111,7 @@ let grow t =
   let times = Array.make ncap 0. in
   let seqs = Array.make ncap 0 in
   let slots = Array.make ncap 0 in
-  let acts = Array.make ncap t.idle in
+  let acts = Array.make ncap Idle in
   let pos = Array.make ncap 0 in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
@@ -193,7 +201,7 @@ let[@inline] push t at act =
    node fills the hole it leaves. *)
 let release t s =
   let i = t.pos.(s) in
-  t.acts.(s) <- t.idle;
+  t.acts.(s) <- Idle;
   let n = t.len - 1 in
   t.len <- n;
   t.free.(Array.length t.free - n - 1) <- s;
@@ -224,7 +232,7 @@ let[@inline] rekey t s at =
 let grow_lane t =
   let cap = Array.length t.lane in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  let lane = Array.make ncap t.idle in
+  let lane = Array.make ncap Idle in
   for i = t.lane_head to t.lane_head + t.lane_len - 1 do
     lane.(i land (ncap - 1)) <- t.lane.(i land (cap - 1))
   done;
@@ -242,7 +250,7 @@ let[@inline] push_lane t act =
 let[@inline] take_lane t =
   let lane = t.lane and i = t.lane_head land (Array.length t.lane - 1) in
   let act = lane.(i) in
-  lane.(i) <- t.idle;
+  lane.(i) <- Idle;
   t.lane_head <- t.lane_head + 1;
   t.lane_len <- t.lane_len - 1;
   act
@@ -257,7 +265,7 @@ let[@inline] check_time t at =
        else
          Printf.sprintf "Engine.schedule: at %g is in the past (now %g)" at now)
 
-(* Queue a resumption at [at]: on the lane when it is due now, else on the
+(* Queue an event at [at]: on the lane when it is due now, else on the
    heap. *)
 let[@inline] enqueue t ~at act =
   check_time t at;
@@ -277,7 +285,8 @@ let[@inline] arm_at t h at =
       end
       else if c.state >= 0 then rekey t c.state at
       else c.state <- push t at h
-  | Resume _ | Reject _ -> assert false (* never handed out *)
+  | Resolver _ | Idle -> invalid_arg "Engine.arm: not a timer"
+  | Waited _ | Reject _ -> assert false (* never handed out *)
 
 let arm t h due = arm_at t h due.at
 
@@ -297,7 +306,7 @@ let cancel t = function
   | Call c ->
       if c.state >= 0 then release t c.state;
       c.state <- -1
-  | Resume _ | Reject _ -> ()
+  | Resolver _ | Waited _ | Reject _ | Idle -> ()
 
 let wait delay =
   if Float.is_nan delay then invalid_arg "Engine.wait: delay is NaN";
@@ -310,7 +319,7 @@ let parker register =
       Some
         (fun k ->
           match p.on with
-          | Some eng -> register { eng; k; used = false }
+          | Some eng -> register (Resolver { eng; k; used = false })
           | None -> assert false (* set by the handler *)) )
 
 let park p = try perform p with Effect.Unhandled _ -> raise Not_in_process
@@ -319,17 +328,29 @@ let park p = try perform p with Effect.Unhandled _ -> raise Not_in_process
    again builds its parker once instead. *)
 let suspend register = park (parker register)
 
-let settle r =
-  if r.used then invalid_arg "Engine: resolver used twice";
-  r.used <- true
+let used_twice () = invalid_arg "Engine: resolver used twice"
 
-let resolve r v =
-  settle r;
-  ignore (push_lane r.eng (Resume (r.k, v)) : int)
+(* The resolver joins the back of the lane as it is. *)
+let resolve = function
+  | Resolver r as act ->
+      if r.used then used_twice ();
+      r.used <- true;
+      ignore (push_lane r.eng act : int)
+  | Call _ | Waited _ | Reject _ | Idle -> assert false (* not a resolver *)
 
-let reject r e =
-  settle r;
-  ignore (push_lane r.eng (Reject (r.k, e)) : int)
+let reject act e =
+  match act with
+  | Resolver r ->
+      if r.used then used_twice ();
+      r.used <- true;
+      ignore (push_lane r.eng (Reject (r.k, e)) : int)
+  | Call _ | Waited _ | Reject _ | Idle -> assert false (* not a resolver *)
+
+let wake = function
+  | Call c -> c.f ()
+  | Resolver _ as r -> resolve r
+  | Idle -> ()
+  | Waited _ | Reject _ -> assert false (* never handed out *)
 
 let run_fiber t f =
   match_with f ()
@@ -366,7 +387,6 @@ let create () =
       lane = [||];
       lane_head = 0;
       lane_len = 0;
-      idle = timer ignore;
       stop_requested = false;
       processed = 0;
       wake = { now = 0. };
@@ -374,7 +394,7 @@ let create () =
       self = None;
     }
   in
-  t.on_wait <- Some (fun k -> enqueue t ~at:t.wake.now (Resume (k, ())));
+  t.on_wait <- Some (fun k -> enqueue t ~at:t.wake.now (Waited k));
   t.self <- Some t;
   t
 
@@ -391,8 +411,10 @@ let[@inline] fire t act time =
   | Call c ->
       c.state <- -1;
       c.f ()
-  | Resume (k, v) -> continue k v
+  | Resolver r -> continue r.k ()
+  | Waited k -> continue k ()
   | Reject (k, e) -> discontinue k e
+  | Idle -> assert false (* never queued *)
 
 let run ?until t =
   let horizon =

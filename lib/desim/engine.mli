@@ -7,8 +7,9 @@
     fully deterministic: events fire in (time, scheduling order), so events
     at equal times fire in the order they were scheduled.
 
-    A blocked process is resumed straight from its continuation: a
-    resumption costs one small queue entry and no closure.
+    A blocked process is resumed straight from its continuation, and its
+    resolver is its own queue entry: resolving it queues the resolver
+    itself, so a wake-up allocates nothing.
 
     The queue has two lanes. Events due at the current time (resumptions,
     spawns, zero delays) go to a FIFO ring; later ones to a binary heap
@@ -22,14 +23,24 @@
 
 type t
 
-(** A scheduled event that can be cancelled, or re-armed with {!arm}. It
-    is queued at most once at a time, and only ever on one engine. *)
+(** Something to fire: a scheduled event or timer, which can be
+    cancelled or re-armed with {!arm} and is queued at most once at a
+    time, only ever on one engine; a {!resolver}; or {!idle}. A resource
+    keeps the callbacks and the blocked processes it serves as handles
+    and fires each with {!wake}. *)
 type handle
 
-(** One-shot continuation of a suspended process, used through {!resolve}
-    and {!reject}. Using the same resolver twice raises
-    [Invalid_argument]. *)
-type 'a resolver
+(** The wake-up of a process blocked in {!suspend} or {!park}, built once
+    per block and used once, through {!resolve} or {!reject}. It is a
+    {!handle}: [(r :> handle)]. A value for the process travels beside it
+    (in a cell the process reads once it is woken), not through it.
+    Using a resolver a second time raises [Invalid_argument], also when
+    its process has left that block and blocked again elsewhere. *)
+type resolver = private handle
+
+(** A handle that does nothing and is never queued: what a slot holds
+    when it holds no job. *)
+val idle : handle
 
 val create : unit -> t
 
@@ -53,7 +64,8 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 
 (** [cancel t h] removes [h]'s event from the queue of [t]. Cancelling a
     handle that is not queued (never armed, fired or cancelled) does
-    nothing, even once its heap slot holds another event. *)
+    nothing, even once its heap slot holds another event; so does
+    cancelling a resolver or {!idle}. *)
 val cancel : t -> handle -> unit
 
 (** [timer f] is a handle for [f] that is not queued yet: a re-armable
@@ -70,8 +82,14 @@ type due = { mutable at : float }
     {!schedule} of the same function would: a queued event is re-keyed
     in place, with a new scheduling number, and one due now joins the
     back of the same-time lane. Unless the queue grows, it allocates
-    nothing. Raises [Invalid_argument] as {!schedule} does. *)
+    nothing. Raises [Invalid_argument] as {!schedule} does, and when [h]
+    is a resolver or {!idle}. *)
 val arm : t -> handle -> due -> unit
+
+(** [wake h] runs the function of a scheduled event or timer at once
+    (wherever it is queued, it stays queued), resolves a resolver, and
+    does nothing for {!idle}. *)
+val wake : handle -> unit
 
 (** [spawn t f] starts a new process executing [f ()] at the current time
     (it begins running when the scheduler reaches that event). Uncaught
@@ -83,30 +101,31 @@ val spawn : t -> (unit -> unit) -> unit
 val wait : float -> unit
 
 (** Block the calling process until another party resolves it. The
-    registration function receives the resolver and must stash it somewhere
-    (a queue, a lock table, ...). Only valid inside a process. *)
-val suspend : ('a resolver -> unit) -> 'a
+    registration function receives the block's fresh resolver and must
+    stash it somewhere (a queue, a lock table, ...). Only valid inside a
+    process. *)
+val suspend : (resolver -> unit) -> unit
 
 (** A prebuilt {!suspend}: [parker register] builds, once, what
     [suspend register] builds on every call. [park p] then blocks the
     calling process exactly as [suspend register] would, allocating only
     the resolver. [register] runs synchronously inside [park], so state it
     reads from a mutable field set just before [park] is the caller's. *)
-type 'a parker
+type parker
 
-val parker : ('a resolver -> unit) -> 'a parker
+val parker : (resolver -> unit) -> parker
 
 (** Only valid inside a process. *)
-val park : 'a parker -> 'a
+val park : parker -> unit
 
-(** [resolve r v] resumes the process suspended on [r] with [v], at the
-    current time of its engine (after the events already queued for that
-    time). *)
-val resolve : 'a resolver -> 'a -> unit
+(** [resolve r] resumes the process blocked on [r] at the current time of
+    its engine, after the events already queued for that time: [r] itself
+    joins the back of the same-time lane. *)
+val resolve : resolver -> unit
 
-(** [reject r e] resumes the process suspended on [r] by raising [e] in
-    it, at the same point in the order as {!resolve}. *)
-val reject : 'a resolver -> exn -> unit
+(** [reject r e] resumes the process blocked on [r] by raising [e] in it,
+    at the same point in the order as {!resolve}. *)
+val reject : resolver -> exn -> unit
 
 (** Run until the event queue is empty, [until] is reached (events at later
     times stay queued and [now] becomes [until]), or {!stop} is called.

@@ -1,7 +1,6 @@
-type 'a state =
-  | Empty of 'a Engine.resolver list
-  | Full of 'a
-  | Poisoned of exn
+(* A reader blocks on a resolver and, once woken, reads the value or the
+   poison from [state] itself. *)
+type 'a state = Empty of Engine.resolver list | Full of 'a | Poisoned of exn
 
 type 'a t = { mutable state : 'a state }
 
@@ -13,17 +12,17 @@ let fill t v =
   match t.state with
   | Empty waiters ->
       t.state <- Full v;
-      List.iter (fun r -> Engine.resolve r v) (List.rev waiters)
+      List.iter Engine.resolve (List.rev waiters)
   | Full _ | Poisoned _ -> invalid_arg "Ivar.fill: already resolved"
 
 let poison t e =
   match t.state with
   | Empty waiters ->
       t.state <- Poisoned e;
-      List.iter (fun r -> Engine.reject r e) (List.rev waiters)
+      List.iter Engine.resolve (List.rev waiters)
   | Full _ | Poisoned _ -> invalid_arg "Ivar.poison: already resolved"
 
-let read t =
+let rec read t =
   match t.state with
   | Full v -> v
   | Poisoned e -> raise e
@@ -31,7 +30,7 @@ let read t =
       Engine.suspend (fun r ->
           match t.state with
           | Empty waiters -> t.state <- Empty (r :: waiters)
-          | Full v -> Engine.resolve r v
-          | Poisoned e -> Engine.reject r e)
+          | Full _ | Poisoned _ -> Engine.resolve r);
+      read t
 
 let peek t = match t.state with Full v -> Some v | Empty _ | Poisoned _ -> None

@@ -1,56 +1,79 @@
-(* A plain receiver parks its resolver as is and is handed the message
-   itself. A timed receiver parks as a cancellable cell: a timed-out cell
-   is marked dead and skipped by senders, so an expired [recv_timeout]
+(* A receive that blocks parks a cell in [waiters]. A sender hands the
+   message to the oldest waiting cell and then wakes its receiver, so a
+   handed message never shows in [msgs]. A timed receive's cell that times
+   out is marked dead and skipped by senders, so an expired [recv_timeout]
    can never steal a message from a later receiver. *)
-type 'a cell = { mutable live : bool; resolver : 'a option Engine.resolver }
+type 'a slot = Waiting | Got of 'a | Dead
 
-type 'a waiter = Plain of 'a Engine.resolver | Timed of 'a cell
+type 'a cell = { mutable slot : 'a slot; mutable wake : Engine.handle }
 
 type 'a t = {
   msgs : 'a Queue.t;
-  waiters : 'a waiter Queue.t;
-  mutable park : 'a Engine.parker option;
-      (** a plain receive's parker, built on the first one that blocks *)
+  waiters : 'a cell Queue.t;
+  mutable parking : 'a cell;  (** the cell of the receive now blocking *)
+  mutable park : Engine.parker option;
+      (** the receives' parker, built on the first one that blocks *)
 }
 
-let create () = { msgs = Queue.create (); waiters = Queue.create (); park = None }
+let create () =
+  {
+    msgs = Queue.create ();
+    waiters = Queue.create ();
+    parking = { slot = Dead; wake = Engine.idle };
+    park = None;
+  }
 
 let rec send t m =
   if Queue.is_empty t.waiters then Queue.push m t.msgs
   else
-    match Queue.pop t.waiters with
-    | Plain r -> Engine.resolve r m
-    | Timed c when not c.live -> send t m
-    | Timed c ->
-        c.live <- false;
-        Engine.resolve c.resolver (Some m)
+    let c = Queue.pop t.waiters in
+    match c.slot with
+    | Waiting ->
+        c.slot <- Got m;
+        Engine.wake c.wake
+    | Got _ | Dead -> send t m
+
+(* Block until [c] is handed a message or times out. The registration
+   runs inside [Engine.park] and finds [c] in [t.parking]. *)
+let block t c =
+  t.parking <- c;
+  let p =
+    match t.park with
+    | Some p -> p
+    | None ->
+        let p =
+          Engine.parker (fun r ->
+              let c = t.parking in
+              c.wake <- (r :> Engine.handle);
+              Queue.push c t.waiters)
+        in
+        t.park <- Some p;
+        p
+  in
+  Engine.park p
 
 let recv t =
   if not (Queue.is_empty t.msgs) then Queue.pop t.msgs
   else
-    let p =
-      match t.park with
-      | Some p -> p
-      | None ->
-          let p = Engine.parker (fun r -> Queue.push (Plain r) t.waiters) in
-          t.park <- Some p;
-          p
-    in
-    Engine.park p
+    let c = { slot = Waiting; wake = Engine.idle } in
+    block t c;
+    match c.slot with Got m -> m | Waiting | Dead -> assert false
 
 let recv_timeout t eng ~timeout =
   if not (Queue.is_empty t.msgs) then Some (Queue.pop t.msgs)
-  else
-    Engine.suspend (fun resolver ->
-        let c = { live = true; resolver } in
-        Queue.push (Timed c) t.waiters;
-        ignore
-          (Engine.schedule_after eng ~delay:timeout (fun () ->
-               if c.live then begin
-                 c.live <- false;
-                 Engine.resolve resolver None
-               end)
-            : Engine.handle))
+  else begin
+    let c = { slot = Waiting; wake = Engine.idle } in
+    ignore
+      (Engine.schedule_after eng ~delay:timeout (fun () ->
+           match c.slot with
+           | Waiting ->
+               c.slot <- Dead;
+               Engine.wake c.wake
+           | Got _ | Dead -> ())
+        : Engine.handle);
+    block t c;
+    match c.slot with Got m -> Some m | Dead -> None | Waiting -> assert false
+  end
 
 let try_recv t = if Queue.is_empty t.msgs then None else Some (Queue.pop t.msgs)
 

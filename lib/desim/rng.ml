@@ -26,8 +26,9 @@ let next_int64 t = next t
 
 let split t = of_state (next t)
 
-(* 53 high bits -> float in [0,1) *)
-let float t =
+(* 53 high bits -> float in [0,1). Inlined into the draws below, so
+   their intermediate float is not boxed. *)
+let[@inline] float t =
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 

@@ -19,7 +19,7 @@ type waiting = {
   w_txn : Txn.t;
   w_mode : mode;
   w_conversion : bool;
-  w_resolver : unit Engine.resolver;
+  w_resolver : Engine.resolver;
   w_enqueued : float;
   w_entry : lock_entry;  (** the entry it is queued in *)
   w_owner : footprint;  (** its attempt's footprint *)
@@ -130,7 +130,7 @@ let grant t w =
          entry.holders
    else entry.holders <- (w.w_txn, w.w_mode) :: entry.holders);
   Stats.Tally.add t.blocking (Engine.now t.eng -. w.w_enqueued);
-  Engine.resolve w.w_resolver ()
+  Engine.resolve w.w_resolver
 
 (** Grant eligible queued requests, strictly in queue order (head only, to
     avoid starvation): stop at the first request that cannot be granted. *)
@@ -226,7 +226,7 @@ let request ?pre_block t txn page mode ~on_block =
          footprint; a fresh request is the attempt's first on the page *)
       let f = footprint_of t txn in
       if not conversion then f.locks <- (page, entry) :: f.locks;
-      Engine.suspend (fun (r : unit Engine.resolver) ->
+      Engine.suspend (fun (r : Engine.resolver) ->
           let w =
             {
               w_txn = txn;

@@ -71,17 +71,22 @@ let test_process_wait () =
   Alcotest.(check (list (float 1e-9))) "wait advances time" [ 0.; 1.5; 4. ]
     (List.rev !times)
 
+(* A resolver carries no value: the value travels beside it, here through
+   a ref written before the resolve. *)
 let test_suspend_resolve () =
   let eng = Engine.create () in
   let slot = ref None in
+  let value = ref 0 in
   let got = ref 0 in
   Engine.spawn eng (fun () ->
-      let v = Engine.suspend (fun r -> slot := Some r) in
-      got := v);
+      Engine.suspend (fun r -> slot := Some r);
+      got := !value);
   ignore
     (Engine.schedule eng ~at:7. (fun () ->
          match !slot with
-         | Some r -> Engine.resolve r 42
+         | Some r ->
+             value := 42;
+             Engine.resolve r
          | None -> Alcotest.fail "resolver not registered"));
   Engine.run eng;
   Alcotest.(check int) "resolved value" 42 !got;
@@ -94,9 +99,7 @@ let test_suspend_reject () =
   let slot = ref None in
   let caught = ref false in
   Engine.spawn eng (fun () ->
-      try
-        let (_ : int) = Engine.suspend (fun r -> slot := Some r) in
-        ()
+      try Engine.suspend (fun r -> slot := Some r)
       with Test_abort -> caught := true);
   ignore
     (Engine.schedule eng ~at:1. (fun () ->
@@ -109,19 +112,91 @@ let test_suspend_reject () =
 let test_resolver_single_use () =
   let eng = Engine.create () in
   let slot = ref None in
-  Engine.spawn eng (fun () ->
-      let (_ : int) = Engine.suspend (fun r -> slot := Some r) in
-      ());
+  Engine.spawn eng (fun () -> Engine.suspend (fun r -> slot := Some r));
   ignore
     (Engine.schedule eng ~at:1. (fun () ->
          match !slot with
          | Some r ->
-             Engine.resolve r 1;
+             Engine.resolve r;
              Alcotest.check_raises "second use rejected"
                (Invalid_argument "Engine: resolver used twice") (fun () ->
-                 Engine.resolve r 2)
+                 Engine.resolve r)
          | None -> ()));
   Engine.run eng
+
+(* A resolver of a block the process has left stays used: resolving it
+   again raises and does not wake the process's current block. *)
+let test_stale_resolver () =
+  let eng = Engine.create () in
+  let first = ref None and second = ref None in
+  let stage = ref 0 in
+  Engine.spawn eng (fun () ->
+      Engine.suspend (fun r -> first := Some r);
+      stage := 1;
+      Engine.suspend (fun r -> second := Some r);
+      stage := 2);
+  Engine.run eng;
+  let get slot = match !slot with Some r -> r | None -> Alcotest.fail "none" in
+  Engine.resolve (get first);
+  Engine.run eng;
+  Alcotest.(check int) "in its second block" 1 !stage;
+  Alcotest.check_raises "stale resolver rejected"
+    (Invalid_argument "Engine: resolver used twice") (fun () ->
+      Engine.resolve (get first));
+  Alcotest.check_raises "stale resolver rejected by reject too"
+    (Invalid_argument "Engine: resolver used twice") (fun () ->
+      Engine.reject (get first) Test_abort);
+  Engine.run eng;
+  Alcotest.(check int) "second block still parked" 1 !stage;
+  Engine.resolve (get second);
+  Engine.run eng;
+  Alcotest.(check int) "woken by its own resolver" 2 !stage
+
+let test_reject_then_resolve () =
+  let eng = Engine.create () in
+  let slot = ref None in
+  let caught = ref 0 in
+  Engine.spawn eng (fun () ->
+      try Engine.suspend (fun r -> slot := Some r)
+      with Test_abort -> incr caught);
+  Engine.run eng;
+  (match !slot with
+  | Some r ->
+      Engine.reject r Test_abort;
+      Alcotest.check_raises "resolve after reject"
+        (Invalid_argument "Engine: resolver used twice") (fun () ->
+          Engine.resolve r)
+  | None -> Alcotest.fail "resolver not registered");
+  Engine.run eng;
+  Alcotest.(check int) "rejected once" 1 !caught
+
+(* [wake] runs a timer's function at once, and queues a resolver at the
+   back of the same-time lane, behind the events already due now. *)
+let test_wake () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let slot = ref None in
+  Engine.spawn eng (fun () ->
+      Engine.suspend (fun r -> slot := Some r);
+      note "resumed");
+  ignore
+    (Engine.schedule eng ~at:1. (fun () ->
+         ignore (Engine.schedule eng ~at:1. (fun () -> note "queued"));
+         (match !slot with
+         | Some r -> Engine.wake (r :> Engine.handle)
+         | None -> Alcotest.fail "resolver not registered");
+         Engine.wake (Engine.timer (fun () -> note "called"));
+         Engine.wake Engine.idle;
+         note "woke"));
+  Engine.run eng;
+  Alcotest.(check (list string)) "call at once, resolver at the back"
+    [ "called"; "woke"; "queued"; "resumed" ]
+    (List.rev !log);
+  Alcotest.(check int) "a call is no event" 4 (Engine.events_processed eng);
+  Alcotest.check_raises "only timers are armed"
+    (Invalid_argument "Engine.arm: not a timer") (fun () ->
+      Engine.arm eng Engine.idle { Engine.at = 2. })
 
 let test_nested_spawn () =
   let eng = Engine.create () in
@@ -207,7 +282,7 @@ let test_now_after_queued_ties () =
     (Engine.schedule eng ~at:1. (fun () ->
          note "X";
          ignore (Engine.schedule eng ~at:(Engine.now eng) (fun () -> note "Z"));
-         Option.iter (fun r -> Engine.resolve r ()) !slot));
+         Option.iter Engine.resolve !slot));
   ignore (Engine.schedule eng ~at:1. (fun () -> note "Y"));
   Engine.run eng;
   Alcotest.(check (list string)) "scheduling order at t = 1"
@@ -333,9 +408,7 @@ let test_blocking_in_callback () =
     (Engine.schedule eng ~at:1. (fun () ->
          (try Engine.wait 1.
           with Engine.Not_in_process -> raised := "wait" :: !raised);
-         try
-           let (_ : int) = Engine.suspend (fun _ -> ()) in
-           ()
+         try Engine.suspend (fun _ -> ())
          with Engine.Not_in_process -> raised := "suspend" :: !raised));
   Engine.run eng;
   Alcotest.(check (list string)) "both raise" [ "wait"; "suspend" ]
@@ -380,27 +453,31 @@ let test_nested_engines () =
 
 (* One parker shared by processes of two engines: each park records the
    engine whose process performed it, so each resolution resumes that
-   process on its own engine. *)
+   process on its own engine. Each process reads its value from its own
+   ref once woken. *)
 let test_parker_shared () =
   let parked = Queue.create () in
   let p = Engine.parker (fun r -> Queue.push r parked) in
   let a = Engine.create () and b = Engine.create () in
   let got = ref [] in
-  let proc name () =
+  let va = ref 0 and vb = ref 0 in
+  let proc name value () =
     for _ = 1 to 2 do
-      let v : int = Engine.park p in
-      got := (name, v) :: !got
+      Engine.park p;
+      got := (name, !value) :: !got
     done
   in
-  Engine.spawn a (proc "a");
-  Engine.spawn b (proc "b");
+  Engine.spawn a (proc "a" va);
+  Engine.spawn b (proc "b" vb);
   for round = 1 to 2 do
     Engine.run a;
     Engine.run b;
     let ra = Queue.pop parked in
     let rb = Queue.pop parked in
-    Engine.resolve rb (20 * round);
-    Engine.resolve ra (10 * round);
+    vb := 20 * round;
+    Engine.resolve rb;
+    va := 10 * round;
+    Engine.resolve ra;
     Engine.run a;
     Engine.run b
   done;
@@ -409,7 +486,7 @@ let test_parker_shared () =
     [ ("a", 10); ("b", 20); ("a", 20); ("b", 40) ]
     (List.rev !got);
   Alcotest.check_raises "not in process" Engine.Not_in_process (fun () ->
-      ignore (Engine.park p : int))
+      Engine.park p)
 
 exception Poisoned
 
@@ -632,7 +709,7 @@ let prop_queue_matches_reference =
                   | exception Rejected -> k false));
           wake =
             (fun w ok ->
-              if ok then Engine.resolve w () else Engine.reject w Rejected);
+              if ok then Engine.resolve w else Engine.reject w Rejected);
           run = (fun until -> Engine.run ?until eng);
           clock = (fun () -> Engine.now eng);
           processed = (fun () -> Engine.events_processed eng);
@@ -686,6 +763,9 @@ let suite =
     Alcotest.test_case "suspend/resolve" `Quick test_suspend_resolve;
     Alcotest.test_case "suspend/reject" `Quick test_suspend_reject;
     Alcotest.test_case "resolver single-use" `Quick test_resolver_single_use;
+    Alcotest.test_case "stale resolver" `Quick test_stale_resolver;
+    Alcotest.test_case "reject then resolve" `Quick test_reject_then_resolve;
+    Alcotest.test_case "wake" `Quick test_wake;
     Alcotest.test_case "nested spawn" `Quick test_nested_spawn;
     Alcotest.test_case "wait outside process" `Quick test_wait_outside_process;
     Alcotest.test_case "stop" `Quick test_stop;

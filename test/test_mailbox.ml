@@ -69,11 +69,16 @@ let test_try_recv_does_not_steal_from_waiter () =
   let eng = Engine.create () in
   let mb = Mailbox.create () in
   let got = ref None in
+  let seen = ref (-1, Some 0) in
   Engine.spawn eng (fun () -> got := Some (Mailbox.recv mb));
   Engine.spawn eng (fun () ->
       Engine.wait 1.;
-      Mailbox.send mb 42);
+      Mailbox.send mb 42;
+      (* the woken receiver has not run yet, but the message is its *)
+      seen := (Mailbox.length mb, Mailbox.try_recv mb));
   Engine.run eng;
+  Alcotest.(check (pair int (option int)))
+    "a handed message is not queued" (0, None) !seen;
   Alcotest.(check (option int)) "waiter was woken" (Some 42) !got;
   Alcotest.(check (option int)) "nothing left over" None (Mailbox.try_recv mb)
 
@@ -114,6 +119,71 @@ let test_interleaved_send_recv_conserves_messages () =
   Alcotest.(check int) "received all" 30 !received;
   Alcotest.(check int) "queue empty" 0 (Mailbox.length mb)
 
+(* A message and a receive timeout due at the same instant: whichever was
+   queued first fires first. A timeout first leaves the message queued
+   for the next receiver; a message first is delivered and the timer
+   finds the cell served. *)
+let test_message_and_timeout_tie () =
+  let run ~message_first =
+    let eng = Engine.create () in
+    let mb = Mailbox.create () in
+    let got = ref (Some (-1)) in
+    let send () = Mailbox.send mb 7 in
+    if message_first then ignore (Engine.schedule eng ~at:1. send);
+    Engine.spawn eng (fun () ->
+        got := Mailbox.recv_timeout mb eng ~timeout:1.);
+    Engine.run ~until:0.5 eng;
+    if not message_first then ignore (Engine.schedule eng ~at:1. send);
+    Engine.run eng;
+    (!got, Mailbox.length mb, Engine.now eng)
+  in
+  let check name (got, len, time) (got', len') =
+    Alcotest.(check (option int)) (name ^ ": received") got' got;
+    Alcotest.(check int) (name ^ ": queued") len' len;
+    Alcotest.(check (float 0.)) (name ^ ": at the tie") 1. time
+  in
+  check "message first" (run ~message_first:true) (Some 7, 0);
+  check "timeout first" (run ~message_first:false) (None, 1)
+
+(* Plain and timed receivers queue in one FIFO; a timed one that has
+   expired is skipped, and the next message goes to the receiver after
+   it. *)
+let test_mixed_receivers_fifo () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let served = ref [] in
+  let note name v = served := (name, v) :: !served in
+  let receiver name ~at recv =
+    Engine.spawn eng (fun () ->
+        Engine.wait at;
+        note name (recv ()))
+  in
+  let plain () = Some (Mailbox.recv mb) in
+  let timed timeout () = Mailbox.recv_timeout mb eng ~timeout in
+  receiver "plain-a" ~at:0. plain;
+  receiver "timed-b" ~at:1. (timed 100.);
+  receiver "timed-c" ~at:2. (timed 0.5);
+  receiver "plain-d" ~at:3. plain;
+  receiver "timed-e" ~at:4. (timed 100.);
+  Engine.spawn eng (fun () ->
+      Engine.wait 10.;
+      for v = 1 to 5 do
+        Mailbox.send mb v
+      done);
+  Engine.run eng;
+  Alcotest.(check (list (pair string (option int))))
+    "served in arrival order, the expired one skipped"
+    [
+      ("timed-c", None);
+      ("plain-a", Some 1);
+      ("timed-b", Some 2);
+      ("plain-d", Some 3);
+      ("timed-e", Some 4);
+    ]
+    (List.rev !served);
+  Alcotest.(check int) "the last message queued" 1 (Mailbox.length mb);
+  Alcotest.(check (option int)) "and taken" (Some 5) (Mailbox.try_recv mb)
+
 let suite =
   [
     Alcotest.test_case "buffered before any receiver" `Quick
@@ -127,4 +197,8 @@ let suite =
       test_length_counts_only_undelivered;
     Alcotest.test_case "interleaved senders conserve messages" `Quick
       test_interleaved_send_recv_conserves_messages;
+    Alcotest.test_case "message and timeout at the same instant" `Quick
+      test_message_and_timeout_tie;
+    Alcotest.test_case "plain and timed receivers served fifo" `Quick
+      test_mixed_receivers_fifo;
   ]
