@@ -12,10 +12,19 @@
     lock table keeps one footprint per transaction attempt: the entries it
     holds or awaits a lock on (each entry knows its page), and its queued
     requests. Releasing an attempt and listing its exclusive pages touch
-    only its own entries; the block-time deadlock search follows the
-    blockers of waiting attempts on demand, and the waits-for snapshot
-    reads the queued requests through the attempt index (nothing at all
-    when no request waits).
+    only its own entries; the block-time deadlock search ({!Wfg.Search})
+    follows the blockers of waiting attempts on demand, and the waits-for
+    snapshot reads the queued requests through the attempt index (nothing
+    at all when no request waits).
+
+    The search pushes each entered attempt's blockers straight from its
+    queued requests onto the search's reused stack and marks the attempt
+    with the search's stamp on its latest queued request, so it
+    allocates only the cycle it returns. A blocked request parks on the
+    table's one parker, handing the request over through that parker's
+    mutable fields as the CPU does, so a block builds no closure or
+    parker of its own. The parker and the search's state are built on
+    the table's first block, so [create] pays one word for them.
 
     An entry that empties leaves the page table, so the table only holds
     locked pages, and is not recycled: a reused record lives in the major
@@ -46,6 +55,9 @@ type waiting = {
   w_enqueued : float;
   w_entry : lock_entry;  (** the entry it is queued in *)
   w_owner : footprint;  (** its attempt's footprint *)
+  mutable w_seen : int;
+      (** at the head of [w_owner.waits]: the stamp of the last deadlock
+          search that entered its attempt *)
 }
 
 and lock_entry = {
@@ -62,12 +74,29 @@ and footprint = {
   mutable waits : waiting list;  (** its queued requests *)
 }
 
+(* What only a table that has blocked a request needs, built on its
+   first block: the state of the deadlock searches over its attempts,
+   and its one parker with the request [block] parks, which the parker's
+   registration reads inside [Engine.park]. *)
+type contended = {
+  attempts : footprint Txn.Table.t;  (** the table's *)
+  search : Txn.t Wfg.state;
+  parker : Engine.parker;
+  mutable p_txn : Txn.t;
+  mutable p_mode : mode;
+  mutable p_conversion : bool;
+  mutable p_entry : lock_entry;
+  mutable p_owner : footprint;
+  mutable p_on_block : Txn.t list -> unit;
+}
+
 type t = {
   eng : Engine.t;
   blocking : Stats.Tally.t;
   table : lock_entry Page_table.t;
   attempts : footprint Txn.Table.t;
   mutable n_waiting : int;  (** queued requests, all attempts *)
+  mutable contended : contended option;
 }
 
 let create eng ~blocking =
@@ -77,6 +106,7 @@ let create eng ~blocking =
     table = Page_table.create 512;
     attempts = Txn.Table.create 64;
     n_waiting = 0;
+    contended = None;
   }
 
 (* Most requests lock a page nobody holds, so the lookup usually misses:
@@ -215,29 +245,68 @@ let prospective_blockers entry txn mode conversion =
     (queued_blockers txn mode conversion entry.queue)
     entry.holders
 
+(* The parker's registration: queue the parked request with its
+   resolver, then run its [on_block]. *)
+let enqueue t (c : contended) r =
+  let w =
+    {
+      w_txn = c.p_txn;
+      w_mode = c.p_mode;
+      w_conversion = c.p_conversion;
+      w_resolver = r;
+      w_enqueued = Engine.now t.eng;
+      w_entry = c.p_entry;
+      w_owner = c.p_owner;
+      w_seen = 0;
+    }
+  in
+  insert_waiter t w;
+  c.p_on_block (blockers_of w)
+
+let contended t txn mode conversion entry owner on_block =
+  match t.contended with
+  | Some c -> c
+  | None ->
+      let parker =
+        Engine.parker (fun r ->
+            match t.contended with
+            | Some c -> enqueue t c r
+            | None -> assert false (* set below, before any park *))
+      in
+      let c =
+        {
+          attempts = t.attempts;
+          search = Wfg.state ();
+          parker;
+          p_txn = txn;
+          p_mode = mode;
+          p_conversion = conversion;
+          p_entry = entry;
+          p_owner = owner;
+          p_on_block = on_block;
+        }
+      in
+      t.contended <- Some c;
+      c
+
 (* Enqueue [txn]'s request and park its process until it is granted. A
    converting attempt holds S on the page already, so the entry is in its
-   footprint; a fresh request is the attempt's first on the page. *)
+   footprint; a fresh request is the attempt's first on the page. The
+   request reaches the table's one parker through its fields. *)
 let block ?pre_block t txn entry mode ~conversion ~on_block =
   (match pre_block with
   | Some f -> f (prospective_blockers entry txn mode conversion)
   | None -> ());
   let f = footprint_of t txn in
   if not conversion then f.locks <- entry :: f.locks;
-  Engine.suspend (fun (r : Engine.resolver) ->
-      let w =
-        {
-          w_txn = txn;
-          w_mode = mode;
-          w_conversion = conversion;
-          w_resolver = r;
-          w_enqueued = Engine.now t.eng;
-          w_entry = entry;
-          w_owner = f;
-        }
-      in
-      insert_waiter t w;
-      on_block (blockers_of w))
+  let c = contended t txn mode conversion entry f on_block in
+  c.p_txn <- txn;
+  c.p_mode <- mode;
+  c.p_conversion <- conversion;
+  c.p_entry <- entry;
+  c.p_owner <- f;
+  c.p_on_block <- on_block;
+  Engine.park c.parker
 
 (** [request t txn page mode ~on_block] acquires [mode] on [page] for
     [txn], blocking the calling cohort process until granted. When the
@@ -326,20 +395,69 @@ let edges t =
 
 let num_waiting t = t.n_waiting
 
-(* The distinct blockers of [txn]'s queued requests in descending attempt
-   order: the successors [Wfg.of_edges (edges t)] gives [txn]. *)
-let successors t txn =
-  match Txn.Table.find t.attempts txn with
-  | exception Not_found -> []
-  | { waits = []; _ } -> []
-  | f ->
-      List.concat_map blockers_of f.waits
-      |> List.sort_uniq (fun a b -> Txn.compare_attempt b a)
+(* The block-time deadlock search. An attempt's successors are the
+   distinct blockers of its queued requests in descending attempt order,
+   the successors [Wfg.of_edges (edges t)] gives it: the walks below push
+   the blockers [blockers_of] lists for each request into that order. *)
+let descending (a : Txn.t) b = Txn.compare_attempt b a
 
+let rec push_holders st w = function
+  | [] -> ()
+  | h :: rest ->
+      if
+        not
+          (Txn.same_attempt h.h_txn w.w_txn || mode_compatible h.h_mode w.w_mode)
+      then Wfg.push_ordered st ~order:descending h.h_txn;
+      push_holders st w rest
+
+let rec push_ahead st w = function
+  | [] -> ()
+  | q :: rest ->
+      if q != w then begin
+        if
+          not
+            (mode_compatible q.w_mode w.w_mode
+            || Txn.same_attempt q.w_txn w.w_txn)
+        then Wfg.push_ordered st ~order:descending q.w_txn;
+        push_ahead st w rest
+      end
+
+let rec push_blockers st = function
+  | [] -> ()
+  | w :: rest ->
+      push_holders st w w.w_entry.holders;
+      push_ahead st w w.w_entry.queue;
+      push_blockers st rest
+
+module Search = Wfg.Search (struct
+  type g = contended
+  type v = Txn.t
+
+  let txn v = v
+  let same = Txn.same_attempt
+  let alive (v : Txn.t) = not v.Txn.doomed
+  let state c = c.search
+
+  (* Only an attempt that waits has successors, so only it is marked,
+     on its latest queued request: entering an attempt that waits for
+     nothing a second time pushes nothing again, and a mark in the
+     footprint would cost every attempt's first request a word. *)
+  let enter (c : contended) st txn =
+    match Txn.Table.find c.attempts txn with
+    | exception Not_found -> true
+    | { waits = []; _ } -> true
+    | { waits = w :: _ as waits; _ } ->
+        w.w_seen <> Wfg.stamp st
+        && begin
+             w.w_seen <- Wfg.stamp st;
+             push_blockers st waits;
+             true
+           end
+end)
+
+(* A table that never blocked a request has no waits-for edges. *)
 let find_cycle_through t txn =
-  Wfg.find_cycle ~successors:(successors t)
-    ~alive:(fun (x : Txn.t) -> not x.Txn.doomed)
-    txn
+  match t.contended with Some c -> Search.find_cycle c txn | None -> None
 
 (** Current blockers of [txn]'s waiting request on [page] (testing). *)
 let current_blockers t txn page =

@@ -15,7 +15,10 @@
     attempt, listing its exclusive pages and searching for a deadlock
     through it never scan the page table. A granted lock is one mutable
     hold record, which a conversion upgrades in place. The page table
-    holds only locked pages: an entry that empties leaves it. *)
+    holds only locked pages: an entry that empties leaves it. A blocked
+    request parks on the table's one parker, building no closure of its
+    own, and the deadlock search is {!Wfg.Search} over the footprints,
+    which allocates only the cycle it returns. *)
 
 open Ddbm_model
 
@@ -66,9 +69,9 @@ val num_waiting : t -> int
 (** [find_cycle_through t txn] is the waits-for cycle through [txn]
     (members in path order, [txn] first) that
     [Wfg.find_cycle_through (Wfg.of_edges (edges t)) txn] finds, or
-    [None] — computed by walking the blockers of queued requests on
-    demand from [txn], without building the graph. Doomed attempts
-    break edges. *)
+    [None] — computed by the same search walking the blockers of queued
+    requests on demand from [txn], without building the graph. Doomed
+    attempts break edges. Allocates only the cycle. *)
 val find_cycle_through : t -> Txn.t -> Txn.t list option
 
 (** Pages on which [txn] currently holds an exclusive lock — exactly the

@@ -37,7 +37,17 @@
    draws, they measured: Engine.wait 8, Cpu.consume 13 (1 and 8
    processes), Cpu.consume_priority 11, Disk.read 15, Net.send 13, a
    blocked lock request 83, Workload.generate_plan 989 per plan, and, per
-   commit, 8,032 untraced and 11,753 traced. *)
+   commit, 8,032 untraced and 11,753 traced.
+
+   Before the deadlock searches marked vertices with stamps and kept
+   their successors on one reused stack (each search built a visited
+   table and a successor list per vertex), before the Snoop scan went
+   forward instead of restarting after every victim, and before a
+   blocked lock request was parked by its table's one parker (each block
+   built a registration closure and a parker), they measured: a blocked
+   lock request 79.5, a local search through a 3-cycle 152, a Snoop
+   round over 54 edges 9,948, and, per commit, 6,225 untraced and 9,946
+   traced. *)
 
 open Desim
 open Ddbm_model
@@ -241,6 +251,58 @@ let lock_blocked () =
     (Ddbm_cc.Lock_table.num_waiting locks);
   w
 
+(* Three attempts, each holding X on its own page and queued for the
+   next one's: a local deadlock. Per search from one of them, which
+   returns the 3-cycle. *)
+let lock_cycle_search () =
+  let h = Cc_harness.make () in
+  let locks =
+    Ddbm_cc.Lock_table.create h.Cc_harness.eng ~blocking:(Stats.Tally.create ())
+  in
+  let txns = Array.init 3 (fun tid -> Cc_harness.txn h ~tid ~time:0. ()) in
+  let on_block _ = () in
+  let lock i page =
+    Engine.spawn h.Cc_harness.eng (fun () ->
+        Ddbm_cc.Lock_table.request locks txns.(i) (Cc_harness.page page)
+          Ddbm_cc.Lock_table.X ~on_block)
+  in
+  for i = 0 to 2 do
+    lock i i
+  done;
+  Cc_harness.settle h;
+  for i = 0 to 2 do
+    lock i ((i + 1) mod 3)
+  done;
+  Cc_harness.settle h;
+  Alcotest.(check int) "all three queued" 3
+    (Ddbm_cc.Lock_table.num_waiting locks);
+  words_per_op ~ops (fun () ->
+      for _ = 1 to ops do
+        match Ddbm_cc.Lock_table.find_cycle_through locks txns.(0) with
+        | Some [ _; _; _ ] -> ()
+        | Some _ | None -> Alcotest.fail "the 3-cycle is not found"
+      done)
+
+(* A Snoop round: the graph of the 54 waits-for edges over 40 attempts
+   that the benchsuite's [cc.wfg.us_per_break_all] kernel times (the
+   mean round of paper-2pl-8n), with every cycle broken; per round. *)
+let snoop_graph () =
+  let h = Cc_harness.make () in
+  let txns =
+    Array.init 40 (fun tid ->
+        Cc_harness.txn h ~tid ~time:(float_of_int tid) ())
+  in
+  let edges =
+    List.init 54 (fun i ->
+        { Cc_intf.waiter = txns.(i mod 40); holder = txns.(((i * 7) + 3) mod 40) })
+  in
+  let rounds = ops / 10 in
+  words_per_op ~ops:rounds (fun () ->
+      for _ = 1 to rounds do
+        let g = Ddbm_cc.Wfg.of_edges edges in
+        ignore (Sys.opaque_identity (Ddbm_cc.Wfg.break_all_cycles g))
+      done)
+
 (* Plans of the paper's contention regime (8 nodes, 8-way partitioning,
    FileSize 120, 64 terminals), per plan. *)
 let generate_plan () =
@@ -278,8 +340,9 @@ let budget name ~max measure () =
       name w max
 
 (* name, measurement, budget in words per operation (per request, per
-   plan, per commit for the machine runs); measured 7, 8, 8, 6, 8, 14, 9,
-   17.9, 2, 79.5, 860.5, 6,229 and 9,950 *)
+   search, per round, per plan, per commit for the machine runs);
+   measured 7, 8, 8, 6, 8, 14, 9, 17.9, 2, 57.5, 11, 1,099, 860.5,
+   6,056 and 9,778 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 7.7);
@@ -291,10 +354,12 @@ let cases =
     ("Net.send", net_send, 9.9);
     ("Lock_table uncontended request+release", lock_uncontended, 19.5);
     ("Lock_table re-request of a held lock", lock_rerequest, 2.2);
-    ("Lock_table blocked request, queued then granted", lock_blocked, 87.5);
+    ("Lock_table blocked request, queued then granted", lock_blocked, 63.);
+    ("Lock_table.find_cycle_through, a 3-cycle", lock_cycle_search, 12.);
+    ("Wfg.of_edges + break_all_cycles, Snoop's 54 edges", snoop_graph, 1_200.);
     ("Workload.generate_plan", generate_plan, 950.);
-    ("Machine, untraced, per commit", machine_run ~traced:false, 6_850.);
-    ("Machine, traced, per commit", machine_run ~traced:true, 10_950.);
+    ("Machine, untraced, per commit", machine_run ~traced:false, 6_650.);
+    ("Machine, traced, per commit", machine_run ~traced:true, 10_750.);
   ]
 
 let suite =

@@ -115,6 +115,81 @@ let test_message_cost_charged () =
   Alcotest.(check bool) "took simulated time" true
     (Engine.now f.h.Cc_harness.eng >= 0.002)
 
+(* A small contended 2PL run: 4 nodes, 32 terminals with no think time,
+   30-page files, every page read updated (so conversion deadlocks
+   form at one node). Its aborts are local and Snoop (global) deadlock
+   victims; the digests count them, this test pins which they are. *)
+let contended_params =
+  let d = Params.default in
+  {
+    d with
+    Params.database =
+      {
+        d.Params.database with
+        Params.num_proc_nodes = 4;
+        partitioning_degree = 4;
+        file_size = 30;
+      };
+    workload =
+      {
+        d.Params.workload with
+        Params.think_time = 0.;
+        num_terminals = 32;
+        write_prob = 1.0;
+      };
+    cc = { d.Params.cc with Params.algorithm = Params.Twopl };
+    run =
+      {
+        Params.seed = 5;
+        warmup = 0.;
+        measure = 10.;
+        restart_delay_floor = 0.5;
+        fresh_restart_plan = false;
+      };
+  }
+
+(* Every abort of the run, in order, as [tid.attempt reason]. *)
+let run_aborts () =
+  let m = Ddbm.Machine.create contended_params in
+  let aborts = ref [] in
+  Tracer.attach (Ddbm.Machine.enable_events m) (fun ~time:_ ev ->
+      match ev with
+      | Event.Aborted { tid; attempt; reason } ->
+          aborts :=
+            Printf.sprintf "%d.%d %s" tid attempt (Txn.abort_reason_name reason)
+            :: !aborts
+      | _ -> ());
+  ignore (Ddbm.Machine.execute m : Ddbm.Sim_result.t);
+  List.rev !aborts
+
+(* The aborts of [contended_params] as the closure-driven search and the
+   restarting Snoop scan chose them: 41 Snoop and 15 local victims. *)
+let pinned_aborts =
+  [
+    "29.1 global-deadlock"; "23.1 global-deadlock"; "22.1 global-deadlock";
+    "19.1 global-deadlock"; "15.1 global-deadlock"; "7.1 global-deadlock";
+    "2.1 global-deadlock"; "6.1 global-deadlock"; "14.1 global-deadlock";
+    "21.1 global-deadlock"; "1.1 global-deadlock"; "30.1 global-deadlock";
+    "11.1 global-deadlock"; "3.1 local-deadlock"; "26.1 global-deadlock";
+    "27.1 global-deadlock"; "13.1 global-deadlock"; "25.1 global-deadlock";
+    "31.1 global-deadlock"; "5.1 global-deadlock"; "15.2 local-deadlock";
+    "18.1 local-deadlock"; "10.1 global-deadlock"; "9.1 local-deadlock";
+    "22.2 local-deadlock"; "3.2 local-deadlock"; "23.2 local-deadlock";
+    "15.3 local-deadlock"; "32.1 global-deadlock"; "34.1 global-deadlock";
+    "33.1 global-deadlock"; "2.2 global-deadlock"; "31.2 local-deadlock";
+    "30.2 local-deadlock"; "35.1 local-deadlock"; "7.2 local-deadlock";
+    "14.2 global-deadlock"; "11.2 global-deadlock"; "37.1 global-deadlock";
+    "38.1 global-deadlock"; "39.1 global-deadlock"; "27.2 global-deadlock";
+    "36.1 global-deadlock"; "26.2 global-deadlock"; "40.1 global-deadlock";
+    "41.1 global-deadlock"; "10.2 local-deadlock"; "33.2 global-deadlock";
+    "42.1 global-deadlock"; "35.2 local-deadlock"; "31.3 global-deadlock";
+    "43.1 global-deadlock"; "15.4 local-deadlock"; "46.1 global-deadlock";
+    "34.2 global-deadlock"; "45.1 global-deadlock"
+  ]
+
+let test_run_victims_pinned () =
+  Alcotest.(check (list string)) "aborts in order" pinned_aborts (run_aborts ())
+
 let suite =
   [
     Alcotest.test_case "cross-node cycle" `Quick test_cross_node_cycle;
@@ -125,4 +200,6 @@ let suite =
     Alcotest.test_case "doomed not re-victimized" `Quick
       test_doomed_not_revictimized;
     Alcotest.test_case "message cost charged" `Quick test_message_cost_charged;
+    Alcotest.test_case "whole-run deadlock victims pinned" `Quick
+      test_run_victims_pinned;
   ]
