@@ -13,8 +13,9 @@
     attempt's footprint lists the lock entries it holds or awaits (each
     entry carries its page) and its queued requests, so releasing an
     attempt, listing its exclusive pages and searching for a deadlock
-    through it never scan the page table. A granted lock is one mutable
-    hold record, which a conversion upgrades in place. The page table
+    through it never scan the page table. A page's oldest hold is kept
+    inside its entry, so only a shared page's further holders cost a
+    record each; a conversion upgrades a hold in place. The page index
     holds only locked pages: an entry that empties leaves it. A blocked
     request parks on the table's one parker, building no closure of its
     own, and the deadlock search is {!Wfg.Search} over the footprints,

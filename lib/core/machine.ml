@@ -511,7 +511,7 @@ let write_all_at_access = function
    requester. *)
 let acquire_replica_writes t (txn : Txn.t) ~from_node page =
   let copies =
-    Catalog.copy_nodes t.catalog ~file:page.Ids.Page.file
+    Catalog.copy_nodes t.catalog ~file:(Ids.Page.file page)
     |> List.filter (fun site -> site <> from_node)
   in
   if copies <> [] then begin
@@ -683,51 +683,48 @@ let work t c =
   (match log with
   | Some w -> Wal.append w (Wal.Begin { tid; attempt })
   | None -> ());
-  List.iter
-    (fun (op : Plan.page_op) ->
+  let ops = c.cplan.Plan.ops in
+  for i = 0 to Array.length ops - 1 do
+    let page = Plan.page ops.(i) in
+    check_doomed txn;
+    access t c ~work:true Event.Read page;
+    if Plan.update ops.(i) then begin
       check_doomed txn;
-      access t c ~work:true Event.Read op.Plan.page;
-      if op.Plan.update then begin
-        check_doomed txn;
-        access t c ~work:true Event.Write op.Plan.page;
-        (match log with
-        | Some w ->
-            Wal.append w (Wal.Update { tid; attempt; page = op.Plan.page })
-        | None -> ());
-        (* read-one/write-all: lock the remote copies now unless the
-           algorithm defers them to the commit protocol. The round trips
-           land in the decomposition's message/other residual. *)
-        if
-          write_all_at_access t.params.Params.cc.Params.algorithm
-          && t.params.Params.database.Params.replication > 1
-        then begin
-          check_doomed txn;
-          acquire_replica_writes t txn ~from_node:c.node op.Plan.page
-        end
-      end;
-      (* permission fully granted: the auditor observes the version this
-         access sees, atomically with the grant *)
-      (match t.audit with
-      | Some a -> Audit.record_read a txn op.Plan.page
+      access t c ~work:true Event.Write page;
+      (match log with
+      | Some w -> Wal.append w (Wal.Update { tid; attempt; page })
       | None -> ());
-      check_doomed txn;
-      let t0 = t.time.now in
-      Disk.read (Node.random_disk c.exec);
-      let dur = t.time.now -. t0 in
-      c.usage.Messages.u_disk <- c.usage.Messages.u_disk +. dur;
-      if traced t then
-        emit t
-          (Event.Disk_access
-             { tid; attempt; node = c.node; write = false; dur });
-      check_doomed txn;
-      let t0 = t.time.now in
-      Cpu.consume c.exec.Node.cpu
-        ~instructions:(Workload.draw_page_instructions t.workload);
-      let dur = t.time.now -. t0 in
-      c.usage.Messages.u_cpu <- c.usage.Messages.u_cpu +. dur;
-      if traced t then
-        emit t (Event.Cpu_slice { tid; attempt; node = c.node; dur }))
-    c.cplan.Plan.ops;
+      (* read-one/write-all: lock the remote copies now unless the
+         algorithm defers them to the commit protocol. The round trips
+         land in the decomposition's message/other residual. *)
+      if
+        write_all_at_access t.params.Params.cc.Params.algorithm
+        && t.params.Params.database.Params.replication > 1
+      then begin
+        check_doomed txn;
+        acquire_replica_writes t txn ~from_node:c.node page
+      end
+    end;
+    (* permission fully granted: the auditor observes the version this
+       access sees, atomically with the grant *)
+    (match t.audit with Some a -> Audit.record_read a txn page | None -> ());
+    check_doomed txn;
+    let t0 = t.time.now in
+    Disk.read (Node.random_disk c.exec);
+    let dur = t.time.now -. t0 in
+    c.usage.Messages.u_disk <- c.usage.Messages.u_disk +. dur;
+    if traced t then
+      emit t
+        (Event.Disk_access { tid; attempt; node = c.node; write = false; dur });
+    check_doomed txn;
+    let t0 = t.time.now in
+    Cpu.consume c.exec.Node.cpu
+      ~instructions:(Workload.draw_page_instructions t.workload);
+    let dur = t.time.now -. t0 in
+    c.usage.Messages.u_cpu <- c.usage.Messages.u_cpu +. dur;
+    if traced t then
+      emit t (Event.Cpu_slice { tid; attempt; node = c.node; dur })
+  done;
   (* Primary/backup replication: ship the write-set to the backup before
      reporting the work done, so a crash of this node can be survived by
      failing the cohort over instead of dooming the attempt. One
@@ -782,10 +779,10 @@ let prepare t c =
      replica installs are logged where they will be applied *)
   if c.proxy then begin
     append_log c (Wal.Begin { tid; attempt });
-    List.iter
-      (fun (op : Plan.page_op) ->
-        if op.Plan.update then
-          append_log c (Wal.Update { tid; attempt; page = op.Plan.page }))
+    Array.iter
+      (fun op ->
+        if Plan.update op then
+          append_log c (Wal.Update { tid; attempt; page = Plan.page op }))
       cplan.Plan.ops
   end;
   List.iter
@@ -826,9 +823,9 @@ let commit t c =
         ~instructions:t.params.Params.resources.Params.inst_per_update;
       Disk.submit_write (Node.random_disk c.exec) ignore
     in
-    List.iter
-      (fun (op : Plan.page_op) -> if op.Plan.update then write_one ())
-      c.cplan.Plan.ops;
+    for _ = 1 to Plan.num_updates c.cplan do
+      write_one ()
+    done;
     (* replica copies installed at this node *)
     List.iter (fun (_ : Ids.Page.t) -> write_one ()) c.cplan.Plan.apply_ops
   end;
@@ -841,8 +838,8 @@ let commit t c =
       (* replica installs are physical copies of the same logical page;
          the auditor counts only primary installs *)
       let primary page =
-        List.exists
-          (fun (op : Plan.page_op) -> Ids.Page.equal op.Plan.page page)
+        Array.exists
+          (fun op -> Ids.Page.equal (Plan.page op) page)
           c.cplan.Plan.ops
       in
       List.iter
@@ -1625,7 +1622,7 @@ let rec await_host_up t =
 
 let plan_pages (plan : Plan.t) =
   List.fold_left
-    (fun acc (c : Plan.cohort_plan) -> acc + List.length c.Plan.ops)
+    (fun acc (c : Plan.cohort_plan) -> acc + Array.length c.Plan.ops)
     0 plan.Plan.cohorts
 
 (* One transaction from submission to commit: the attempt loop shared

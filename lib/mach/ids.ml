@@ -16,16 +16,34 @@ let pp_node_ref fmt = function
 
 (** A page of a file; files model relation partitions. *)
 module Page = struct
-  type t = { file : int; index : int }
+  type t = int
 
-  let make ~file ~index = { file; index }
-  let compare a b =
-    let c = Int.compare a.file b.file in
-    if c <> 0 then c else Int.compare a.index b.index
+  (* The file above the index: the integer order is the (file, index)
+     order. Both fields get the same width, which leaves the top bits of
+     the native int clear (a plan packs a page with a flag below it). *)
+  let index_bits = (Sys.int_size - 3) / 2
+  let file_limit = 1 lsl index_bits
+  let index_limit = 1 lsl index_bits
 
-  let equal a b = compare a b = 0
-  let hash t = (t.file * 1_000_003) + t.index
-  let pp fmt t = Format.fprintf fmt "f%d/p%d" t.file t.index
+  let make ~file ~index =
+    if file < 0 || file >= file_limit || index < 0 || index >= index_limit
+    then
+      invalid_arg
+        (Printf.sprintf "Ids.Page.make: file %d, index %d out of range" file
+           index);
+    (file lsl index_bits) lor index
+
+  let of_int i =
+    if i < 0 || i lsr index_bits >= file_limit then
+      invalid_arg (Printf.sprintf "Ids.Page.of_int: %d is no page" i);
+    i
+
+  let file t = t lsr index_bits
+  let index t = t land (index_limit - 1)
+  let compare = Int.compare
+  let equal = Int.equal
+  let hash t = (file t * 1_000_003) + index t
+  let pp fmt t = Format.fprintf fmt "f%d/p%d" (file t) (index t)
 end
 
 (** Hashtable keyed by pages. *)

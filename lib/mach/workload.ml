@@ -27,7 +27,12 @@ type t = {
   mutable fingerprint_log : int list array option;
       (** when enabled, per-terminal log of plan fingerprints, newest
           first *)
+  mutable ops : Plan.op array;
+      (** the cohort being drawn: its ops, written in place, partition
+          after partition; grown when a cohort needs more room *)
 }
+
+let no_op = Plan.op (Page.make ~file:0 ~index:0) ~update:false
 
 let create params catalog rng =
   let num_terminals = params.Params.workload.Params.num_terminals in
@@ -38,6 +43,7 @@ let create params catalog rng =
     instr_rng = Desim.Rng.split rng;
     layouts = Array.make params.Params.database.Params.num_relations None;
     fingerprint_log = None;
+    ops = Array.make 64 no_op;
   }
 
 (** Relation accessed by transactions from [terminal]. *)
@@ -77,21 +83,29 @@ let draw_partition_pages t rng =
   done;
   pages
 
-(* The ops of the partitions in [files], file by file: each partition's
-   pages are drawn, then their update flags in page order, and the list is
-   built in that same pass. *)
-let rec draw_partitions t rng = function
-  | [] -> []
-  | file :: files ->
-      draw_partition_ops t rng ~file (draw_partition_pages t rng) 0 files
+(* Partition [file]'s ops, written into [t.ops] from [at]: its pages are
+   drawn, then their update flags in page order. Returns where the next
+   partition's ops start. *)
+let draw_partition_ops t rng ~file at =
+  let pages = draw_partition_pages t rng in
+  let n = Array.length pages in
+  if at + n > Array.length t.ops then begin
+    let ops = Array.make (2 * (at + n)) no_op in
+    Array.blit t.ops 0 ops 0 at;
+    t.ops <- ops
+  end;
+  let p = t.params.Params.workload.Params.write_prob in
+  for i = 0 to n - 1 do
+    let page = Page.make ~file ~index:pages.(i) in
+    t.ops.(at + i) <- Plan.op page ~update:(Desim.Rng.bool rng ~p)
+  done;
+  at + n
 
-and draw_partition_ops t rng ~file pages i files =
-  if i = Array.length pages then draw_partitions t rng files
-  else
-    let p = t.params.Params.workload.Params.write_prob in
-    let update = Desim.Rng.bool rng ~p in
-    let op = { Plan.page = Page.make ~file ~index:pages.(i); update } in
-    op :: draw_partition_ops t rng ~file pages (i + 1) files
+(* The ops of the partitions in [files], file by file, as one array. *)
+let rec draw_partitions t rng at = function
+  | [] -> Array.sub t.ops 0 at
+  | file :: files ->
+      draw_partitions t rng (draw_partition_ops t rng ~file at) files
 
 (* --- plan fingerprints (conformance harness support) --------------- *)
 
@@ -105,15 +119,16 @@ let plan_fingerprint (plan : Plan.t) =
     (fun h (c : Plan.cohort_plan) ->
       let h = mix h c.Plan.node in
       let h =
-        List.fold_left
-          (fun h (op : Plan.page_op) ->
-            let h = mix h op.Plan.page.Page.file in
-            let h = mix h op.Plan.page.Page.index in
-            mix h (if op.Plan.update then 1 else 0))
+        Array.fold_left
+          (fun h op ->
+            let page = Plan.page op in
+            let h = mix h (Page.file page) in
+            let h = mix h (Page.index page) in
+            mix h (if Plan.update op then 1 else 0))
           h c.Plan.ops
       in
       List.fold_left
-        (fun h (p : Page.t) -> mix (mix h p.Page.file) p.Page.index)
+        (fun h p -> mix (mix h (Page.file p)) (Page.index p))
         h c.Plan.apply_ops)
     h plan.Plan.cohorts
 
@@ -150,30 +165,30 @@ let layout t ~relation =
    its copy nodes other than the primary cohort's. [applies.(n)] lists
    node [n]'s pages, the last found first; the array is built only when a
    replica copy turns up, so without replication it stays empty. *)
-let rec add_replica_pages t applies primary_node = function
-  | [] -> ()
-  | (op : Plan.page_op) :: ops ->
-      let db = t.params.Params.database in
-      if op.Plan.update then
-        for k = 1 to db.Params.replication - 1 do
-          let copy_node =
-            Catalog.copy_node t.catalog ~file:op.Plan.page.Page.file k
-          in
-          if copy_node <> primary_node then begin
-            if Array.length !applies = 0 then
-              applies := Array.make db.Params.num_proc_nodes [];
-            let a = !applies in
-            a.(copy_node) <- op.Plan.page :: a.(copy_node)
-          end
-        done;
-      add_replica_pages t applies primary_node ops
+let add_replica_pages t applies primary_node ops =
+  let db = t.params.Params.database in
+  for i = 0 to Array.length ops - 1 do
+    let op = ops.(i) in
+    if Plan.update op then
+      for k = 1 to db.Params.replication - 1 do
+        let page = Plan.page op in
+        let copy_node = Catalog.copy_node t.catalog ~file:(Page.file page) k in
+        if copy_node <> primary_node then begin
+          if Array.length !applies = 0 then
+            applies := Array.make db.Params.num_proc_nodes [];
+          let a = !applies in
+          a.(copy_node) <- page :: a.(copy_node)
+        end
+      done
+  done
 
 let replica_applies t primaries =
   let applies = ref [||] in
-  List.iter
-    (fun (c : Plan.cohort_plan) ->
-      add_replica_pages t applies c.Plan.node c.Plan.ops)
-    primaries;
+  if t.params.Params.database.Params.replication > 1 then
+    List.iter
+      (fun (c : Plan.cohort_plan) ->
+        add_replica_pages t applies c.Plan.node c.Plan.ops)
+      primaries;
   !applies
 
 (* Node [node]'s replica pages, which then leave [applies]. *)
@@ -187,7 +202,7 @@ let take_applies applies node =
 let rec draw_cohorts t rng = function
   | [] -> []
   | (node, files) :: layout ->
-      let ops = draw_partitions t rng files in
+      let ops = draw_partitions t rng 0 files in
       { Plan.node; ops; apply_ops = [] } :: draw_cohorts t rng layout
 
 (* The primary cohorts with their replica duties, and an update-only
@@ -204,7 +219,7 @@ let with_applies applies primaries =
   for node = Array.length applies - 1 downto 0 do
     if applies.(node) <> [] then
       update_only :=
-        { Plan.node; ops = []; apply_ops = applies.(node) } :: !update_only
+        { Plan.node; ops = [||]; apply_ops = applies.(node) } :: !update_only
   done;
   match !update_only with [] -> cohorts | extra -> cohorts @ extra
 

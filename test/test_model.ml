@@ -197,7 +197,7 @@ let test_plan_page_counts () =
     let plan = Workload.generate_plan w ~terminal in
     List.iter
       (fun (c : Plan.cohort_plan) ->
-        let n = List.length c.Plan.ops in
+        let n = Array.length c.Plan.ops in
         (* one partition per cohort at degree 8: 4..12 pages *)
         if n < 4 || n > 12 then
           Alcotest.fail (Printf.sprintf "cohort has %d pages" n))
@@ -209,7 +209,7 @@ let test_plan_pages_distinct () =
   let plan = Workload.generate_plan w ~terminal:3 in
   List.iter
     (fun (c : Plan.cohort_plan) ->
-      let pages = List.map (fun op -> op.Plan.page) c.Plan.ops in
+      let pages = List.map Plan.page (Array.to_list c.Plan.ops) in
       let sorted = List.sort_uniq Ids.Page.compare pages in
       Alcotest.(check int) "no duplicate pages" (List.length pages)
         (List.length sorted))
@@ -316,6 +316,74 @@ let prop_catalog_node_in_range =
         !ok
       end)
 
+(* --- page identity ------------------------------------------------- *)
+
+(* Pages are packed integers. On random in-range (file, index) pairs,
+   small and up to the limits: the accessors invert [make], [compare] is
+   the lexicographic order of the pairs, [hash] keeps the formula the
+   page tables' bucket order depends on, and a plan op carries its page
+   and update flag. *)
+let gen_coord limit =
+  QCheck.Gen.(oneof [ int_bound 200; int_range (limit - 200) (limit - 1) ])
+
+let gen_page =
+  QCheck.Gen.pair
+    (gen_coord Ids.Page.file_limit)
+    (gen_coord Ids.Page.index_limit)
+
+let sign n = Int.compare n 0
+
+let lexicographic (f, i) (g, j) =
+  match Int.compare f g with 0 -> Int.compare i j | c -> c
+
+let prop_page_identity =
+  QCheck.Test.make ~name:"page make/accessors/compare/hash" ~count:2000
+    QCheck.(
+      make
+        ~print:(fun ((f, i), (g, j), u) ->
+          Printf.sprintf "(%d, %d) (%d, %d) %b" f i g j u)
+        Gen.(triple gen_page gen_page bool))
+    (fun (((f, i) as a), ((g, j) as b), update) ->
+      let p = Ids.Page.make ~file:f ~index:i
+      and q = Ids.Page.make ~file:g ~index:j in
+      let op = Plan.op p ~update in
+      Ids.Page.file p = f
+      && Ids.Page.index p = i
+      && Ids.Page.equal (Ids.Page.of_int (p :> int)) p
+      && sign (Ids.Page.compare p q) = sign (lexicographic a b)
+      && Ids.Page.equal p q = (lexicographic a b = 0)
+      && Ids.Page.hash p = (f * 1_000_003) + i
+      && Ids.Page.equal (Plan.page op) p
+      && Plan.update op = update)
+
+(* An argument out of range: negative, or at the limit or above. *)
+let gen_out_of_range limit =
+  QCheck.Gen.(oneof [ int_range (-1_000) (-1); int_range limit (limit + 1_000) ])
+
+let raises_invalid f =
+  match f () with
+  | (_ : Ids.Page.t) -> false
+  | exception Invalid_argument _ -> true
+
+let prop_page_range_checked =
+  QCheck.Test.make ~name:"page make rejects out-of-range arguments"
+    ~count:1000
+    QCheck.(
+      make
+        ~print:(fun ((f, i), (g, j)) ->
+          Printf.sprintf "(%d, %d) (%d, %d)" f i g j)
+        Gen.(
+          pair
+            (pair (gen_out_of_range Ids.Page.file_limit)
+               (gen_coord Ids.Page.index_limit))
+            (pair (gen_coord Ids.Page.file_limit)
+               (gen_out_of_range Ids.Page.index_limit))))
+    (fun ((f, i), (g, j)) ->
+      raises_invalid (fun () -> Ids.Page.make ~file:f ~index:i)
+      && raises_invalid (fun () -> Ids.Page.make ~file:g ~index:j)
+      && raises_invalid (fun () -> Ids.Page.make ~file:f ~index:j)
+      && raises_invalid (fun () -> Ids.Page.of_int (-1 - abs i)))
+
 let suite =
   [
     Alcotest.test_case "timestamp order" `Quick test_timestamp_order;
@@ -338,4 +406,6 @@ let suite =
     Alcotest.test_case "txn seniority" `Quick test_txn_seniority;
     Alcotest.test_case "txn phase" `Quick test_txn_phase;
     QCheck_alcotest.to_alcotest prop_catalog_node_in_range;
+    QCheck_alcotest.to_alcotest prop_page_identity;
+    QCheck_alcotest.to_alcotest prop_page_range_checked;
   ]

@@ -58,9 +58,9 @@ let test_plan_apply_ops_cover_copies () =
     in
     List.iter
       (fun (c : Plan.cohort_plan) ->
-        List.iter
-          (fun (op : Plan.page_op) ->
-            if op.Plan.update then
+        Array.iter
+          (fun op ->
+            if Plan.update op then
               List.iter
                 (fun copy_node ->
                   if copy_node <> c.Plan.node then
@@ -68,9 +68,9 @@ let test_plan_apply_ops_cover_copies () =
                       "copy site has the apply op" true
                       (List.exists
                          (fun (n, p) ->
-                           n = copy_node && Ids.Page.equal p op.Plan.page)
+                           n = copy_node && Ids.Page.equal p (Plan.page op))
                          applies))
-                (Catalog.copy_nodes catalog ~file:op.Plan.page.Ids.Page.file))
+                (Catalog.copy_nodes catalog ~file:(Ids.Page.file (Plan.page op))))
           c.Plan.ops)
       plan.Plan.cohorts;
     (* and apply counts match: each update has (replication - 1) applies *)

@@ -60,7 +60,7 @@ let test_prepare_acquires_and_installs () =
     "only the written page is exclusive"
     [ (0, 1) ]
     (List.map
-       (fun pg -> (pg.Ids.Page.file, pg.Ids.Page.index))
+       (fun pg -> (Ids.Page.file pg, Ids.Page.index pg))
        (cc.Cc_intf.cc_installed t0))
 
 let test_prepare_blocks_on_reader () =
@@ -125,7 +125,7 @@ let test_doomed_votes_no_without_locking () =
   Alcotest.(check (option bool)) "doomed votes no" (Some false) !vote;
   Alcotest.(check (list (pair int int))) "nothing installed" []
     (List.map
-       (fun pg -> (pg.Ids.Page.file, pg.Ids.Page.index))
+       (fun pg -> (Ids.Page.file pg, Ids.Page.index pg))
        (cc.Cc_intf.cc_installed t0))
 
 let test_abort_clears_write_set () =

@@ -32,7 +32,7 @@ let plan_errors params catalog ~terminal ~relation (plan : Plan.t) =
   let cohort_nodes =
     List.filter_map
       (fun (c : Plan.cohort_plan) ->
-        if c.Plan.ops <> [] then Some c.Plan.node else None)
+        if Array.length c.Plan.ops > 0 then Some c.Plan.node else None)
       plan.Plan.cohorts
   in
   if List.sort Int.compare cohort_nodes <> List.sort Int.compare primary_nodes then
@@ -50,13 +50,13 @@ let plan_errors params catalog ~terminal ~relation (plan : Plan.t) =
       in
       (* group the cohort's ops by file, preserving op order *)
       let by_file = Hashtbl.create 4 in
-      List.iter
-        (fun (op : Plan.page_op) ->
-          let f = op.Plan.page.Ids.Page.file in
+      Array.iter
+        (fun op ->
+          let f = Ids.Page.file (Plan.page op) in
           if not (List.mem f files_here) then
             add "terminal %d node %d: access to file %d not stored there"
               terminal c.Plan.node f;
-          let idx = op.Plan.page.Ids.Page.index in
+          let idx = Ids.Page.index (Plan.page op) in
           if idx < 0 || idx >= d.Params.file_size then
             add "terminal %d: page index %d outside [0,%d)" terminal idx
               d.Params.file_size;
@@ -90,10 +90,10 @@ let plan_errors params catalog ~terminal ~relation (plan : Plan.t) =
          page's own primary cohort *)
       List.iter
         (fun (p : Ids.Page.t) ->
-          let copies = Catalog.copy_nodes catalog ~file:p.Ids.Page.file in
+          let copies = Catalog.copy_nodes catalog ~file:(Ids.Page.file p) in
           if not (List.mem c.Plan.node copies) then
             add "terminal %d node %d: applies page of file %d without a copy"
-              terminal c.Plan.node p.Ids.Page.file)
+              terminal c.Plan.node (Ids.Page.file p))
         c.Plan.apply_ops)
     plan.Plan.cohorts;
   (* under replication, every updated page must be applied at every other
@@ -101,11 +101,12 @@ let plan_errors params catalog ~terminal ~relation (plan : Plan.t) =
   if d.Params.replication > 1 then
     List.iter
       (fun (c : Plan.cohort_plan) ->
-        List.iter
-          (fun (op : Plan.page_op) ->
-            if op.Plan.update then
+        Array.iter
+          (fun op ->
+            if Plan.update op then
+              let page = Plan.page op in
               let copies =
-                Catalog.copy_nodes catalog ~file:op.Plan.page.Ids.Page.file
+                Catalog.copy_nodes catalog ~file:(Ids.Page.file page)
               in
               List.iter
                 (fun copy ->
@@ -114,15 +115,15 @@ let plan_errors params catalog ~terminal ~relation (plan : Plan.t) =
                       List.exists
                         (fun (c' : Plan.cohort_plan) ->
                           c'.Plan.node = copy
-                          && List.mem op.Plan.page c'.Plan.apply_ops)
+                          && List.mem page c'.Plan.apply_ops)
                         plan.Plan.cohorts
                     in
                     if not applied then
                       add
                         "terminal %d: update of file %d page %d not applied \
                          at copy node %d"
-                        terminal op.Plan.page.Ids.Page.file
-                        op.Plan.page.Ids.Page.index copy)
+                        terminal (Ids.Page.file page) (Ids.Page.index page)
+                        copy)
                 copies)
           c.Plan.ops)
       plan.Plan.cohorts;
@@ -188,14 +189,14 @@ let test_fingerprint_sensitive_to_structure () =
     {
       Plan.relation = 0;
       cohorts =
-        [ { Plan.node = 0; ops = [ { Plan.page = p1; update = false } ]; apply_ops = [] } ];
+        [ { Plan.node = 0; ops = [| Plan.op p1 ~update:false |]; apply_ops = [] } ];
     }
   in
   let updated =
     {
       Plan.relation = 0;
       cohorts =
-        [ { Plan.node = 0; ops = [ { Plan.page = p1; update = true } ]; apply_ops = [] } ];
+        [ { Plan.node = 0; ops = [| Plan.op p1 ~update:true |]; apply_ops = [] } ];
     }
   in
   Alcotest.(check bool) "update flag changes the fingerprint" false
@@ -203,6 +204,47 @@ let test_fingerprint_sensitive_to_structure () =
   Alcotest.(check int) "fingerprint is stable"
     (Workload.plan_fingerprint base)
     (Workload.plan_fingerprint base)
+
+(* The plan streams of two fixed machines, pinned: the paper's contention
+   regime (8 nodes, 8-way partitioning, FileSize 120, 64 terminals, seed
+   1) and the same machine with three copies of every file. A plan
+   stream is the pages each partition samples and then, in page order,
+   their update flags; any change to the draws or their order moves
+   these fingerprints, and with them every simulated outcome. *)
+let pin_params ~replication =
+  let d = Params.default in
+  {
+    d with
+    Params.database =
+      {
+        d.Params.database with
+        Params.num_proc_nodes = 8;
+        partitioning_degree = 8;
+        file_size = 120;
+        replication;
+      };
+    workload = { d.Params.workload with Params.num_terminals = 64 };
+    run = { d.Params.run with Params.seed = 1 };
+  }
+
+let pinned_terminals = [ 0; 9; 37; 63 ]
+
+let stream_of params =
+  let _, w = make_workload params in
+  Workload.enable_fingerprints w;
+  List.iter
+    (fun terminal ->
+      for _ = 1 to 3 do
+        ignore (Workload.generate_plan w ~terminal : Plan.t)
+      done)
+    pinned_terminals;
+  let fps = Workload.fingerprints w in
+  List.map (fun terminal -> fps.(terminal)) pinned_terminals
+
+let test_plan_stream_pinned ~replication expected () =
+  Alcotest.(check (list (list int)))
+    "fingerprints of terminals 0, 9, 37 and 63, three plans each" expected
+    (stream_of (pin_params ~replication))
 
 let suite =
   [
@@ -212,4 +254,20 @@ let suite =
       test_page_count_window;
     Alcotest.test_case "fingerprint reflects plan structure" `Quick
       test_fingerprint_sensitive_to_structure;
+    Alcotest.test_case "plan stream pinned, paper's 8 nodes" `Quick
+      (test_plan_stream_pinned ~replication:1
+         [
+           [ 3559184752815385870; 3664353829435668091; 2866853018653997142 ];
+           [ 1875421884744715858; 772334663545537875; 2842866797603667840 ];
+           [ 1603564840141142975; 2641130899634603497; 2672873589333193951 ];
+           [ 3721446680633696463; 3375349112283494647; 1887935547169002776 ];
+         ]);
+    Alcotest.test_case "plan stream pinned, three copies" `Quick
+      (test_plan_stream_pinned ~replication:3
+         [
+           [ 1392122163843419942; 987212469081315117; 4593097679501650012 ];
+           [ 994903702256325136; 3343845160610352067; 2296339476506025378 ];
+           [ 3522947222423141873; 1701437397975110449; 279850366726201801 ];
+           [ 2537870329010581181; 2169515186277135687; 914538336894489532 ];
+         ]);
   ]
