@@ -16,14 +16,15 @@
     collects one acknowledgement per loaded cohort, waits one mean
     response time, and reruns the same access plan.
 
-    The protocol is written as explicit states. The coordinator waits in
-    one [collect] per phase: [Work] (a Work_done per cohort), [Votes]
-    (a vote per cohort), then [Acks] of the logged decision. A cohort is
-    one [cohort] record and one [serve] loop over three states:
-    [Working] until its first prepare, [Voted v] once it has voted, and
-    [Aborting] once it aborted on its own or at a peer's demand. A
-    decision ends the cohort. The host and the processing nodes crash
-    and recover through one ledger indexed by [slot]. *)
+    The protocol's rules are {!Twopc}'s two transition tables; this
+    module interprets them. The coordinator waits in one [collect] per
+    phase ([Work], [Votes], then [Acks] of the logged decision) and
+    performs what [Twopc.coord_step] answers to each message and
+    timeout. A cohort is one [cohort] record and one [serve] loop that
+    performs what [Twopc.cohort_step] answers; its state lives in the
+    attempt's [Messages.cohort] array, where the coordinator and the
+    crash ledger read it. The host and the processing nodes crash and
+    recover through one ledger indexed by [slot]. *)
 
 open Desim
 open Ddbm_model
@@ -747,7 +748,6 @@ let prepare t c =
   let txn = c.txn in
   let tid = txn.Txn.tid and attempt = txn.Txn.attempt in
   let cplan = c.cplan in
-  c.rt.Messages.preparing.(c.pos) <- true;
   (* algorithms that defer replica write permission to the commit
      protocol obtain it now; the write intent arrived with the prepare
      message, so no extra messages are charged. O2PL and 2PL-D may block
@@ -800,11 +800,6 @@ let prepare t c =
       end
       else Wal.append w (Wal.Abort { tid; attempt })
   | Some _ | None -> ());
-  if vote then begin
-    c.rt.Messages.voted.(c.pos) <- true;
-    Metrics.record_prepared t.metrics ~tid ~attempt ~node:c.node
-  end;
-  send_coord t c (Messages.Vote (c.node, vote));
   vote
 
 let commit t c =
@@ -865,43 +860,74 @@ let abort t c =
   append_log c (Wal.Abort { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
   send_coord t c (Messages.Done_ack c.node)
 
-(* A cohort after its work phase: [Working] until the first prepare,
-   [Voted v] once it has voted, [Aborting] once it aborted on its own
-   or at a peer's demand. A decision ends the cohort: it acts on it and
-   acknowledges. On a receive timeout it re-sends what the coordinator
-   may have missed: its Work_done, its no vote, or — in doubt, or
-   aborting — a termination-protocol inquiry (a finished attempt is
-   answered from the decision log: presumed abort). *)
-type cohort_state = Working | Voted of bool | Aborting
+(* Feed [input] to the cohort's row of {!Twopc}: record the state it
+   leads to and return the action. *)
+let step c input =
+  let state = c.rt.Messages.cohort.(c.pos) in
+  let action = Twopc.cohort_step state input in
+  c.rt.Messages.cohort.(c.pos) <- Twopc.after state action;
+  action
 
-let rec serve t c state ~round =
-  match (recv t c.mb ~round, state) with
-  | Some Messages.Do_prepare, Working ->
-      let vote = prepare t c in
-      serve t c (Voted vote) ~round:1
-  | Some Messages.Do_prepare, Voted vote ->
-      (* retransmitted prepare: re-vote from memory; the CC prepare step
-         must not run twice *)
-      send_coord t c (Messages.Vote (c.node, vote));
-      serve t c state ~round:1
-  | Some Messages.Do_commit, (Working | Voted _) -> commit t c
-  | Some Messages.Do_abort, (Working | Voted _) -> abort t c
-  | Some Messages.Do_abort, Aborting ->
-      send_coord t c (Messages.Done_ack c.node)
-  | Some (Messages.Do_prepare | Messages.Do_commit), Aborting ->
-      serve t c state ~round
-  | None, (Working | Voted _) when relocated_away c -> ()
-  | None, (Working | Voted _ | Aborting) -> (
-      match t.faults with
-      | None -> assert false
-      | Some f ->
-          note_timeout t f c.txn ~at_node:c.self ~round;
-          f.retries <- f.retries + 1;
-          (match state with
-          | Working -> send_coord t c (Messages.Work_done c.node)
-          | Voted false -> send_coord t c (Messages.Vote (c.node, false))
-          | Voted true | Aborting -> send_inquiry t c);
-          serve t c state ~round:(round + 1))
+(* Perform a cohort action; false once the process ends. *)
+let rec perform t c (action : Twopc.cohort_action) =
+  match action with
+  | Twopc.Nothing | Twopc.Start -> true
+  | Twopc.Prepare ->
+      perform t c (step c (if prepare t c then Twopc.Yes else Twopc.No))
+  | Twopc.Send_yes | Twopc.Resend_yes | Twopc.Send_no | Twopc.Resend_no ->
+      let yes = action == Twopc.Send_yes || action == Twopc.Resend_yes in
+      if action == Twopc.Send_yes then
+        Metrics.record_prepared t.metrics ~tid:c.txn.Txn.tid
+          ~attempt:c.txn.Txn.attempt ~node:c.node;
+      send_coord t c (Messages.Vote (c.node, yes));
+      true
+  | Twopc.Resend_work_done ->
+      send_coord t c (Messages.Work_done c.node);
+      true
+  | Twopc.Inquire ->
+      send_inquiry t c;
+      true
+  | Twopc.Release ->
+      c.cc.Cc_intf.cc_abort c.txn;
+      note_release t c;
+      true
+  | Twopc.Install ->
+      commit t c;
+      false
+  | Twopc.Discard ->
+      abort t c;
+      false
+  | Twopc.Ack ->
+      send_coord t c (Messages.Done_ack c.node);
+      false
+  | Twopc.Stop -> false
+
+(* A cohort after its work phase. A message that changes nothing keeps
+   the receive's round; a timeout lengthens it. *)
+let rec serve t c ~round =
+  match recv t c.mb ~round with
+  | Some msg ->
+      let action =
+        step c
+          (match msg with
+          | Messages.Do_prepare -> Twopc.Do_prepare
+          | Messages.Do_commit -> Twopc.Do_commit
+          | Messages.Do_abort -> Twopc.Do_abort)
+      in
+      if perform t c action then
+        serve t c ~round:(if action == Twopc.Nothing then round else 1)
+  | None ->
+      let input =
+        if relocated_away c then Twopc.Relocated
+        else
+          match t.faults with
+          | None -> assert false
+          | Some f ->
+              note_timeout t f c.txn ~at_node:c.self ~round;
+              f.retries <- f.retries + 1;
+              Twopc.Timeout
+      in
+      if perform t c (step c input) then serve t c ~round:(round + 1)
 
 let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
     (cplan : Plan.cohort_plan) mb =
@@ -931,12 +957,11 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
          duplicate is ignored *)
       send_coord t c (Messages.Work_done node)
     else work t c;
-    serve t c Working ~round:1
+    serve t c ~round:1
   with
   | () -> ()
   | exception Txn.Aborted reason ->
-      c.cc.Cc_intf.cc_abort c.txn;
-      note_release t c;
+      ignore (perform t c (step c Twopc.Failed) : bool);
       (match reason with
       | Txn.Bto_conflict | Txn.Cert_failed | Txn.Died ->
           (* self-inflicted: the coordinator does not know yet *)
@@ -944,7 +969,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
       | Txn.Local_deadlock | Txn.Global_deadlock | Txn.Wounded
       | Txn.Peer_abort | Txn.Crashed | Txn.Timed_out ->
           ());
-      serve t c Aborting ~round:1
+      serve t c ~round:1
 
 (* Crash recovery at a processing node (WAL model on), in three stages:
 
@@ -1183,16 +1208,15 @@ and crash_node t f i ~duration =
           List.iter
             (fun orig ->
               let p = Messages.position rt orig in
-              if
-                Int.equal (resident_node rt orig) i
-                && not rt.Messages.voted.(p)
+              let state = rt.Messages.cohort.(p) in
+              if Int.equal (resident_node rt orig) i && Twopc.casualty state
               then begin
                 let b = backup_of t orig in
                 let cplan =
                   if
                     replicas > 0 && b <> orig
                     && rt.Messages.shipped.(p)
-                    && (not rt.Messages.preparing.(p))
+                    && state = Twopc.Working
                     && rt.Messages.relocated.(p) < 0
                     && node_up f (Proc b)
                   then cohort_plan_of txn orig
@@ -1290,8 +1314,10 @@ let load_cohort t (rt : Messages.attempt_runtime) (cplan : Plan.cohort_plan) =
   let startup = t.params.Params.resources.Params.inst_per_startup in
   Net.send ~faulty:true t.net ~src:Host ~dst:(Proc node_idx) (fun () ->
       (* a duplicated load must not spawn a twin cohort *)
-      if not rt.Messages.arrived.(p) then begin
-        rt.Messages.arrived.(p) <- true;
+      let state = rt.Messages.cohort.(p) in
+      let action = Twopc.cohort_step state Twopc.Load in
+      if action == Twopc.Start then begin
+        rt.Messages.cohort.(p) <- Twopc.after state action;
         Cpu.submit node.Node.cpu ~instructions:startup (fun () ->
             Engine.spawn t.eng (fun () -> run_cohort t rt cplan mb))
       end)
@@ -1323,132 +1349,100 @@ let owed_by (rt : Messages.attempt_runtime) nodes =
   List.iter (fun n -> owing.(Messages.position rt n) <- true) nodes;
   { owing; left = List.length nodes }
 
-(* Strike [node]'s debt; false when it owed nothing. *)
-let settle rt o node =
-  let p = Messages.position rt node in
-  if o.owing.(p) then begin
-    o.owing.(p) <- false;
-    o.left <- o.left - 1;
-    true
-  end
-  else false
-
-let owes rt o node = o.owing.(Messages.position rt node)
-let owed_sorted rt o = nodes_where rt (fun p -> o.owing.(p))
-
-(* What the coordinator waits for: each owing cohort's Work_done, its
-   vote, or its acknowledgement of the decision. *)
-type phase = Work | Votes | Acks of Messages.cohort_msg
+(* Strike the debt of the cohort at plan position [p], which owes. *)
+let settle o p =
+  o.owing.(p) <- false;
+  o.left <- o.left - 1
 
 (* What a phase re-sends to a silent cohort: its load message, the
    prepare, or the decision. *)
-let resend t (rt : Messages.attempt_runtime) phase node =
+let resend t (rt : Messages.attempt_runtime) (phase : Twopc.phase) node =
   match phase with
-  | Work -> Option.iter (load_cohort t rt) (cohort_plan_of rt.Messages.txn node)
-  | Votes -> send_cohort t rt ~node_idx:node Messages.Do_prepare
-  | Acks decision -> send_cohort t rt ~node_idx:node decision
+  | Twopc.Work ->
+      Option.iter (load_cohort t rt) (cohort_plan_of rt.Messages.txn node)
+  | Twopc.Votes -> send_cohort t rt ~node_idx:node Messages.Do_prepare
+  | Twopc.Acks Twopc.Commit -> send_cohort t rt ~node_idx:node Messages.Do_commit
+  | Twopc.Acks Twopc.Abort -> send_cohort t rt ~node_idx:node Messages.Do_abort
 
-(* Wait until every cohort in [nodes] has sent what [phase] waits for.
-   [Some reason] means the attempt must abort instead.
-
-   - [Work] notes the node of each Work_done as it is processed, so that
-     when the work phase completes [last_work_node] is the cohort on its
-     critical path (under parallel execution). An abort trigger
-     interrupts. A timeout re-sends any load message whose delivery was
-     never observed, within the retry budget; cohorts that did arrive
-     own the retransmission of their Work_done, so the coordinator waits
-     for them at the capped timeout without charging its budget.
-   - [Votes] notes the last yes vote; a no vote or an abort trigger
-     interrupts. A timeout re-sends the prepare, within the budget.
-   - [Acks decision] re-sends the decision on a timeout. A logged commit
-     must reach every cohort, so it is re-sent without bound; an abort
-     gives up after the budget and cleans the unreachable cohorts up out
-     of band ([orphan]) — the late inquiry each eventually makes is
-     answered from the decision log. *)
+(* Wait until every cohort in [nodes] has sent what [phase] waits for,
+   performing what [Twopc.coord_step] answers to each message and
+   timeout. [Some reason] means the attempt must abort instead. A
+   settled Work_done notes its node, so that when the work phase
+   completes [last_work_node] is the cohort on its critical path (under
+   parallel execution); a settled yes vote notes [last_vote_node]. *)
 let collect t (rt : Messages.attempt_runtime) phase ~nodes =
   let txn = rt.Messages.txn in
   let pending = owed_by rt nodes in
+  (* the owing cohorts a timeout re-sends to, ascending *)
+  let silent () =
+    nodes_where rt (fun p ->
+        pending.owing.(p) && Twopc.resends phase rt.Messages.cohort.(p))
+  in
   let rec go ~round =
     if pending.left = 0 then None
     else
-      match (phase, recv t rt.Messages.coord_mb ~round) with
-      | Work, Some (Messages.Work_done node) ->
-          if settle rt pending node then begin
+      match recv t rt.Messages.coord_mb ~round with
+      | Some (Messages.Work_done node) -> act Twopc.Work_done node None ~round
+      | Some (Messages.Vote (node, yes)) ->
+          act (if yes then Twopc.Vote_yes else Twopc.Vote_no) node None ~round
+      | Some (Messages.Done_ack node) -> act Twopc.Done_ack node None ~round
+      | Some (Messages.Inquiry (_, node)) -> act Twopc.Inquiry node None ~round
+      | Some
+          ( Messages.Cohort_aborted (_, reason)
+          | Messages.Abort_request (_, reason) ) ->
+          act Twopc.Abort_demand (-1) (Some reason) ~round
+      | None ->
+          note_timeout t (Option.get t.faults) txn ~at_node:Host ~round;
+          act Twopc.Silence (-1) rt.Messages.doom_reason ~round
+  (* [told]: the reason an abort demand or a crash doom carries; only a
+     timeout, which needs the fault plan, reads the retry budget *)
+  and act input node told ~round =
+    let timeout = input == Twopc.Silence in
+    let p = if node < 0 then -1 else Messages.position rt node in
+    match
+      Twopc.coord_step phase input
+        ~owed:(if timeout then silent () <> [] else p >= 0 && pending.owing.(p))
+        ~doomed:(Option.is_some rt.Messages.doom_reason)
+        ~exhausted:
+          (timeout
+          && Backoff.exhausted ~round
+               ~max_retries:(Option.get t.faults).plan.Fault_plan.max_retries)
+    with
+    | Twopc.Wait -> go ~round
+    | (Twopc.Settle | Twopc.Refused) as action -> (
+        settle pending p;
+        let yes = action == Twopc.Settle in
+        (match phase with
+        | Twopc.Work ->
             rt.Messages.last_work_node <- node;
             if traced t then
               emit t
                 (Event.Work_done
-                   { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node });
-            go ~round:1
-          end
-          else go ~round
-      | Votes, Some (Messages.Vote (node, yes)) ->
-          if settle rt pending node then begin
+                   { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node })
+        | Twopc.Votes ->
             if yes then rt.Messages.last_vote_node <- node;
             if traced t then
               emit t
                 (Event.Vote
-                   { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node; yes });
-            if yes then go ~round:1 else Some Txn.Cert_failed
-          end
-          else go ~round
-      | Acks _, Some (Messages.Done_ack node) ->
-          go ~round:(if settle rt pending node then 1 else round)
-      | (Work | Votes), Some (Messages.Cohort_aborted (_, reason)) ->
-          Some reason
-      | (Work | Votes), Some (Messages.Abort_request (tx, reason))
-        when Txn.same_attempt tx txn ->
-          Some reason
-      | Work, Some (Messages.Inquiry _) ->
-          (* a cohort only inquires pre-prepare when its Cohort_aborted
-             was lost and it is aborting: treat as a peer abort *)
-          Some Txn.Peer_abort
-      | (Votes | Acks _), Some (Messages.Inquiry (_, node)) ->
-          (* a cohort in doubt whose vote or ack we are missing: re-prompt
-             it (it re-votes from memory). No round reset — an aborting
-             cohort's inquiries must not starve the timeout. *)
-          if owes rt pending node then resend t rt phase node;
-          go ~round
-      | ( _,
-          Some
-            ( Messages.Work_done _ | Messages.Vote _ | Messages.Done_ack _
-            | Messages.Cohort_aborted _ | Messages.Abort_request _ ) ) ->
-          go ~round
-      | _, None -> (
-          match t.faults with
-          | None -> assert false
-          | Some f -> timed_out f ~round)
-  and timed_out f ~round =
-    note_timeout t f txn ~at_node:Host ~round;
-    let exhausted =
-      Backoff.exhausted ~max_retries:f.plan.Fault_plan.max_retries ~round
-    in
-    let retry nodes =
-      List.iter
-        (fun n ->
-          f.retries <- f.retries + 1;
-          resend t rt phase n)
-        nodes;
-      go ~round:(round + 1)
-    in
-    match phase with
-    | (Work | Votes) when Option.is_some rt.Messages.doom_reason ->
-        rt.Messages.doom_reason
-    | Work ->
-        let lost =
-          nodes_where rt (fun p ->
-              pending.owing.(p) && not rt.Messages.arrived.(p))
-        in
-        if lost = [] then go ~round:(round + 1)
-        else if exhausted then Some Txn.Timed_out
-        else retry lost
-    | Votes when exhausted -> Some Txn.Timed_out
-    | Acks Messages.Do_abort when exhausted ->
-        List.iter (orphan t f txn) (owed_sorted rt pending);
+                   { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node; yes })
+        | Twopc.Acks (Twopc.Commit | Twopc.Abort) -> ());
+        if yes then go ~round:1 else Some Txn.Cert_failed)
+    | Twopc.Reprompt ->
+        resend t rt phase node;
+        go ~round
+    | Twopc.Retry ->
+        let f = Option.get t.faults in
+        List.iter
+          (fun n ->
+            f.retries <- f.retries + 1;
+            resend t rt phase n)
+          (silent ());
+        go ~round:(round + 1)
+    | Twopc.Orphan ->
+        List.iter (orphan t (Option.get t.faults) txn) (silent ());
         None
-    | Votes
-    | Acks (Messages.Do_prepare | Messages.Do_commit | Messages.Do_abort) ->
-        retry (owed_sorted rt pending)
+    | Twopc.Abort_attempt reason -> Some reason
+    | Twopc.Abort_as_told -> told
   in
   go ~round:1
 
@@ -1458,16 +1452,16 @@ let collect t (rt : Messages.attempt_runtime) phase ~nodes =
 let decide t (rt : Messages.attempt_runtime) ~commit =
   let txn = rt.Messages.txn in
   let tid = txn.Txn.tid and attempt = txn.Txn.attempt in
-  txn.Txn.phase <- (if commit then Txn.Decided_commit else Txn.Decided_abort);
-  if not commit then txn.Txn.doomed <- true;
+  if commit then txn.Txn.phase <- Txn.Decided_commit
+  else txn.Txn.doomed <- true;
   log_decision t txn commit;
   if traced t then emit t (Event.Decision { tid; attempt; commit });
-  let decision, nodes =
-    if commit then (Messages.Do_commit, Array.to_list rt.Messages.nodes)
-    else (Messages.Do_abort, loaded_nodes rt)
+  let phase, nodes =
+    if commit then (Twopc.Acks Twopc.Commit, Array.to_list rt.Messages.nodes)
+    else (Twopc.Acks Twopc.Abort, loaded_nodes rt)
   in
-  List.iter (fun node_idx -> send_cohort t rt ~node_idx decision) nodes;
-  ignore (collect t rt (Acks decision) ~nodes : Txn.abort_reason option);
+  List.iter (resend t rt phase) nodes;
+  ignore (collect t rt phase ~nodes : Txn.abort_reason option);
   (* durability coverage obligation: every updating cohort's node (its
      backup if failed over) must hold durable evidence of this commit at
      end of run — checked by [lost_commits] *)
@@ -1479,21 +1473,19 @@ let decide t (rt : Messages.attempt_runtime) ~commit =
         txn.Txn.plan.Plan.cohorts
     in
     t.committed_cov <- (tid, attempt, updaters) :: t.committed_cov
-  end;
-  txn.Txn.phase <- Txn.Finished
+  end
 
 (* Phase one of the commit protocol, then the decision; [Some reason]
    when the attempt aborted. *)
 let run_two_phase_commit t (rt : Messages.attempt_runtime) =
   let txn = rt.Messages.txn in
-  txn.Txn.phase <- Txn.Voting;
   txn.Txn.commit_ts <- Some (Timestamp.Clock.make t.clock ~time:t.time.now);
   if traced t then
     emit t (Event.Prepare { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
-  Array.iter
-    (fun node_idx -> send_cohort t rt ~node_idx Messages.Do_prepare)
-    rt.Messages.nodes;
-  let aborted = collect t rt Votes ~nodes:(Array.to_list rt.Messages.nodes) in
+  Array.iter (resend t rt Twopc.Votes) rt.Messages.nodes;
+  let aborted =
+    collect t rt Twopc.Votes ~nodes:(Array.to_list rt.Messages.nodes)
+  in
   decide t rt ~commit:(Option.is_none aborted);
   aborted
 
@@ -1560,13 +1552,13 @@ let run_attempt t (txn : Txn.t) =
         match t.params.Params.workload.Params.exec_pattern with
         | Params.Parallel ->
             List.iter (load_cohort t rt) cohorts;
-            collect t rt Work ~nodes:(Array.to_list rt.Messages.nodes)
+            collect t rt Twopc.Work ~nodes:(Array.to_list rt.Messages.nodes)
         | Params.Sequential ->
             let rec go = function
               | [] -> None
               | (c : Plan.cohort_plan) :: rest -> (
                   load_cohort t rt c;
-                  match collect t rt Work ~nodes:[ c.Plan.node ] with
+                  match collect t rt Twopc.Work ~nodes:[ c.Plan.node ] with
                   | None -> go rest
                   | Some _ as aborted -> aborted)
             in

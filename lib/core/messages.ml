@@ -74,22 +74,16 @@ type attempt_runtime = {
       (** node whose yes vote the coordinator accepted last (-1 until the
           first); its prepare-record force gates the commit decision and
           feeds the decomposition's [log] component *)
-  arrived : bool array;
-      (** the cohort's load-cohort message was delivered; guards against a
-          retransmitted load spawning a twin cohort, and tells the
-          coordinator which loads may have been lost *)
-  voted : bool array;
-      (** the cohort sent a yes vote — it is prepared (in-doubt) and must
-          not be victimized by a node crash *)
+  cohort : Twopc.cohort_state array;
+      (** the cohort's state in the commit protocol ({!Twopc}), written by
+          the load's delivery and the cohort's process; the coordinator
+          reads which loads may have been lost, the crash ledger which
+          cohorts are casualties and which may fail over *)
   shipped : bool array;
       (** the cohort's write-set was delivered to its backup
           (primary/backup replication): if its node crashes before the
           cohort votes, the coordinator can fail over to the backup
           instead of dooming the attempt *)
-  preparing : bool array;
-      (** the cohort has begun processing Do_prepare (may be blocked
-          inside its CC manager); such a cohort cannot be failed over — a
-          backup proxy would double-drive the CC manager *)
   relocated : int array;
       (** the backup node now running the cohort's proxy, or -1:
           coordinator sends route to the backup, and the original fiber
@@ -121,10 +115,8 @@ let make_runtime (txn : Txn.t) =
           { u_blocked = 0.; u_disk = 0.; u_cpu = 0.; u_log = 0. });
     last_work_node = -1;
     last_vote_node = -1;
-    arrived = Array.make n false;
-    voted = Array.make n false;
+    cohort = Array.make n Twopc.Unloaded;
     shipped = Array.make n false;
-    preparing = Array.make n false;
     relocated = Array.make n (-1);
     doom_reason = None;
   }

@@ -31,14 +31,10 @@ let abort_reason_name = function
 (** Raised inside a cohort process to unwind to its abort handler. *)
 exception Aborted of abort_reason
 
-(** Coordinator-side protocol phase, used e.g. by wound-wait's "wounds are
-    not fatal in the second phase of commit" rule. *)
-type phase =
-  | Working  (** cohorts executing reads/writes *)
-  | Voting  (** prepare sent, collecting votes *)
-  | Decided_commit  (** phase two: commit decision made *)
-  | Decided_abort
-  | Finished
+(** Whether the coordinator has decided to commit the attempt: the one
+    fact wound-wait's "wounds are not fatal in the second phase of commit"
+    rule needs. An abort decision sets [doomed] instead. *)
+type phase = Working | Decided_commit
 
 type t = {
   tid : int;
@@ -69,7 +65,7 @@ let placeholder () =
     cc_ts = ts;
     commit_ts = None;
     plan = { Plan.relation = -1; cohorts = [] };
-    phase = Finished;
+    phase = Working;
     doomed = true;
   }
 
@@ -92,10 +88,8 @@ end)
     before [b]. *)
 let older a b = Timestamp.compare a.startup_ts b.startup_ts < 0
 
-(** True once the coordinator has entered the second phase of commit. *)
+(** True once the coordinator has decided to commit the attempt. *)
 let in_second_phase t =
-  match t.phase with
-  | Decided_commit | Finished -> true
-  | Working | Voting | Decided_abort -> false
+  match t.phase with Decided_commit -> true | Working -> false
 
 let pp fmt t = Format.fprintf fmt "T%d.%d" t.tid t.attempt

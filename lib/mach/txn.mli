@@ -22,14 +22,10 @@ val abort_reason_name : abort_reason -> string
 (** Raised inside a cohort process to unwind to its abort handler. *)
 exception Aborted of abort_reason
 
-(** Coordinator-side protocol phase, used e.g. by wound-wait's "wounds are
-    not fatal in the second phase of commit" rule. *)
-type phase =
-  | Working  (** cohorts executing reads/writes *)
-  | Voting  (** prepare sent, collecting votes *)
-  | Decided_commit  (** phase two: commit decision made *)
-  | Decided_abort
-  | Finished
+(** Whether the coordinator has decided to commit the attempt: the one
+    fact wound-wait's "wounds are not fatal in the second phase of commit"
+    rule needs. An abort decision sets [doomed] instead. *)
+type phase = Working | Decided_commit
 
 type t = {
   tid : int;
@@ -49,7 +45,7 @@ type t = {
       (** set as soon as any party decides this attempt must abort *)
 }
 
-(** A fresh attempt that never runs (tid -1, already finished): the
+(** A fresh attempt that never runs (tid -1, already doomed): the
     initial value of a field that later holds a real attempt. *)
 val placeholder : unit -> t
 
@@ -71,7 +67,7 @@ module Table : Hashtbl.S with type key = t
     before [b]. *)
 val older : t -> t -> bool
 
-(** True once the coordinator has entered the second phase of commit. *)
+(** True once the coordinator has decided to commit the attempt. *)
 val in_second_phase : t -> bool
 
 val pp : Format.formatter -> t -> unit

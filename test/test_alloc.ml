@@ -55,7 +55,11 @@
    their own and footprints arrays, they measured: an uncontended lock
    request 17.9, a re-request 2, Workload.generate_plan 860.5 per plan,
    a plan's retained words 636.3, and, per commit, 6,057 untraced and
-   9,778 traced. *)
+   9,778 traced.
+
+   Before an attempt's runtime kept one commit-protocol state per cohort
+   in place of three flag arrays, it retained 142 words for a plan of
+   eight cohorts. *)
 
 open Desim
 open Ddbm_model
@@ -353,6 +357,27 @@ let plan_retained () =
   let words = Obj.reachable_words (Obj.repr plans) - (Array.length plans + 1) in
   float_of_int words /. float_of_int (Array.length plans)
 
+(* The words one attempt's runtime keeps alive, for a plan of eight
+   cohorts: it lives as long as its attempt, which outlives minor
+   collections, so this is what it costs the major heap. The attempt and
+   its plan, shared by every runtime measured, are not counted. *)
+let runtime_retained () =
+  let cohorts =
+    List.init 8 (fun node -> { Plan.node; ops = [||]; apply_ops = [] })
+  in
+  let txn =
+    { (Txn.placeholder ()) with Txn.plan = { Plan.relation = 0; cohorts } }
+  in
+  let runtimes =
+    Array.init (ops / 10) (fun _ -> Ddbm.Messages.make_runtime txn)
+  in
+  let words =
+    Obj.reachable_words (Obj.repr runtimes)
+    - Obj.reachable_words (Obj.repr txn)
+    - (Array.length runtimes + 1)
+  in
+  float_of_int words /. float_of_int (Array.length runtimes)
+
 (* The measured figure is printed either way; [--verbose] shows it. *)
 let budget name ~max measure () =
   let w = measure () in
@@ -364,7 +389,7 @@ let budget name ~max measure () =
 (* name, measurement, budget in words per operation (per request, per
    search, per round, per plan, per commit for the machine runs);
    measured 7, 8, 8, 6, 8, 14, 9, 9.6, 0, 60.5, 11, 1,099, 350.4, 131.1,
-   4,894 and 8,616 *)
+   122, 4,894 and 8,616 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 7.7);
@@ -381,6 +406,7 @@ let cases =
     ("Wfg.of_edges + break_all_cycles, Snoop's 54 edges", snoop_graph, 1_200.);
     ("Workload.generate_plan", generate_plan, 385.);
     ("Plan retained words", plan_retained, 145.);
+    ("Attempt runtime retained words, 8 cohorts", runtime_retained, 134.);
     ("Machine, untraced, per commit", machine_run ~traced:false, 5_400.);
     ("Machine, traced, per commit", machine_run ~traced:true, 9_500.);
   ]

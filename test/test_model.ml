@@ -293,8 +293,6 @@ let test_txn_phase () =
     }
   in
   Alcotest.(check bool) "working not 2nd phase" false (Txn.in_second_phase txn);
-  txn.Txn.phase <- Txn.Voting;
-  Alcotest.(check bool) "voting not 2nd phase" false (Txn.in_second_phase txn);
   txn.Txn.phase <- Txn.Decided_commit;
   Alcotest.(check bool) "decided commit is 2nd phase" true
     (Txn.in_second_phase txn)
