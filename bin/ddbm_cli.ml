@@ -745,7 +745,6 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc) term
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
   let doc = "Carey & Livny 1989 distributed database machine simulator" in
   let info = Cmd.info "ddbm" ~version:"1.0.0" ~doc in
   exit

@@ -33,9 +33,6 @@ let all =
         fun v -> (Domain.DLS.get flags).broken_lock_conversion <- v ) );
   ]
 
-(** Registered chaos names, for validation and docs. *)
-let names = List.map fst all
-
 (** Names of the faults currently active in this domain. *)
 let active () =
   List.filter_map

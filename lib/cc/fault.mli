@@ -19,9 +19,6 @@
     under 2PL/WW/2PL-D that the multiversion audit must flag. *)
 val broken_lock_conversion : unit -> bool
 
-(** Registered chaos names, for validation and docs. *)
-val names : string list
-
 (** Names of the faults currently active in this domain. *)
 val active : unit -> string list
 

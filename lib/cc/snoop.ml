@@ -19,7 +19,6 @@ type t = {
       (** waits-for snapshot of a processing node *)
   request_abort : from_node:int -> Txn.t -> Txn.abort_reason -> unit;
   mutable rounds : int;
-  mutable victims : int;
   mutable on_round : (node:int -> edges:int -> victims:int -> unit) option;
       (** observer of completed detection rounds (for typed tracing) *)
 }
@@ -33,7 +32,6 @@ let create eng ~net ~num_nodes ~detection_interval ~edges_of ~request_abort =
     edges_of;
     request_abort;
     rounds = 0;
-    victims = 0;
     on_round = None;
   }
 
@@ -70,7 +68,6 @@ let detection_round t ~snoop_node =
   let victims = Wfg.break_all_cycles graph in
   List.iter
     (fun victim ->
-      t.victims <- t.victims + 1;
       t.request_abort ~from_node:snoop_node victim Txn.Global_deadlock)
     victims;
   match t.on_round with
@@ -98,4 +95,3 @@ let start t =
       turn 0)
 
 let rounds t = t.rounds
-let victims t = t.victims

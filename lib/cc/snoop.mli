@@ -32,6 +32,3 @@ val start : t -> unit
 
 (** Completed detection rounds. *)
 val rounds : t -> int
-
-(** Total victims requested. *)
-val victims : t -> int

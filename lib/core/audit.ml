@@ -67,8 +67,6 @@ let record_commit t txn =
 (** Aborted attempts leave no trace. *)
 let record_abort t txn = Hashtbl.remove t.txns (Txn.key txn)
 
-let committed_count t = t.commit_count
-
 (* --- graph construction and cycle check --------------------------- *)
 
 let compare_key ((t1, a1) : int * int) ((t2, a2) : int * int) =

@@ -30,9 +30,6 @@ val record_install : t -> Txn.t -> Ids.Page.t -> unit
 val record_commit : t -> Txn.t -> unit
 val record_abort : t -> Txn.t -> unit
 
-(** Committed transactions recorded so far. *)
-val committed_count : t -> int
-
 (** [Ok n]: the committed history over [n] transactions is (multiversion
     view-) serializable; [Error msg] describes a cycle. *)
 val check : t -> (int, string) result

@@ -9,12 +9,6 @@ open Ddbm_model
     Full tightens confidence intervals further. *)
 type profile = Quick | Standard | Full
 
-let profile_of_string = function
-  | "quick" -> Some Quick
-  | "standard" -> Some Standard
-  | "full" -> Some Full
-  | _ -> None
-
 let profile_name = function
   | Quick -> "quick"
   | Standard -> "standard"

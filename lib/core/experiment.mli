@@ -9,7 +9,6 @@ open Ddbm_model
     confidence intervals further. *)
 type profile = Quick | Standard | Full
 
-val profile_of_string : string -> profile option
 val profile_name : profile -> string
 
 (** A configuration point: the knobs the paper's experiments turn plus

@@ -89,5 +89,3 @@ let to_csv t =
       Buffer.add_char buf '\n')
     (xs t);
   Buffer.contents buf
-
-let print t = print_string (to_table t)

@@ -22,6 +22,3 @@ val value_at : series -> float -> float option
 val to_table : t -> string
 
 val to_csv : t -> string
-
-(** [print t] writes {!to_table} to stdout. *)
-val print : t -> unit

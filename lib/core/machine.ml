@@ -435,11 +435,10 @@ let mark_up t f node =
   was_down
 
 (* A crash dooms an attempt that no message can tell: the coordinator
-   reads [doom_reason] at its next receive timeout. *)
+   reads [crash_doomed] at its next receive timeout. *)
 let doom (rt : Messages.attempt_runtime) =
   rt.Messages.txn.Txn.doomed <- true;
-  if rt.Messages.doom_reason = None then
-    rt.Messages.doom_reason <- Some Txn.Crashed
+  rt.Messages.crash_doomed <- true
 
 (* A host crash kills every coordinator whose decision is not yet
    logged: those attempts abort on recovery (presumed abort). Attempts
@@ -585,7 +584,7 @@ let force_log t c ~accrue w =
   Wal.force w;
   let dur = t.time.now -. t0 in
   if accrue then c.usage.Messages.u_log <- c.usage.Messages.u_log +. dur;
-  Metrics.record_log_force t.metrics ~dur;
+  Metrics.record t.metrics Metrics.Log_force dur;
   if traced t then
     emit t
       (Event.Log_forced
@@ -1100,7 +1099,7 @@ let chain_redo t f i wal ~jobs redone resolved =
             if node_up f self then begin
               let duration = t.time.now -. c0 in
               t.recovery_chains <- t.recovery_chains + 1;
-              Metrics.record_chain t.metrics ~dur:duration;
+              Metrics.record t.metrics Metrics.Chain duration;
               if traced t then
                 emit t
                   (Event.Recovery_chain_completed
@@ -1154,13 +1153,13 @@ let rec spawn_recovery t f i wal =
            histogram, so histogram counts conserve against [Wal.forces] *)
         let f0 = t.time.now in
         Wal.force wal;
-        Metrics.record_log_force t.metrics ~dur:(t.time.now -. f0);
+        Metrics.record t.metrics Metrics.Log_force (t.time.now -. f0);
         if node_up f self then begin
           if corrupt then Wal.repair_deps wal;
           let dur = t.time.now -. t0 in
           t.recoveries <- t.recoveries + 1;
           t.recovery_time <- t.recovery_time +. dur;
-          Metrics.record_recovery t.metrics ~dur;
+          Metrics.record t.metrics Metrics.Recovery dur;
           if traced t then
             emit t
               (Event.Recovery_completed
@@ -1393,7 +1392,7 @@ let collect t (rt : Messages.attempt_runtime) phase ~nodes =
           act Twopc.Abort_demand (-1) (Some reason) ~round
       | None ->
           note_timeout t (Option.get t.faults) txn ~at_node:Host ~round;
-          act Twopc.Silence (-1) rt.Messages.doom_reason ~round
+          act Twopc.Silence (-1) (Some Txn.Crashed) ~round
   (* [told]: the reason an abort demand or a crash doom carries; only a
      timeout, which needs the fault plan, reads the retry budget *)
   and act input node told ~round =
@@ -1402,7 +1401,7 @@ let collect t (rt : Messages.attempt_runtime) phase ~nodes =
     match
       Twopc.coord_step phase input
         ~owed:(if timeout then silent () <> [] else p >= 0 && pending.owing.(p))
-        ~doomed:(Option.is_some rt.Messages.doom_reason)
+        ~doomed:rt.Messages.crash_doomed
         ~exhausted:
           (timeout
           && Backoff.exhausted ~round
@@ -1717,7 +1716,7 @@ let expire_stale t a =
 let rec dispatch t a (p : pending) =
   a.in_flight <- a.in_flight + 1;
   Metrics.record_admitted t.metrics;
-  Metrics.record_queue_wait t.metrics ~dur:(t.time.now -. p.enqueued_at);
+  Metrics.record t.metrics Metrics.Queue_wait (t.time.now -. p.enqueued_at);
   Engine.spawn t.eng (fun () ->
       await_host_up t;
       run_transaction t ~terminal:p.terminal p.pending_plan;
@@ -2004,44 +2003,9 @@ let registry t : Metric.t =
         (fun node -> float_of_int (Node.disk_queue node));
     ]
   in
-  let histograms =
-    if not (Metrics.quantiles_enabled m) then []
-    else
-      [
-        Metric.histogram ~name:"ddbm_response_seconds"
-          ~help:"Committed-transaction response time"
-          (Metrics.response_hist m);
-        Metric.family ~name:"ddbm_response_component_seconds"
-          ~help:
-            "Per-transaction response-time decomposition components \
-             (additive; see Decomp)"
-          ~kind:Metric.Histogram
-          (List.map
-             (fun (name, h) ->
-               Metric.sample ~labels:[ ("component", name) ] (Metric.H h))
-             (Metrics.component_hists m));
-        Metric.histogram ~name:"ddbm_indoubt_seconds"
-          ~help:"Closed 2PC in-doubt intervals (yes vote to decision)"
-          (Metrics.indoubt_hist m);
-        Metric.histogram ~name:"ddbm_log_force_seconds"
-          ~help:"WAL force latency" (Metrics.log_force_hist m);
-        Metric.histogram ~name:"ddbm_recovery_seconds"
-          ~help:"Crash-recovery pass duration" (Metrics.recovery_hist m);
-        Metric.histogram ~name:"ddbm_recovery_chain_seconds"
-          ~help:"Per-chain redo replay duration (chain-parallel recovery)"
-          (Metrics.chain_hist m);
-      ]
-      @
-      if Option.is_none t.arrivals then []
-      else
-        [
-          Metric.histogram ~name:"ddbm_admission_queue_wait_seconds"
-            ~help:"Admission-queue wait of dispatched arrivals"
-            (Metrics.queue_wait_hist m);
-        ]
-  in
   Sim_result.metric_families (collect_result t ~wall_seconds:0.)
-  @ rollups @ histograms
+  @ rollups
+  @ Metrics.families m ~open_loop:(Option.is_some t.arrivals)
 
 (** Attach (or retrieve) the typed-event tracer (before {!execute}).
     Idempotent: the first call creates the tracer and wires the network
@@ -2145,7 +2109,7 @@ let enable_audit t =
 
 (** Run an assembled machine to the end of its measurement window and
     collect the result. *)
-let execute ?(log = false) t =
+let execute t =
   let run_params = t.params.Params.run in
   ignore
     (Engine.schedule t.eng ~at:run_params.Params.warmup (fun () ->
@@ -2166,12 +2130,7 @@ let execute ?(log = false) t =
   Engine.run ~until:(run_params.Params.warmup +. run_params.Params.measure)
     t.eng;
   let wall_seconds = Sys.time () -. wall_start in (* lint: allow ambient unsafe-stdlib *)
-  let result = collect_result t ~wall_seconds in
-  (* Logging is off by default; only the serial CLI run path ever
-     passes ~log:true, never a Par.Pool task. *)
-  (* lint: allow unsafe-stdlib *)
-  if log then Logs.info (fun m -> m "%a" Sim_result.pp result);
-  result
+  collect_result t ~wall_seconds
 
 (** Build and run a complete simulation; returns the measured result. *)
-let run ?log (params : Params.t) = execute ?log (create params)
+let run (params : Params.t) = execute (create params)

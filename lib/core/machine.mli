@@ -51,8 +51,8 @@ val workload_fingerprints : t -> int list array
 val registry : t -> Ddbm_model.Metric.t
 
 (** Run an assembled machine and collect the measured result. *)
-val execute : ?log:bool -> t -> Sim_result.t
+val execute : t -> Sim_result.t
 
 (** [run params] = [execute (create params)]. Deterministic for a given
     parameter record. *)
-val run : ?log:bool -> Ddbm_model.Params.t -> Sim_result.t
+val run : Ddbm_model.Params.t -> Sim_result.t

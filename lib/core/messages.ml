@@ -15,11 +15,6 @@ type cohort_msg =
   | Do_commit
   | Do_abort
 
-let cohort_msg_name = function
-  | Do_prepare -> "do-prepare"
-  | Do_commit -> "do-commit"
-  | Do_abort -> "do-abort"
-
 (** Cohort (or CC manager) -> coordinator. *)
 type coord_msg =
   | Work_done of int  (** cohort at node finished its reads and writes *)
@@ -34,14 +29,6 @@ type coord_msg =
           what became of the given attempt. Routed to the live
           coordinator if any; otherwise answered from the host's decision
           log (presumed abort). *)
-
-let coord_msg_name = function
-  | Work_done _ -> "work-done"
-  | Cohort_aborted _ -> "cohort-aborted"
-  | Vote _ -> "vote"
-  | Done_ack _ -> "done-ack"
-  | Abort_request _ -> "abort-request"
-  | Inquiry _ -> "inquiry"
 
 (** Work-phase resource usage of one cohort, accumulated as wall-clock
     deltas around its CC, disk, and CPU operations; feeds the
@@ -88,7 +75,7 @@ type attempt_runtime = {
       (** the backup node now running the cohort's proxy, or -1:
           coordinator sends route to the backup, and the original fiber
           exits silently when it observes the entry *)
-  mutable doom_reason : Txn.abort_reason option;
+  mutable crash_doomed : bool;
       (** set by fault handling (node crash) when the attempt must abort
           but no message can carry the news; the coordinator checks it on
           every receive timeout *)
@@ -118,7 +105,7 @@ let make_runtime (txn : Txn.t) =
     cohort = Array.make n Twopc.Unloaded;
     shipped = Array.make n false;
     relocated = Array.make n (-1);
-    doom_reason = None;
+    crash_doomed = false;
   }
 
 let rec find_position nodes node i =

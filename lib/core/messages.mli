@@ -15,8 +15,6 @@ type cohort_msg =
   | Do_commit
   | Do_abort
 
-val cohort_msg_name : cohort_msg -> string
-
 (** Cohort (or CC manager) -> coordinator. *)
 type coord_msg =
   | Work_done of int  (** cohort at node finished its reads and writes *)
@@ -31,8 +29,6 @@ type coord_msg =
           what became of the given attempt. Routed to the live
           coordinator if any; otherwise answered from the host's decision
           log (presumed abort). *)
-
-val coord_msg_name : coord_msg -> string
 
 (** Work-phase resource usage of one cohort, accumulated as wall-clock
     deltas around its CC, disk, and CPU operations; feeds the
@@ -79,7 +75,7 @@ type attempt_runtime = {
       (** the backup node now running the cohort's proxy, or -1:
           coordinator sends route to the backup, and the original fiber
           exits silently when it observes the entry *)
-  mutable doom_reason : Txn.abort_reason option;
+  mutable crash_doomed : bool;
       (** set by fault handling (node crash) when the attempt must abort
           but no message can carry the news; the coordinator checks it on
           every receive timeout *)

@@ -54,7 +54,6 @@ type t = {
   submits : (int, float) Hashtbl.t;  (** tid -> submission time *)
   inflight : (int, attempt_state) Hashtbl.t;
   mutable committed_rev : committed list;  (** newest first *)
-  mutable events_seen : int;
 }
 
 let create ~sequential =
@@ -63,7 +62,6 @@ let create ~sequential =
     submits = Hashtbl.create 256;
     inflight = Hashtbl.create 256;
     committed_rev = [];
-    events_seen = 0;
   }
 
 (** Convenience: derive the execution pattern from the run parameters. *)
@@ -100,7 +98,6 @@ let critical_path t st =
 (** The sink to attach with [Tracer.attach]. *)
 let sink t : Tracer.sink =
  fun ~time ev ->
-  t.events_seen <- t.events_seen + 1;
   match ev with
   | Event.Submit { tid } -> Hashtbl.replace t.submits tid time
   | Event.Attempt_start { tid; attempt } ->
@@ -210,6 +207,3 @@ let sink t : Tracer.sink =
 
 (** Committed transactions reconstructed so far, oldest first. *)
 let committed t = List.rev t.committed_rev
-
-(** Events folded so far. *)
-let events_seen t = t.events_seen

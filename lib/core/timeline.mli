@@ -36,6 +36,3 @@ val sink : t -> Tracer.sink
 
 (** Committed transactions reconstructed so far, oldest first. *)
 val committed : t -> committed list
-
-(** Events folded so far. *)
-val events_seen : t -> int

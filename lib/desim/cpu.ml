@@ -81,8 +81,6 @@ type t = {
 
 let epsilon = 1e-6 (* instructions *)
 
-let rate t = t.rate
-
 let record_util t =
   Stats.Utilization.set_busy t.util ~busy:(t.hi_busy || t.n > 0)
 

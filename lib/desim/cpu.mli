@@ -14,8 +14,6 @@ type t
 (** [create eng ~rate] with [rate] in instructions per second. *)
 val create : Engine.t -> rate:float -> t
 
-val rate : t -> float
-
 (** Submit [instructions] of processor-sharing work; [k] runs on
     completion. Zero or negative work completes immediately. *)
 val submit : t -> instructions:float -> (unit -> unit) -> unit

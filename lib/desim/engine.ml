@@ -66,7 +66,6 @@ and t = {
   mutable lane : action array;  (* capacity 0 or a power of two *)
   mutable lane_head : int;
   mutable lane_len : int;
-  mutable stop_requested : bool;
   mutable processed : int;
   wake : clock;
       (* when the [Wait] being handled ends, read by [on_wait]; a flat
@@ -387,7 +386,6 @@ let create () =
       lane = [||];
       lane_head = 0;
       lane_len = 0;
-      stop_requested = false;
       processed = 0;
       wake = { now = 0. };
       on_wait = None;
@@ -397,8 +395,6 @@ let create () =
   t.on_wait <- Some (fun k -> enqueue t ~at:t.wake.now (Waited k));
   t.self <- Some t;
   t
-
-let stop t = t.stop_requested <- true
 
 let events_processed t = t.processed
 
@@ -429,12 +425,8 @@ let run ?until t =
                  t.clock.now);
         u
   in
-  t.stop_requested <- false;
   (* Lane entries are due now, which is never past [horizon]. *)
-  while
-    (not t.stop_requested)
-    && (t.lane_len > 0 || (t.len > 0 && not (t.times.(0) > horizon)))
-  do
+  while t.lane_len > 0 || (t.len > 0 && not (t.times.(0) > horizon)) do
     if t.len > 0 && (t.lane_len = 0 || t.times.(0) <= t.clock.now) then begin
       let time = t.times.(0) in
       fire t (take_head t) time
@@ -446,8 +438,6 @@ let run ?until t =
       | act -> fire t act t.clock.now
     end
   done;
-  (* Not stopped: every event due by [until] has fired, so the clock moves
-     to [until] and later events stay queued. *)
-  match until with
-  | Some u when not t.stop_requested -> t.clock.now <- u
-  | _ -> ()
+  (* Every event due by [until] has fired, so the clock moves to [until]
+     and later events stay queued. *)
+  match until with Some u -> t.clock.now <- u | None -> ()

@@ -127,13 +127,10 @@ val resolve : resolver -> unit
     at the same point in the order as {!resolve}. *)
 val reject : resolver -> exn -> unit
 
-(** Run until the event queue is empty, [until] is reached (events at later
-    times stay queued and [now] becomes [until]), or {!stop} is called.
+(** Run until the event queue is empty or [until] is reached (events at
+    later times stay queued and [now] becomes [until]).
     Raises [Invalid_argument] when [until] is NaN or before {!now}. *)
 val run : ?until:float -> t -> unit
-
-(** Make [run] return after the current event completes. *)
-val stop : t -> unit
 
 (** Number of events processed so far (for performance reporting). *)
 val events_processed : t -> int

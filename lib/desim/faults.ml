@@ -1,21 +1,10 @@
 module Crashable = struct
-  type t = { mutable up : bool; mutable epoch : int }
+  type t = { mutable up : bool }
 
-  let create () = { up = true; epoch = 0 }
+  let create () = { up = true }
   let up t = t.up
-  let epoch t = t.epoch
-
-  let crash t =
-    if t.up then begin
-      t.up <- false;
-      t.epoch <- t.epoch + 1
-    end
-
-  let recover t =
-    if not t.up then begin
-      t.up <- true;
-      t.epoch <- t.epoch + 1
-    end
+  let crash t = t.up <- false
+  let recover t = t.up <- true
 end
 
 module Link = struct

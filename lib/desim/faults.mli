@@ -17,10 +17,6 @@ module Crashable : sig
 
   val up : t -> bool
 
-  (** Number of state transitions so far; lets callers detect that a
-      resource went down and came back between two observations. *)
-  val epoch : t -> int
-
   (** Take the resource down (no-op when already down). *)
   val crash : t -> unit
 

@@ -1,27 +1,16 @@
 (** Write-once synchronization variable.
 
-    Processes block in {!read} until someone calls {!fill} (all waiters are
-    then resumed with the value) or {!poison} (all waiters are resumed by
-    raising the exception). *)
+    Processes block in {!read} until someone calls {!fill}; all waiters
+    are then resumed with the value. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
-(** True once filled (not poisoned). *)
-val is_filled : 'a t -> bool
-
 (** [fill t v] resolves all current and future readers with [v].
-    Raises [Invalid_argument] if already filled or poisoned. *)
+    Raises [Invalid_argument] if already filled. *)
 val fill : 'a t -> 'a -> unit
 
-(** [poison t e] rejects all current and future readers with [e].
-    Raises [Invalid_argument] if already filled or poisoned. *)
-val poison : 'a t -> exn -> unit
-
-(** Block until filled; returns the value (or raises the poison exception).
-    Only valid inside a simulation process. *)
+(** Block until filled; returns the value. Only valid inside a simulation
+    process. *)
 val read : 'a t -> 'a
-
-(** [peek t] is [Some v] if filled, [None] otherwise (poisoned included). *)
-val peek : 'a t -> 'a option

@@ -57,16 +57,6 @@ let int_range t ~lo ~hi =
 
 let bool t ~p = float t < p
 
-let permutation t n =
-  let a = Array.init n (fun i -> i) in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  a
-
 (* The slot of the sparse map [pos.(0 .. m-1)] holding position [x], or
    [m] when [x] was never swapped into. *)
 let rec slot pos m x s = if s < m && pos.(s) <> x then slot pos m x (s + 1) else s

@@ -46,5 +46,3 @@ val sample_into : t -> n:int -> int array -> unit
     {!sample_into} draws, last drawn first. Requires [0 <= k <= n]. *)
 val sample_without_replacement : t -> n:int -> k:int -> int list
 
-(** Random permutation of [0, n). *)
-val permutation : t -> int -> int array

@@ -4,37 +4,28 @@ module Tally = struct
     mutable mean : float;
     mutable m2 : float;
     mutable total : float;
-    mutable mn : float;
-    mutable mx : float;
   }
 
-  let create () =
-    { n = 0; mean = 0.; m2 = 0.; total = 0.; mn = infinity; mx = neg_infinity }
+  let create () = { n = 0; mean = 0.; m2 = 0.; total = 0. }
 
   let reset t =
     t.n <- 0;
     t.mean <- 0.;
     t.m2 <- 0.;
-    t.total <- 0.;
-    t.mn <- infinity;
-    t.mx <- neg_infinity
+    t.total <- 0.
 
   let add t x =
     t.n <- t.n + 1;
     t.total <- t.total +. x;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
   let count t = t.n
   let total t = t.total
   let mean t = if t.n = 0 then 0. else t.mean
   let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
   let stddev t = sqrt (variance t)
-  let min t = t.mn
-  let max t = t.mx
 
   let ci95 t =
     if t.n < 2 then 0.
@@ -169,56 +160,6 @@ module Batch_means = struct
     t.total <- 0
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable n : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    assert (bins > 0 && hi > lo);
-    { lo; hi; counts = Array.make bins 0; n = 0 }
-
-  let nbins t = Array.length t.counts
-
-  let add t x =
-    let w = (t.hi -. t.lo) /. float_of_int (nbins t) in
-    let i = int_of_float ((x -. t.lo) /. w) in
-    let i = if i < 0 then 0 else if i >= nbins t then nbins t - 1 else i in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.n <- t.n + 1
-
-  let count t = t.n
-
-  let quantile t q =
-    if t.n = 0 then nan
-    else begin
-      let target = q *. float_of_int t.n in
-      let w = (t.hi -. t.lo) /. float_of_int (nbins t) in
-      let rec go i acc =
-        if i >= nbins t then t.hi
-        else
-          let acc' = acc +. float_of_int t.counts.(i) in
-          if acc' >= target then
-            let frac =
-              if t.counts.(i) = 0 then 0.
-              else (target -. acc) /. float_of_int t.counts.(i)
-            in
-            t.lo +. (w *. (float_of_int i +. frac))
-          else go (i + 1) acc'
-      in
-      go 0 0.
-    end
-
-  let bins t =
-    let w = (t.hi -. t.lo) /. float_of_int (nbins t) in
-    List.init (nbins t) (fun i ->
-        (t.lo +. (w *. float_of_int i), t.lo +. (w *. float_of_int (i + 1)),
-         t.counts.(i)))
-end
-
 module Hdr = struct
   (* Bucket edges are exactly representable (power-of-two octave times
      1 + s/2^sub_bits), and the bucket index is derived from the raw IEEE-754
@@ -302,7 +243,7 @@ module Hdr = struct
     if t.n = 0 then 0.
     else begin
       let idx =
-        Stdlib.min (t.n - 1) (int_of_float (float_of_int t.n *. q))
+        min (t.n - 1) (int_of_float (float_of_int t.n *. q))
       in
       let rec go i cum =
         if i >= nbuckets t - 1 then upper_edge t i
@@ -312,18 +253,6 @@ module Hdr = struct
       in
       go 0 0
     end
-
-  let merge a b =
-    assert (a.min_exp = b.min_exp && a.max_exp = b.max_exp
-            && a.sub_bits = b.sub_bits);
-    let m =
-      create ~min_exp:a.min_exp ~max_exp:a.max_exp ~sub_bits:a.sub_bits ()
-    in
-    Array.blit a.counts 0 m.counts 0 (nbuckets a);
-    Array.iteri (fun i c -> m.counts.(i) <- m.counts.(i) + c) b.counts;
-    m.n <- a.n + b.n;
-    m.total <- a.total +. b.total;
-    m
 
   let nonzero_bins t =
     let acc = ref [] in

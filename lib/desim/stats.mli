@@ -16,8 +16,6 @@ module Tally : sig
   val variance : t -> float
 
   val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
 
   (** Half-width of a normal-approximation 95% confidence interval on the
       mean; 0 for fewer than 2 observations. *)
@@ -104,21 +102,6 @@ module Batch_means : sig
   val reset : t -> unit
 end
 
-(** Fixed-bin histogram over [lo, hi); out-of-range values are clamped to
-    the edge bins. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-
-  (** [quantile t q] for q in [0,1], linear within bins; nan when empty. *)
-  val quantile : t -> float -> float
-
-  val bins : t -> (float * float * int) list
-end
-
 (** Deterministic log-scaled fixed-bucket (HDR-style) histogram for latency
     tails. Each power-of-two octave in [2^min_exp, 2^max_exp) is split into
     2^sub_bits equal-mantissa buckets; the bucket index is computed from the
@@ -156,11 +139,6 @@ module Hdr : sig
       the bucket holding that sample, so for in-range samples
       [exact <= quantile t q <= exact * (1 + rel_error t)]. 0 when empty. *)
   val quantile : t -> float -> float
-
-  (** [merge a b] is a fresh histogram equivalent to observing both sample
-      streams; bucket counts (hence quantiles) merge exactly associatively.
-      Both inputs must share the same bucket configuration. *)
-  val merge : t -> t -> t
 
   (** Non-empty buckets as [(lower_edge, upper_edge, count)]. *)
   val nonzero_bins : t -> (float * float * int) list

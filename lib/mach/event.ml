@@ -150,38 +150,6 @@ let name = function
   | Recovery_chain_completed _ -> "recovery-chain-completed"
   | Sample _ -> "sample"
 
-(** Transaction ids carried by the event, if any. *)
-let txn_of = function
-  | Submit { tid } -> Some (tid, 1)
-  | Attempt_start { tid; attempt }
-  | Setup_done { tid; attempt }
-  | Prepare { tid; attempt } ->
-      Some (tid, attempt)
-  | Cohort_load { tid; attempt; _ }
-  | Cohort_start { tid; attempt; _ }
-  | Lock_request { tid; attempt; _ }
-  | Lock_grant { tid; attempt; _ }
-  | Lock_release { tid; attempt; _ }
-  | Disk_access { tid; attempt; _ }
-  | Cpu_slice { tid; attempt; _ }
-  | Work_done { tid; attempt; _ }
-  | Vote { tid; attempt; _ }
-  | Decision { tid; attempt; _ }
-  | Committed { tid; attempt; _ }
-  | Aborted { tid; attempt; _ }
-  | Wound { tid; attempt; _ }
-  | Restart_wait { tid; attempt; _ }
-  | Timeout_fired { tid; attempt; _ }
-  | Txn_orphaned { tid; attempt; _ }
-  | Log_forced { tid; attempt; _ }
-  | Cohort_resurrected { tid; attempt; _ } ->
-      Some (tid, attempt)
-  | Msg_send _ | Msg_recv _ | Snoop_round _ | Sample _ | Node_crashed _
-  | Node_recovered _ | Msg_dropped _ | Recovery_started _
-  | Recovery_completed _ | Recovery_chain_started _
-  | Recovery_chain_completed _ ->
-      None
-
 (** Flat field listing for serialization; {!Sample} payloads are handled
     by exporters directly (they are the only nested events). *)
 type field = I of int | F of float | S of string | B of bool

@@ -120,9 +120,6 @@ type t =
 
 val name : t -> string
 
-(** Transaction ids carried by the event, if any. *)
-val txn_of : t -> (int * int) option
-
 (** Flat field listing for serialization; {!Sample} payloads are handled
     by exporters directly (they are the only nested events). *)
 type field = I of int | F of float | S of string | B of bool

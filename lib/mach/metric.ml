@@ -31,11 +31,7 @@ let sample ?(labels = []) value = { labels; value }
 
 let family ~name ~help ~kind samples = { name; help; kind; samples }
 
-let counter ~name ~help v = family ~name ~help ~kind:Counter [ sample (V v) ]
 let gauge ~name ~help v = family ~name ~help ~kind:Gauge [ sample (V v) ]
-
-let histogram ~name ~help h =
-  family ~name ~help ~kind:Histogram [ sample (H h) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

@@ -30,11 +30,8 @@ val quantiles : float list
 val sample : ?labels:(string * string) list -> value -> sample
 val family : name:string -> help:string -> kind:kind -> sample list -> family
 
-(** Single-sample unlabeled family shorthands. *)
-val counter : name:string -> help:string -> float -> family
-
+(** Single-sample unlabeled family shorthand. *)
 val gauge : name:string -> help:string -> float -> family
-val histogram : name:string -> help:string -> Desim.Stats.Hdr.t -> family
 
 (** Prometheus text exposition format. Histogram families render as
     summaries — explicit [quantile]-labeled samples plus [_sum]/[_count] —

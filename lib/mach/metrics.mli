@@ -8,6 +8,22 @@
 
 type t
 
+(** The tail-latency histogram families: response time, every {!Decomp}
+    component, closed 2PC in-doubt intervals, WAL force latency,
+    crash-recovery passes, per-chain redo replay, and admission-queue
+    waits of dispatched arrivals. *)
+type hist =
+  | Response
+  | Component
+  | Indoubt
+  | Log_force
+  | Recovery
+  | Chain
+  | Queue_wait
+
+(** Each family with its Prometheus name and help, in registry order. *)
+val hist_table : (hist * string * string) list
+
 (** [quantiles] (default true) enables the tail-latency histograms; when
     false the histogram record paths are no-ops, so bench can price the
     histogram overhead against an otherwise identical run. *)
@@ -123,10 +139,6 @@ val record_expired : t -> unit
     time series and the windowed max). *)
 val set_queue_depth : t -> int -> unit
 
-(** A dispatched arrival waited [dur] seconds in the admission queue
-    (histogram; no-op with [~quantiles:false]). *)
-val record_queue_wait : t -> dur:float -> unit
-
 val offered : t -> int
 val admitted : t -> int
 val shed : t -> int
@@ -138,45 +150,21 @@ val queue_depth_max : t -> int
 (** Time-average admission-queue depth over the window. *)
 val mean_queue_depth : t -> float
 
-(** Windowed admission-queue waits of dispatched arrivals. *)
-val queue_wait_hist : t -> Desim.Stats.Hdr.t
-
 (** {2 Tail-latency histograms}
 
     Windowed, deterministic, log-scaled histograms (see
     {!Desim.Stats.Hdr}); all reset by {!begin_window}. Record paths are
     no-ops when the collector was created with [~quantiles:false]. *)
 
-val quantiles_enabled : t -> bool
-
-(** A WAL force completed in [dur] simulated seconds (histogram only; the
-    force count and log-disk utilization live in {!Wal}). *)
-val record_log_force : t -> dur:float -> unit
-
-(** A crash-recovery pass completed in [dur] simulated seconds. *)
-val record_recovery : t -> dur:float -> unit
-
-(** A recovery redo chain finished replaying in [dur] simulated seconds. *)
-val record_chain : t -> dur:float -> unit
+(** [record t h v] adds [v] seconds to family [h]'s histogram. It is for
+    [Log_force], [Recovery], [Chain] and [Queue_wait]: {!record_commit}
+    records [Response] and [Component], {!record_decided} [Indoubt]. *)
+val record : t -> hist -> float -> unit
 
 (** Histogram response-time quantile (upper-edge convention, see
     {!Desim.Stats.Hdr.quantile}); 0 when histograms are disabled or empty. *)
 val response_quantile : t -> float -> float
 
-val response_hist : t -> Desim.Stats.Hdr.t
-
-(** Per-{!Decomp}-component histograms as [(field_name, hist)], in
-    {!Decomp.fields} order. *)
-val component_hists : t -> (string * Desim.Stats.Hdr.t) list
-
-(** Closed 2PC in-doubt interval durations. *)
-val indoubt_hist : t -> Desim.Stats.Hdr.t
-
-(** WAL force latencies. *)
-val log_force_hist : t -> Desim.Stats.Hdr.t
-
-(** Crash-recovery durations. *)
-val recovery_hist : t -> Desim.Stats.Hdr.t
-
-(** Per-chain redo replay durations (chain-parallel recovery only). *)
-val chain_hist : t -> Desim.Stats.Hdr.t
+(** The {!hist_table} families as registry entries, in table order;
+    [Queue_wait] only when [open_loop], none at all with histograms off. *)
+val families : t -> open_loop:bool -> Metric.family list

@@ -224,8 +224,6 @@ let default =
     arrivals = Arrival.zero;
   }
 
-let num_files t = t.database.num_relations * t.database.partitions_per_relation
-
 let validate t =
   let d = t.database and w = t.workload and r = t.resources in
   let check cond msg = if not cond then Error msg else Ok () in

@@ -156,5 +156,4 @@ type t = {
     8-way partitioning, small database, 2K startup / 1K message costs. *)
 val default : t
 
-val num_files : t -> int
 val validate : t -> (unit, string) result

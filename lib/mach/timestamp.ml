@@ -11,7 +11,6 @@ let compare a b =
   if c <> 0 then c else Int.compare a.uniq b.uniq
 
 let equal a b = compare a b = 0
-let min a b = if Stdlib.( <= ) (compare a b) 0 then a else b
 let max a b = if Stdlib.( >= ) (compare a b) 0 then a else b
 let ( < ) a b = compare a b < 0
 let ( > ) a b = compare a b > 0

@@ -8,7 +8,6 @@ type t = { time : float; uniq : int }
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 val ( < ) : t -> t -> bool
 val ( > ) : t -> t -> bool

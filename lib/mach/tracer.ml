@@ -14,8 +14,6 @@ let create () = { sinks = [] }
 (** Sinks observe events in attachment order. *)
 let attach t sink = t.sinks <- t.sinks @ [ sink ]
 
-let active t = t.sinks <> []
-
 let rec emit_to sinks ~time ev =
   match sinks with
   | [] -> ()

@@ -14,5 +14,4 @@ val create : unit -> t
 (** Sinks observe events in attachment order. *)
 val attach : t -> sink -> unit
 
-val active : t -> bool
 val emit : t -> time:float -> Event.t -> unit

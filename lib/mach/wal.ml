@@ -52,8 +52,6 @@ type t = {
   mutable torn_tails : int;
       (** crashes that tore a partially forced tail (checksum-invalid
           suffix truncated by the next scan) *)
-  mutable torn_records : int;
-      (** volatile records lost to torn tails specifically *)
   mutable deps_corrupt : bool;
       (** a torn tail clipped dependency records: the chain partitioner
           cannot trust the DAG until a full physical redo + checkpoint
@@ -71,7 +69,6 @@ let create eng rng ~min_time ~max_time =
     forced_records = 0;
     page_writer = Ids.Page_table.create 64;
     torn_tails = 0;
-    torn_records = 0;
     deps_corrupt = false;
   }
 
@@ -261,7 +258,6 @@ let on_crash ?(torn = false) t =
      physical redo and checkpoint rebuild it. *)
   if torn && !dropped > 0 then begin
     t.torn_tails <- t.torn_tails + 1;
-    t.torn_records <- t.torn_records + !dropped;
     t.deps_corrupt <- true
   end
 
@@ -302,7 +298,6 @@ let records t = t.records
 let forces t = t.forces
 let forced_records t = t.forced_records
 let torn_tails t = t.torn_tails
-let torn_records t = t.torn_records
 let deps_corrupt t = t.deps_corrupt
 let repair_deps t = t.deps_corrupt <- false
 let utilization t = Disk.utilization t.disk

@@ -63,10 +63,10 @@ val scan : t -> unit
 (** The node lost volatile state: drop the un-forced tail. The durable
     prefix and install flags survive. With [~torn:true] (and a
     non-empty tail) the suffix additionally reached the platter
-    partially: the tear is counted ({!torn_tails}, {!torn_records}) and
-    the dependency DAG is flagged corrupt ({!deps_corrupt}) — the next
-    recovery must degrade to serial physical redo until a checkpoint
-    rebuilds it ({!repair_deps}). Acknowledged (forced) records are
+    partially: the tear is counted ({!torn_tails}) and the dependency
+    DAG is flagged corrupt ({!deps_corrupt}) — the next recovery must
+    degrade to serial physical redo until a checkpoint rebuilds it
+    ({!repair_deps}). Acknowledged (forced) records are
     never affected, so durability of committed work is preserved. *)
 val on_crash : ?torn:bool -> t -> unit
 
@@ -108,9 +108,6 @@ val utilization : t -> float
 (** Crashes that tore a partially forced tail (the suffix the next scan
     truncates at the last checksum-valid record). *)
 val torn_tails : t -> int
-
-(** Volatile records lost to torn tails specifically. *)
-val torn_records : t -> int
 
 (** A torn tail clipped dependency records: the chain partitioner must
     not trust the DAG. Cleared by {!repair_deps} once a full physical

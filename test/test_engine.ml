@@ -217,18 +217,6 @@ let test_wait_outside_process () =
   Alcotest.check_raises "not in process" Engine.Not_in_process (fun () ->
       Engine.wait 1.)
 
-let test_stop () =
-  let eng = Engine.create () in
-  let count = ref 0 in
-  Engine.spawn eng (fun () ->
-      for _ = 1 to 100 do
-        incr count;
-        if !count = 10 then Engine.stop eng;
-        Engine.wait 1.
-      done);
-  Engine.run eng;
-  Alcotest.(check int) "stopped early" 10 !count
-
 let test_ivar_between_processes () =
   let eng = Engine.create () in
   let iv = Ivar.create () in
@@ -488,26 +476,22 @@ let test_parker_shared () =
   Alcotest.check_raises "not in process" Engine.Not_in_process (fun () ->
       Engine.park p)
 
-exception Poisoned
-
-let test_poison_wakes_readers () =
+let test_fill_wakes_readers () =
   let eng = Engine.create () in
   let iv : int Ivar.t = Ivar.create () in
   let woke = ref [] in
   for i = 0 to 2 do
     Engine.spawn eng (fun () ->
-        match Ivar.read iv with
-        | _ -> woke := (i, "value", Engine.now eng) :: !woke
-        | exception Poisoned ->
-            woke := (i, "poisoned", Engine.now eng) :: !woke)
+        let v = Ivar.read iv in
+        woke := (i, v, Engine.now eng) :: !woke)
   done;
   Engine.spawn eng (fun () ->
       Engine.wait 2.;
-      Ivar.poison iv Poisoned);
+      Ivar.fill iv 7);
   Engine.run eng;
-  Alcotest.(check (list (triple int string (float 0.))))
-    "every reader rejected, in arrival order, at the poison time"
-    [ (0, "poisoned", 2.); (1, "poisoned", 2.); (2, "poisoned", 2.) ]
+  Alcotest.(check (list (triple int int (float 0.))))
+    "every reader resumed, in arrival order, at the fill time"
+    [ (0, 7, 2.); (1, 7, 2.); (2, 7, 2.) ]
     (List.rev !woke)
 
 (* Differential check of the event queue against a reference engine built
@@ -768,7 +752,6 @@ let suite =
     Alcotest.test_case "wake" `Quick test_wake;
     Alcotest.test_case "nested spawn" `Quick test_nested_spawn;
     Alcotest.test_case "wait outside process" `Quick test_wait_outside_process;
-    Alcotest.test_case "stop" `Quick test_stop;
     Alcotest.test_case "ivar between processes" `Quick
       test_ivar_between_processes;
     Alcotest.test_case "events processed" `Quick test_events_processed;
@@ -780,7 +763,7 @@ let suite =
     Alcotest.test_case "nested engines" `Quick test_nested_engines;
     Alcotest.test_case "parker shared by two engines" `Quick
       test_parker_shared;
-    Alcotest.test_case "poison wakes every reader" `Quick
-      test_poison_wakes_readers;
+    Alcotest.test_case "fill wakes every reader in order" `Quick
+      test_fill_wakes_readers;
     QCheck_alcotest.to_alcotest prop_queue_matches_reference;
   ]

@@ -40,12 +40,9 @@ let test_crashable () =
   Desim.Faults.Crashable.crash c;
   Desim.Faults.Crashable.crash c;
   Alcotest.(check bool) "down after crash" false (Desim.Faults.Crashable.up c);
-  Alcotest.(check int) "double crash is one transition" 1
-    (Desim.Faults.Crashable.epoch c);
   Desim.Faults.Crashable.recover c;
-  Alcotest.(check bool) "up after recover" true (Desim.Faults.Crashable.up c);
-  Alcotest.(check int) "epoch counts both transitions" 2
-    (Desim.Faults.Crashable.epoch c)
+  Desim.Faults.Crashable.recover c;
+  Alcotest.(check bool) "up after recover" true (Desim.Faults.Crashable.up c)
 
 let test_link_zero_consumes_no_randomness () =
   let rng1 = Desim.Rng.create 7 and rng2 = Desim.Rng.create 7 in
@@ -132,50 +129,6 @@ let test_validate_rejects_out_of_range_crash_target () =
   match Fault_plan.validate ~num_proc_nodes:4 plan with
   | Ok () -> Alcotest.fail "accepted a crash target beyond the machine"
   | Error _ -> ()
-
-(* --- message-variant coverage -------------------------------------- *)
-
-(* A minimal transaction for constructing message values. *)
-let dummy_txn =
-  {
-    Txn.tid = 1;
-    attempt = 1;
-    origin_time = 0.;
-    attempt_time = 0.;
-    startup_ts = { Timestamp.time = 0.; uniq = 1 };
-    cc_ts = { Timestamp.time = 0.; uniq = 1 };
-    commit_ts = None;
-    plan = { Plan.relation = 0; cohorts = [] };
-    phase = Txn.Working;
-    doomed = false;
-  }
-
-(* Every constructor of both protocol-message types: adding a variant
-   without extending the name function breaks the library build (the
-   match is compiled with exhaustiveness as an error); this test pins
-   the names themselves, which the trace tooling keys on. *)
-let test_message_names_cover_every_variant () =
-  let cohort = Ddbm.Messages.[ Do_prepare; Do_commit; Do_abort ] in
-  let coord =
-    Ddbm.Messages.
-      [
-        Work_done 0;
-        Cohort_aborted (0, Txn.Peer_abort);
-        Vote (0, true);
-        Done_ack 0;
-        Abort_request (dummy_txn, Txn.Wounded);
-        Inquiry (dummy_txn, 0);
-      ]
-  in
-  let cohort_names = List.map Ddbm.Messages.cohort_msg_name cohort in
-  let coord_names = List.map Ddbm.Messages.coord_msg_name coord in
-  Alcotest.(check int) "distinct cohort names" (List.length cohort)
-    (List.length (List.sort_uniq String.compare cohort_names));
-  Alcotest.(check int) "distinct coord names" (List.length coord)
-    (List.length (List.sort_uniq String.compare coord_names));
-  List.iter
-    (fun n -> Alcotest.(check bool) ("nonempty " ^ n) true (n <> ""))
-    (cohort_names @ coord_names)
 
 (* --- configurations ------------------------------------------------ *)
 
@@ -419,7 +372,7 @@ let suite =
       test_backoff_delay;
     Alcotest.test_case "backoff deadline, total and budget" `Quick
       test_backoff_deadline_total_exhausted;
-    Alcotest.test_case "crashable up/down epochs" `Quick test_crashable;
+    Alcotest.test_case "crashable up/down" `Quick test_crashable;
     Alcotest.test_case "zero link consumes no randomness" `Quick
       test_link_zero_consumes_no_randomness;
     Alcotest.test_case "lossy link deterministic per seed" `Quick
@@ -430,8 +383,6 @@ let suite =
       test_spec_rejects_garbage;
     Alcotest.test_case "validate rejects bad crash target" `Quick
       test_validate_rejects_out_of_range_crash_target;
-    Alcotest.test_case "message names cover every variant" `Quick
-      test_message_names_cover_every_variant;
     Alcotest.test_case "chaos registry never leaks between runs" `Quick
       test_chaos_registry_no_leak;
     Alcotest.test_case "unknown chaos fault rejected" `Quick

@@ -1,11 +1,8 @@
 (* Dedicated ivar suite: multiple waiters resumed together, read after
-   fill, poison of waiting and future readers, double-resolution errors,
-   and peek on poisoned ivars. Complements the smoke tests in
-   test_sync.ml. *)
+   fill, and a fill from a sibling process. Complements the smoke tests
+   in test_sync.ml. *)
 
 open Desim
-
-exception Boom
 
 let test_all_waiters_resumed_with_value () =
   let eng = Engine.create () in
@@ -40,41 +37,6 @@ let test_read_after_fill_is_immediate () =
   (* a filled ivar must not block the reader *)
   Alcotest.(check (float 1e-9)) "no blocking" 4. !t_read
 
-let test_poison_rejects_waiting_and_future_readers () =
-  let eng = Engine.create () in
-  let iv : unit Ivar.t = Ivar.create () in
-  let caught = ref 0 in
-  Engine.spawn eng (fun () ->
-      try Ivar.read iv with Boom -> incr caught);
-  Engine.spawn eng (fun () ->
-      Engine.wait 1.;
-      Ivar.poison iv Boom);
-  Engine.spawn eng (fun () ->
-      Engine.wait 2.;
-      (* reader arriving after the poison *)
-      try Ivar.read iv with Boom -> incr caught);
-  Engine.run eng;
-  Alcotest.(check int) "both readers rejected" 2 !caught
-
-let test_poison_then_fill_rejected () =
-  let iv : int Ivar.t = Ivar.create () in
-  Ivar.poison iv Boom;
-  Alcotest.check_raises "fill after poison"
-    (Invalid_argument "Ivar.fill: already resolved") (fun () -> Ivar.fill iv 1)
-
-let test_double_poison_rejected () =
-  let iv : int Ivar.t = Ivar.create () in
-  Ivar.poison iv Boom;
-  Alcotest.check_raises "double poison"
-    (Invalid_argument "Ivar.poison: already resolved") (fun () ->
-      Ivar.poison iv Boom)
-
-let test_peek_and_is_filled_on_poisoned () =
-  let iv : int Ivar.t = Ivar.create () in
-  Ivar.poison iv Boom;
-  Alcotest.(check (option int)) "peek sees no value" None (Ivar.peek iv);
-  Alcotest.(check bool) "not filled" false (Ivar.is_filled iv)
-
 let test_fill_from_sibling_process () =
   (* the commit-protocol shape: a cohort fills the ivar a coordinator is
      reading, both being simulation processes *)
@@ -101,14 +63,6 @@ let suite =
       test_all_waiters_resumed_with_value;
     Alcotest.test_case "read after fill is immediate" `Quick
       test_read_after_fill_is_immediate;
-    Alcotest.test_case "poison rejects waiting and future readers" `Quick
-      test_poison_rejects_waiting_and_future_readers;
-    Alcotest.test_case "fill after poison rejected" `Quick
-      test_poison_then_fill_rejected;
-    Alcotest.test_case "double poison rejected" `Quick
-      test_double_poison_rejected;
-    Alcotest.test_case "peek on poisoned ivar" `Quick
-      test_peek_and_is_filled_on_poisoned;
     Alcotest.test_case "fill from sibling process" `Quick
       test_fill_from_sibling_process;
   ]

@@ -214,6 +214,66 @@ let golden_runs =
   in
   [ closed; open_wal; lossy_opt; crashy_chains; sequential_ww ]
 
+(* --- every table histogram is windowed and registered once ---------- *)
+
+(* (family name, sample count) of every histogram in [families]. *)
+let hist_counts families =
+  List.concat_map
+    (fun (f : Metric.family) ->
+      List.map
+        (fun (s : Metric.sample) ->
+          match s.Metric.value with
+          | Metric.H h -> (f.Metric.name, Desim.Stats.Hdr.count h)
+          | Metric.V _ -> Alcotest.failf "%s is not a histogram" f.Metric.name)
+        f.Metric.samples)
+    families
+
+let test_histogram_table () =
+  let m = Metrics.create (Desim.Engine.create ()) ~restart_delay_floor:0.5 in
+  (* one sample into every histogram of the table, before warm-up ends *)
+  Metrics.record_commit m ~origin_time:0. ~pages:1 ~decomp:Decomp.zero;
+  Metrics.record_prepared m ~tid:1 ~attempt:1 ~node:0;
+  Metrics.record_decided m ~tid:1 ~attempt:1 ~node:0;
+  List.iter
+    (fun h -> Metrics.record m h 0.01)
+    Metrics.[ Log_force; Recovery; Chain; Queue_wait ];
+  let counts () = hist_counts (Metrics.families m ~open_loop:true) in
+  Alcotest.(check int) "histograms of the table"
+    (List.length Metrics.hist_table - 1 + List.length Decomp.fields)
+    (List.length (counts ()));
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) (name ^ " holds its sample") 1 n)
+    (counts ());
+  Metrics.begin_window m;
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) (name ^ " reads 0 after begin_window") 0 n)
+    (counts ());
+  (* each row is registered exactly once; the admission-queue row only
+     on an open-loop run *)
+  let names params =
+    let machine = Ddbm.Machine.create params in
+    ignore (Ddbm.Machine.execute machine : Ddbm.Sim_result.t);
+    List.map (fun (f : Metric.family) -> f.Metric.name)
+      (Ddbm.Machine.registry machine)
+  in
+  let closed = names (List.nth golden_runs 0)
+  and open_loop = names (List.nth golden_runs 1) in
+  List.iter
+    (fun (h, name, _) ->
+      let occurrences registry =
+        List.length (List.filter (String.equal name) registry)
+      in
+      Alcotest.(check int) (name ^ " on the open-loop run") 1
+        (occurrences open_loop);
+      Alcotest.(check int) (name ^ " on the closed-loop run")
+        (match h with
+        | Metrics.Queue_wait -> 0
+        | Metrics.Response | Component | Indoubt | Log_force | Recovery | Chain
+          -> 1)
+        (occurrences closed))
+    Metrics.hist_table
+
 let read_golden name =
   (* cwd is test/ under `dune runtest`, the project root under
      `dune exec test/test_main.exe` *)
@@ -288,4 +348,6 @@ let suite =
     Alcotest.test_case "histograms off is bit-identical" `Quick
       test_histograms_off_bit_identical;
     Alcotest.test_case "opt tail populated" `Quick test_per_algorithm_quantiles;
+    Alcotest.test_case "histogram table windowed and registered once" `Quick
+      test_histogram_table;
   ]

@@ -70,16 +70,6 @@ let test_sample_full () =
     "permutation of 0..4" [ 0; 1; 2; 3; 4 ]
     (List.sort Int.compare s)
 
-let test_permutation () =
-  let r = Rng.create 10 in
-  let p = Rng.permutation r 10 in
-  let sorted = Array.copy p in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int))
-    "permutation contents"
-    (Array.init 10 Fun.id)
-    sorted
-
 let test_bool_probability () =
   let r = Rng.create 12 in
   let n = 100_000 in
@@ -161,7 +151,6 @@ let suite =
     Alcotest.test_case "sample w/o replacement" `Quick
       test_sample_without_replacement;
     Alcotest.test_case "sample full range" `Quick test_sample_full;
-    Alcotest.test_case "permutation" `Quick test_permutation;
     Alcotest.test_case "bool probability" `Slow test_bool_probability;
     Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "golden stream" `Quick test_golden_stream;

@@ -8,9 +8,7 @@ let test_tally_basic () =
   Alcotest.(check int) "count" 5 (Stats.Tally.count t);
   Alcotest.(check bool) "mean" true (feq (Stats.Tally.mean t) 3.);
   Alcotest.(check bool) "total" true (feq (Stats.Tally.total t) 15.);
-  Alcotest.(check bool) "variance" true (feq (Stats.Tally.variance t) 2.5);
-  Alcotest.(check bool) "min" true (feq (Stats.Tally.min t) 1.);
-  Alcotest.(check bool) "max" true (feq (Stats.Tally.max t) 5.)
+  Alcotest.(check bool) "variance" true (feq (Stats.Tally.variance t) 2.5)
 
 let test_tally_empty () =
   let t = Stats.Tally.create () in
@@ -53,30 +51,6 @@ let test_utilization () =
       : Engine.handle);
   Engine.run ~until:4. eng;
   Alcotest.(check bool) "75% busy" true (feq (Stats.Utilization.value u) 0.75)
-
-let test_histogram_quantile () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  for i = 0 to 99 do
-    Stats.Histogram.add h (float_of_int (i mod 10) +. 0.5)
-  done;
-  Alcotest.(check int) "count" 100 (Stats.Histogram.count h);
-  let med = Stats.Histogram.quantile h 0.5 in
-  Alcotest.(check bool)
-    (Printf.sprintf "median %.2f near 5" med)
-    true
-    (abs_float (med -. 5.) < 1.)
-
-let test_histogram_clamps () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  Stats.Histogram.add h (-5.);
-  Stats.Histogram.add h 100.;
-  Alcotest.(check int) "clamped count" 2 (Stats.Histogram.count h);
-  match Stats.Histogram.bins h with
-  | (_, _, first) :: rest ->
-      let _, _, last = List.nth rest (List.length rest - 1) in
-      Alcotest.(check int) "low clamped" 1 first;
-      Alcotest.(check int) "high clamped" 1 last
-  | [] -> Alcotest.fail "no bins"
 
 let test_batch_means_mean () =
   let b = Stats.Batch_means.create ~batch_size:4 in
@@ -137,15 +111,16 @@ let prop_tally_mean_matches_list =
       let m = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
       abs_float (Stats.Tally.mean t -. m) < 1e-6 *. (1. +. abs_float m))
 
-let prop_tally_minmax =
-  QCheck.Test.make ~name:"tally min/max bound all samples" ~count:300
+let prop_tally_mean_within_bounds =
+  QCheck.Test.make ~name:"tally mean lies within the sample bounds" ~count:300
     QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.))
     (fun xs ->
       let t = Stats.Tally.create () in
       List.iter (Stats.Tally.add t) xs;
-      List.for_all
-        (fun x -> x >= Stats.Tally.min t && x <= Stats.Tally.max t)
-        xs)
+      let lo = List.fold_left Float.min infinity xs
+      and hi = List.fold_left Float.max neg_infinity xs in
+      let m = Stats.Tally.mean t and eps = 1e-9 *. (1. +. hi) in
+      m >= lo -. eps && m <= hi +. eps)
 
 (* ---- HDR log-scaled histogram ------------------------------------- *)
 
@@ -226,30 +201,6 @@ let prop_hdr_conservation =
       Stats.Hdr.count h = Stats.Tally.count t
       && Float.equal (Stats.Hdr.total h) (Stats.Tally.total t))
 
-let prop_hdr_merge_associative =
-  (* integer bucket counts merge exactly associatively, so quantiles are
-     bit-identical under any parallel aggregation order; totals are float
-     sums and only associative up to rounding *)
-  QCheck.Test.make ~name:"hdr merge associativity" ~count:200
-    QCheck.(triple in_range_samples in_range_samples in_range_samples)
-    (fun (xs, ys, zs) ->
-      let a = hdr_of xs and b = hdr_of ys and c = hdr_of zs in
-      let l = Stats.Hdr.merge (Stats.Hdr.merge a b) c in
-      let r = Stats.Hdr.merge a (Stats.Hdr.merge b c) in
-      let flat = hdr_of (xs @ ys @ zs) in
-      Stats.Hdr.count l = Stats.Hdr.count r
-      && Stats.Hdr.count l = Stats.Hdr.count flat
-      && List.for_all
-           (fun q ->
-             Float.equal (Stats.Hdr.quantile l q) (Stats.Hdr.quantile r q)
-             && Float.equal (Stats.Hdr.quantile l q)
-                  (Stats.Hdr.quantile flat q))
-           [ 0.5; 0.9; 0.95; 0.99; 0.999 ]
-      && Stats.Hdr.nonzero_bins l = Stats.Hdr.nonzero_bins r
-      && Stats.Hdr.nonzero_bins l = Stats.Hdr.nonzero_bins flat
-      && abs_float (Stats.Hdr.total l -. Stats.Hdr.total r)
-         <= 1e-9 *. (1. +. abs_float (Stats.Hdr.total l)))
-
 let prop_hdr_cumulative =
   QCheck.Test.make ~name:"hdr cumulative counts are monotone to count"
     ~count:200 in_range_samples (fun xs ->
@@ -275,8 +226,6 @@ let suite =
     Alcotest.test_case "timeseries average" `Quick test_timeseries_average;
     Alcotest.test_case "timeseries window" `Quick test_timeseries_window;
     Alcotest.test_case "utilization" `Quick test_utilization;
-    Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-    Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps;
     Alcotest.test_case "batch means mean" `Quick test_batch_means_mean;
     Alcotest.test_case "batch means partial batch" `Quick
       test_batch_means_partial_batch_excluded;
@@ -285,11 +234,10 @@ let suite =
     Alcotest.test_case "batch means reset" `Quick test_batch_means_reset;
     QCheck_alcotest.to_alcotest prop_batch_ci_covers_true_mean;
     QCheck_alcotest.to_alcotest prop_tally_mean_matches_list;
-    QCheck_alcotest.to_alcotest prop_tally_minmax;
+    QCheck_alcotest.to_alcotest prop_tally_mean_within_bounds;
     Alcotest.test_case "hdr basic" `Quick test_hdr_basic;
     Alcotest.test_case "hdr clamps" `Quick test_hdr_clamps;
     QCheck_alcotest.to_alcotest prop_hdr_differential;
     QCheck_alcotest.to_alcotest prop_hdr_conservation;
-    QCheck_alcotest.to_alcotest prop_hdr_merge_associative;
     QCheck_alcotest.to_alcotest prop_hdr_cumulative;
   ]

@@ -15,27 +15,6 @@ let test_ivar_double_fill () =
   Alcotest.check_raises "double fill"
     (Invalid_argument "Ivar.fill: already resolved") (fun () -> Ivar.fill iv 2)
 
-exception Poison
-
-let test_ivar_poison () =
-  let eng = Engine.create () in
-  let iv : int Ivar.t = Ivar.create () in
-  let caught = ref false in
-  Engine.spawn eng (fun () ->
-      try ignore (Ivar.read iv) with Poison -> caught := true);
-  Engine.spawn eng (fun () ->
-      Engine.wait 1.;
-      Ivar.poison iv Poison);
-  Engine.run eng;
-  Alcotest.(check bool) "poison delivered" true !caught
-
-let test_ivar_peek () =
-  let iv = Ivar.create () in
-  Alcotest.(check (option int)) "empty" None (Ivar.peek iv);
-  Ivar.fill iv 3;
-  Alcotest.(check (option int)) "filled" (Some 3) (Ivar.peek iv);
-  Alcotest.(check bool) "is_filled" true (Ivar.is_filled iv)
-
 let test_mailbox_order () =
   let eng = Engine.create () in
   let mb = Mailbox.create () in
@@ -99,8 +78,6 @@ let suite =
   [
     Alcotest.test_case "ivar fill before read" `Quick test_ivar_fill_before_read;
     Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
-    Alcotest.test_case "ivar poison" `Quick test_ivar_poison;
-    Alcotest.test_case "ivar peek" `Quick test_ivar_peek;
     Alcotest.test_case "mailbox order" `Quick test_mailbox_order;
     Alcotest.test_case "mailbox blocking recv" `Quick test_mailbox_blocking_recv;
     Alcotest.test_case "mailbox multiple receivers" `Quick
