@@ -21,8 +21,8 @@ let run ~algorithm ~think =
         { Params.default.Params.workload with Params.think_time = think };
       cc = { Params.default.Params.cc with Params.algorithm };
       run =
-        { Params.seed = 7; warmup = 30.; measure = 200.;
-          restart_delay_floor = 0.5; fresh_restart_plan = false };
+        { Params.default.Params.run with
+          Params.seed = 7; warmup = 30.; measure = 200. };
     }
   in
   Ddbm.Machine.run params

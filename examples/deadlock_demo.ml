@@ -90,10 +90,9 @@ let global_deadlock_demo () =
   (* a miniature Snoop: every second, union both nodes' waits-for graphs *)
   let cpus = Array.init 2 (fun _ -> Cpu.create eng ~rate:1_000_000.) in
   let net =
-    Net.create ~inst_per_msg:1_000. ~cpu_of:(function
+    Net.create ~eng ~inst_per_msg:1_000. ~cpu_of:(function
       | Ids.Proc i -> cpus.(i)
       | Ids.Host -> cpus.(0))
-      ()
   in
   let edges_of = function
     | 0 -> node0.Cc_intf.cc_edges ()

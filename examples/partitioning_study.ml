@@ -20,8 +20,7 @@ let run ~algorithm ~degree ~think =
       workload = { d.Params.workload with Params.think_time = think };
       cc = { d.Params.cc with Params.algorithm };
       run =
-        { Params.seed = 5; warmup = 40.; measure = 250.;
-          restart_delay_floor = 0.5; fresh_restart_plan = false };
+        { d.Params.run with Params.seed = 5; warmup = 40.; measure = 250. };
     }
   in
   Ddbm.Machine.run params

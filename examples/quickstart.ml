@@ -17,8 +17,8 @@ let () =
       Params.workload =
         { Params.default.Params.workload with Params.think_time = 8. };
       run =
-        { Params.seed = 42; warmup = 30.; measure = 200.;
-          restart_delay_floor = 0.5; fresh_restart_plan = false };
+        { Params.default.Params.run with
+          Params.seed = 42; warmup = 30.; measure = 200. };
     }
   in
   let result = Ddbm.Machine.run params in

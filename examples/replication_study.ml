@@ -26,8 +26,7 @@ let run ~algorithm ~replication ~inst_per_msg =
       resources = { d.Params.resources with Params.inst_per_msg };
       cc = { d.Params.cc with Params.algorithm };
       run =
-        { Params.seed = 13; warmup = 30.; measure = 200.;
-          restart_delay_floor = 0.5; fresh_restart_plan = false };
+        { d.Params.run with Params.seed = 13; warmup = 30.; measure = 200. };
       durability = Params.default_durability;
       faults = Fault_plan.zero;
       arrivals = Arrival.zero;

@@ -28,8 +28,8 @@ let run ~algorithm ~nodes ~think =
            saturated workload, so their windows must grow accordingly to
            reach steady state *)
         (let scale = 8. /. float_of_int nodes in
-         { Params.seed = 3; warmup = 40. *. scale; measure = 250. *. scale;
-           restart_delay_floor = 0.5; fresh_restart_plan = false });
+         { Params.default.Params.run with
+           Params.seed = 3; warmup = 40. *. scale; measure = 250. *. scale });
       faults = Fault_plan.zero;
     }
   in

@@ -33,7 +33,6 @@ type workspace = {
   mutable reads : (Page.t * Timestamp.t option) list;
       (** page, version observed at read time *)
   mutable writes : Page.t list;
-  mutable certified : bool;
 }
 
 type t = {
@@ -57,7 +56,7 @@ let workspace_of t txn =
   match Txn.Table.find_opt t.workspaces txn with
   | Some w -> w
   | None ->
-      let w = { reads = []; writes = []; certified = false } in
+      let w = { reads = []; writes = [] } in
       Txn.Table.add t.workspaces txn w;
       w
 
@@ -118,7 +117,6 @@ let certify t txn =
             let state = state_of t page in
             state.cert_writes <- cert :: state.cert_writes)
           ws.writes;
-        ws.certified <- true;
         true
       end
       else false

@@ -30,20 +30,6 @@ val run_instrumented :
   Params.t ->
   Ddbm.Sim_result.t * Ddbm.Audit.t * int list array * string list
 
-(** Audit + invariants + determinism for [params] as given (single
-    algorithm). Returns the first run's result and fingerprints for the
-    cross-algorithm checks, plus the event tail (when requested) for
-    post-mortems either way. [instrument] is applied to *both* runs of
-    the determinism check. *)
-val check_algorithm_traced :
-  ?trace_capacity:int ->
-  ?instrument:(Ddbm.Machine.t -> unit) ->
-  Params.t ->
-  (Ddbm.Sim_result.t * int list array, failure) result * string list
-
-val check_algorithm :
-  Params.t -> (Ddbm.Sim_result.t * int list array, failure) result
-
 (** Run every algorithm in [algorithms] on [params] (the algorithm field
     of [params] is overridden), checking each in isolation and then the
     cross-algorithm workload agreement. On failure, writes a replay

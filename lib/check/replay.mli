@@ -28,16 +28,10 @@ val params_to_string : Params.t -> string
     artifacts stay readable. *)
 val params_of_string : string -> (Params.t, string) result
 
-(** Multi-line artifact codec (header with {i magic} line included). *)
-val artifact_to_string : artifact -> string
-
-val artifact_of_string : string -> (artifact, string) result
-
-(** Deterministic filename derived from the artifact's content hash. *)
-val artifact_filename : artifact -> string
-
-(** Write the artifact into [dir] (created if missing) under its
-    {!artifact_filename}; returns the full path. *)
+(** Write the artifact into [dir] (created if missing) as multi-line
+    [key = value] text under a deterministic name built from its
+    algorithm, seed and failure kind, so a repeated failure overwrites
+    its earlier artifact; returns the full path. *)
 val write : dir:string -> artifact -> string
 
 val load : string -> (artifact, string) result

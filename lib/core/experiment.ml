@@ -29,11 +29,10 @@ let run_params profile ~think ~nodes ~seed =
     | Full -> (100. +. (2. *. think), 1200. +. (16. *. think))
   in
   {
+    Params.default.Params.run with
     Params.seed;
     warmup = warmup *. scale;
     measure = measure *. scale;
-    restart_delay_floor = 0.5;
-    fresh_restart_plan = false;
   }
 
 (** Configuration point: the knobs the paper's experiments turn, plus the

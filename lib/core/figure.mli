@@ -15,9 +15,6 @@ type t = {
 (** X values, taken from the first series. *)
 val xs : t -> float list
 
-(** Value of a series at an x, if present. *)
-val value_at : series -> float -> float option
-
 (** Aligned text table: one row per x, one column per series. *)
 val to_table : t -> string
 

@@ -37,9 +37,6 @@ open Ids
 type fault_rt = {
   plan : Fault_plan.t;
   link : Faults.Link.t;  (** per-message loss/dup/delay judge *)
-  state : Faults.Crashable.t array;
-      (** up/down state of every node, indexed by [slot]: the host at
-          0, processing node [i] at [i + 1] *)
   crash_rngs : Rng.t array;  (** per proc node, rate-driven crashes *)
   jitter_rng : Rng.t;
       (** drives the optional timeout jitter; untouched (and never drawn
@@ -64,10 +61,13 @@ type fault_rt = {
   mutable orphaned : int;
   mutable failovers : int;
       (** cohorts resurrected at their backup node after a primary crash *)
+  down_since : float option array;
+      (** the crash ledger, indexed by [slot]: [Some t] while the node is
+          down, since [t] (clipped to the window start at warm-up's end);
+          [None] while it is up *)
   (* availability accounting, by slot: windowed downtime (reset with the
      observation windows) plus an unwindowed total feeding the in-doubt
      overdue grace *)
-  down_since : float option array;
   downtime : float array;
   mutable total_downtime : float;
 }
@@ -205,7 +205,7 @@ let install_cc t =
 (* The crash ledger's index: the host at 0, so availability sums the
    host's downtime first. *)
 let slot = function Host -> 0 | Proc i -> i + 1
-let node_up f node = Faults.Crashable.up f.state.(slot node)
+let node_up f node = Option.is_none f.down_since.(slot node)
 
 (* Fault runtime set-up: the dedicated fault RNG streams, the crash
    ledger, and the network's per-message judge. *)
@@ -231,7 +231,6 @@ let install_faults t (plan : Fault_plan.t) =
       link =
         Faults.Link.create link_rng ~loss:plan.Fault_plan.msg_loss
           ~dup:plan.Fault_plan.msg_dup ~delay:plan.Fault_plan.msg_delay;
-      state = Array.init (n + 1) (fun _ -> Faults.Crashable.create ());
       crash_rngs;
       jitter_rng;
       tear_rng;
@@ -293,7 +292,7 @@ let create ?(histograms = true) (params : Params.t) =
     | Host -> host.Node.cpu
     | Proc i -> procs.(i).Node.cpu
   in
-  let net = Net.create ~eng ~inst_per_msg:resources.Params.inst_per_msg ~cpu_of () in
+  let net = Net.create ~eng ~inst_per_msg:resources.Params.inst_per_msg ~cpu_of in
   let catalog = Catalog.create params.Params.database in
   let workload = Workload.create params catalog (Rng.split rng) in
   (* [think_rng] must be split before any durability stream so the
@@ -409,9 +408,8 @@ let resident_node (rt : Messages.attempt_runtime) node =
    nodes alike. Each returns whether the node changed state. *)
 let mark_down t f node =
   let s = slot node in
-  let was_up = Faults.Crashable.up f.state.(s) in
+  let was_up = Option.is_none f.down_since.(s) in
   if was_up then begin
-    Faults.Crashable.crash f.state.(s);
     f.node_crashes <- f.node_crashes + 1;
     f.down_since.(s) <- Some t.time.now;
     if traced t then emit t (Event.Node_crashed { node })
@@ -420,19 +418,15 @@ let mark_down t f node =
 
 let mark_up t f node =
   let s = slot node in
-  let was_down = not (Faults.Crashable.up f.state.(s)) in
-  if was_down then begin
-    Faults.Crashable.recover f.state.(s);
-    (match f.down_since.(s) with
-    | Some since ->
-        let d = t.time.now -. since in
-        f.downtime.(s) <- f.downtime.(s) +. d;
-        f.total_downtime <- f.total_downtime +. d;
-        f.down_since.(s) <- None
-    | None -> ());
-    if traced t then emit t (Event.Node_recovered { node })
-  end;
-  was_down
+  match f.down_since.(s) with
+  | None -> false
+  | Some since ->
+      let d = t.time.now -. since in
+      f.downtime.(s) <- f.downtime.(s) +. d;
+      f.total_downtime <- f.total_downtime +. d;
+      f.down_since.(s) <- None;
+      if traced t then emit t (Event.Node_recovered { node });
+      true
 
 (* A crash dooms an attempt that no message can tell: the coordinator
    reads [crash_doomed] at its next receive timeout. *)
@@ -1826,7 +1820,7 @@ let availability t =
         Array.iteri
           (fun s acc -> down := !down +. acc +. open_since f.down_since.(s))
           f.downtime;
-        let nodes = float_of_int (Array.length f.state) in
+        let nodes = float_of_int (Array.length f.down_since) in
         1. -. Float.min 1. (Float.max 0. (!down /. (nodes *. window)))
       end
 

@@ -23,23 +23,7 @@ open Ddbm_model
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON printing                                               *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ escape s ^ "\""
+let jstr s = "\"" ^ Metric.escape ~quote:true s ^ "\""
 
 (* Deterministic, JSON-valid float formatting ("%g" may print "1e-07",
    which JSON accepts; infinities and NaNs never occur in the stream). *)

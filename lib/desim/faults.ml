@@ -1,12 +1,3 @@
-module Crashable = struct
-  type t = { mutable up : bool }
-
-  let create () = { up = true }
-  let up t = t.up
-  let crash t = t.up <- false
-  let recover t = t.up <- true
-end
-
 module Link = struct
   type t = { rng : Rng.t; loss : float; dup : float; delay : float }
 

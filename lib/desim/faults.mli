@@ -1,28 +1,7 @@
-(** Fault-injection primitives for discrete-event simulations.
-
-    Two building blocks, both deterministic: a {!Crashable} up/down state
-    for a resource, and a lossy/duplicating/delaying {!Link} judged by a
-    dedicated {!Rng} stream. Faults scheduled through these primitives
-    are ordinary simulation events, so a seeded run replays exactly. *)
-
-module Crashable : sig
-  (** Up/down state of a simulated resource. The state itself carries no
-      timing; crash and recovery instants are scheduled by the caller as
-      engine events. *)
-
-  type t
-
-  (** A fresh resource, initially up. *)
-  val create : unit -> t
-
-  val up : t -> bool
-
-  (** Take the resource down (no-op when already down). *)
-  val crash : t -> unit
-
-  (** Bring the resource back up (no-op when already up). *)
-  val recover : t -> unit
-end
+(** Fault-injection primitives for discrete-event simulations: a
+    lossy/duplicating/delaying {!Link} judged by a dedicated {!Rng}
+    stream. Its verdicts are ordinary simulation events, so a seeded run
+    replays exactly. *)
 
 module Link : sig
   (** A message-fault judge: per message, decides drop, duplication and

@@ -166,41 +166,25 @@ module Hdr = struct
      bits of the sample, so bucketing involves no float arithmetic at all:
      identical samples land in identical buckets on every host, which is what
      keeps quantiles bit-identical across --jobs layouts. *)
-  type t = {
-    min_exp : int;  (** lowest octave: bucket 0 starts at 2^min_exp *)
-    max_exp : int;  (** values >= 2^max_exp clamp into the last bucket *)
-    sub_bits : int;  (** 2^sub_bits buckets per octave *)
-    counts : int array;
-    mutable n : int;
-    mutable total : float;
-  }
+  let min_exp = -20 (* lowest octave: bucket 0 starts at 2^min_exp *)
+  let max_exp = 12 (* values >= 2^max_exp clamp into the last bucket *)
+  let sub_bits = 6 (* 2^sub_bits buckets per octave *)
+  let nbuckets = (max_exp - min_exp) lsl sub_bits
 
-  let create ?(min_exp = -20) ?(max_exp = 12) ?(sub_bits = 6) () =
-    assert (max_exp > min_exp);
-    assert (sub_bits >= 1 && sub_bits <= 20);
-    {
-      min_exp;
-      max_exp;
-      sub_bits;
-      counts = Array.make ((max_exp - min_exp) lsl sub_bits) 0;
-      n = 0;
-      total = 0.;
-    }
+  type t = { counts : int array; mutable n : int; mutable total : float }
 
-  let nbuckets t = Array.length t.counts
+  let create () = { counts = Array.make nbuckets 0; n = 0; total = 0. }
 
   let reset t =
-    Array.fill t.counts 0 (nbuckets t) 0;
+    Array.fill t.counts 0 nbuckets 0;
     t.n <- 0;
     t.total <- 0.
 
   let count t = t.n
   let total t = t.total
+  let rel_error = ldexp 1. (-sub_bits)
 
-  (** Worst-case relative over-estimate of [quantile]: 2^-sub_bits. *)
-  let rel_error t = ldexp 1. (-t.sub_bits)
-
-  let index t x =
+  let index x =
     if not (x > 0.) then 0 (* <= 0 and nan collapse into the first bucket *)
     else begin
       let bits = Int64.bits_of_float x in
@@ -208,31 +192,31 @@ module Hdr = struct
       let sub =
         Int64.to_int
           (Int64.logand
-             (Int64.shift_right_logical bits (52 - t.sub_bits))
-             (Int64.of_int ((1 lsl t.sub_bits) - 1)))
+             (Int64.shift_right_logical bits (52 - sub_bits))
+             (Int64.of_int ((1 lsl sub_bits) - 1)))
       in
       (* subnormals have biased exponent 0 -> a large negative index -> 0 *)
-      let i = ((biased - 1023 - t.min_exp) lsl t.sub_bits) lor sub in
-      if i < 0 then 0 else if i >= nbuckets t then nbuckets t - 1 else i
+      let i = ((biased - 1023 - min_exp) lsl sub_bits) lor sub in
+      if i < 0 then 0 else if i >= nbuckets then nbuckets - 1 else i
     end
 
   let add t x =
     t.n <- t.n + 1;
     t.total <- t.total +. x;
-    let i = index t x in
+    let i = index x in
     t.counts.(i) <- t.counts.(i) + 1
 
   (* Lower edge of bucket [i], built directly from exponent/mantissa bits so
      it is the exact infimum of the floats that map to bucket [i]. Also valid
      for i = nbuckets (the upper edge of the last bucket). *)
-  let lower_edge t i =
-    let octave = i asr t.sub_bits and sub = i land ((1 lsl t.sub_bits) - 1) in
+  let lower_edge i =
+    let octave = i asr sub_bits and sub = i land ((1 lsl sub_bits) - 1) in
     Int64.float_of_bits
       (Int64.logor
-         (Int64.shift_left (Int64.of_int (octave + t.min_exp + 1023)) 52)
-         (Int64.shift_left (Int64.of_int sub) (52 - t.sub_bits)))
+         (Int64.shift_left (Int64.of_int (octave + min_exp + 1023)) 52)
+         (Int64.shift_left (Int64.of_int sub) (52 - sub_bits)))
 
-  let upper_edge t i = lower_edge t (i + 1)
+  let upper_edge i = lower_edge (i + 1)
 
   (* Same rank convention as exact sorted-sample percentiles elsewhere in the
      repo: the order statistic at idx = min (n-1) (int (n*q)). We return the
@@ -246,30 +230,22 @@ module Hdr = struct
         min (t.n - 1) (int_of_float (float_of_int t.n *. q))
       in
       let rec go i cum =
-        if i >= nbuckets t - 1 then upper_edge t i
+        if i >= nbuckets - 1 then upper_edge i
         else
           let cum = cum + t.counts.(i) in
-          if cum > idx then upper_edge t i else go (i + 1) cum
+          if cum > idx then upper_edge i else go (i + 1) cum
       in
       go 0 0
     end
 
-  let nonzero_bins t =
-    let acc = ref [] in
-    for i = nbuckets t - 1 downto 0 do
-      if t.counts.(i) > 0 then
-        acc := (lower_edge t i, upper_edge t i, t.counts.(i)) :: !acc
-    done;
-    !acc
-
   let cumulative t =
     let acc = ref [] and cum = ref 0 in
-    for i = nbuckets t - 1 downto 0 do
+    for i = nbuckets - 1 downto 0 do
       if t.counts.(i) > 0 then acc := (i, t.counts.(i)) :: !acc
     done;
     List.map
       (fun (i, c) ->
         cum := !cum + c;
-        (upper_edge t i, !cum))
+        (upper_edge i, !cum))
       !acc
 end

@@ -15,8 +15,6 @@ module Tally : sig
   (** Sample variance (n-1 denominator); 0 for fewer than 2 observations. *)
   val variance : t -> float
 
-  val stddev : t -> float
-
   (** Half-width of a normal-approximation 95% confidence interval on the
       mean; 0 for fewer than 2 observations. *)
   val ci95 : t -> float
@@ -103,22 +101,18 @@ module Batch_means : sig
 end
 
 (** Deterministic log-scaled fixed-bucket (HDR-style) histogram for latency
-    tails. Each power-of-two octave in [2^min_exp, 2^max_exp) is split into
-    2^sub_bits equal-mantissa buckets; the bucket index is computed from the
-    raw IEEE-754 bits of the sample (pure integer arithmetic, no rounding, no
-    randomness), so bucketing — and therefore every quantile — is
-    bit-identical across hosts and across serial vs [--jobs] parallel runs.
-    Values <= 0 (and nan) fall into bucket 0; values >= 2^max_exp clamp into
-    the last bucket. Memory: one int per bucket,
-    [(max_exp - min_exp) * 2^sub_bits] buckets total. *)
+    tails, with one fixed layout: each power-of-two octave in
+    [[2^-20, 2^12)] is split into 2^6 equal-mantissa buckets, 2048 buckets
+    (16 KiB) tracking latencies from ~1 microsecond to ~4096 simulated
+    seconds. The bucket index is computed from the raw IEEE-754 bits of the
+    sample (pure integer arithmetic, no rounding, no randomness), so
+    bucketing — and therefore every quantile — is bit-identical across
+    hosts and across serial vs [--jobs] parallel runs. Values <= 0 (and
+    nan) fall into bucket 0; values >= 2^12 clamp into the last bucket. *)
 module Hdr : sig
   type t
 
-  (** Defaults ([min_exp = -20], [max_exp = 12], [sub_bits = 6]) track
-      latencies from ~1 microsecond to ~4096 simulated seconds at a relative
-      error of at most 2^-6 ~ 1.6%, in 2048 buckets (16 KiB). *)
-  val create : ?min_exp:int -> ?max_exp:int -> ?sub_bits:int -> unit -> t
-
+  val create : unit -> t
   val reset : t -> unit
   val add : t -> float -> unit
   val count : t -> int
@@ -127,21 +121,18 @@ module Hdr : sig
       fed the same stream). *)
   val total : t -> float
 
-  (** Worst-case relative over-estimate of {!quantile}: 2^-sub_bits. *)
-  val rel_error : t -> float
+  (** Worst-case relative over-estimate of {!quantile}: 2^-6 ~ 1.6%. *)
+  val rel_error : float
 
   (** Bucket index a sample would land in (exposed for tests). *)
-  val index : t -> float -> int
+  val index : float -> int
 
   (** [quantile t q] uses the order statistic at
       [idx = min (n-1) (int (n*q))] — the same rank convention as the exact
       sorted-sample percentiles in [Metrics] — and returns the upper edge of
       the bucket holding that sample, so for in-range samples
-      [exact <= quantile t q <= exact * (1 + rel_error t)]. 0 when empty. *)
+      [exact <= quantile t q <= exact * (1 + rel_error)]. 0 when empty. *)
   val quantile : t -> float -> float
-
-  (** Non-empty buckets as [(lower_edge, upper_edge, count)]. *)
-  val nonzero_bins : t -> (float * float * int) list
 
   (** Cumulative counts at each non-empty bucket's upper edge — the
       Prometheus [le] series, minus the final +Inf entry ({!count}). *)

@@ -73,9 +73,6 @@ let seg_max_rate = function
   | Sine { mean; amplitude; _ } -> Float.max 0. (mean +. amplitude)
   | Spike { base; peak; _ } -> Float.max base peak
 
-let total_duration segs =
-  List.fold_left (fun acc s -> acc +. seg_duration s) 0. segs
-
 (* Offered rate at absolute time [at]. Profiles start at t = 0 and do not
    wrap: past the last segment the rate is zero (arrivals stop). *)
 let rate t ~at =

@@ -54,8 +54,6 @@ val rate : t -> at:float -> float
 (** Instantaneous offered rate at absolute time [at] (profiles start at
     t = 0 and do not wrap: the rate is zero past the last segment). *)
 
-val total_duration : segment list -> float
-
 val next_arrival : t -> Desim.Rng.t -> now:float -> horizon:float -> float option
 (** Next arrival strictly after [now], or [None] when no further arrival
     occurs before [horizon]. Time-varying segments are sampled by

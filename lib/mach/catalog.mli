@@ -14,9 +14,6 @@ val create : Params.database -> t
 (** Total number of files (relations x partitions). *)
 val num_files : t -> int
 
-(** File id of a relation's partition. *)
-val file_id : Params.database -> relation:int -> partition:int -> int
-
 (** Processing node holding the given file. *)
 val node_of : t -> file:int -> Ids.node_ref
 

@@ -33,6 +33,11 @@ val family : name:string -> help:string -> kind:kind -> sample list -> family
 (** Single-sample unlabeled family shorthand. *)
 val gauge : name:string -> help:string -> float -> family
 
+(** The body of a JSON string, also valid as a Prometheus label value:
+    backslash, newline and the other control characters escaped, and the
+    double quote too when [quote] (HELP text leaves it bare). *)
+val escape : quote:bool -> string -> string
+
 (** Prometheus text exposition format. Histogram families render as
     summaries — explicit [quantile]-labeled samples plus [_sum]/[_count] —
     so p50..p999 appear directly in the scrape; full bucket detail lives in

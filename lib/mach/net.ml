@@ -17,7 +17,7 @@ open Desim
 type t = {
   inst_per_msg : float;
   cpu_of : Ids.node_ref -> Cpu.t;
-  eng : Engine.t option;  (** needed only for judged, delayed deliveries *)
+  eng : Engine.t;  (** schedules judged, delayed deliveries *)
   mutable messages_sent : int;
   mutable on_msg :
     (sent:bool -> src:Ids.node_ref -> dst:Ids.node_ref -> unit) option;
@@ -28,7 +28,7 @@ type t = {
   mutable judge : (src:Ids.node_ref -> dst:Ids.node_ref -> float list) option;
 }
 
-let create ?eng ~inst_per_msg ~cpu_of () =
+let create ~eng ~inst_per_msg ~cpu_of =
   { inst_per_msg; cpu_of; eng; messages_sent = 0; on_msg = None; judge = None }
 
 (** Attach (or detach) the message observer. *)
@@ -59,13 +59,10 @@ let rec deliver_copies t ~src ~dst deliver = function
   | [] -> ()
   | d :: rest ->
       (if d > 0. then
-         match t.eng with
-         | Some eng ->
-             ignore
-               (Engine.schedule_after eng ~delay:d (fun () ->
-                    deliver_at t ~src ~dst deliver)
-                 : Engine.handle)
-         | None -> deliver_at t ~src ~dst deliver
+         ignore
+           (Engine.schedule_after t.eng ~delay:d (fun () ->
+                deliver_at t ~src ~dst deliver)
+             : Engine.handle)
        else deliver_at t ~src ~dst deliver);
       deliver_copies t ~src ~dst deliver rest
 

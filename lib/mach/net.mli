@@ -10,13 +10,11 @@
 
 type t
 
-(** [eng] is needed only for judged deliveries with extra delay; a net
-    without it delivers judged copies immediately. *)
+(** [eng] schedules the judged copies that arrive with extra delay. *)
 val create :
-  ?eng:Desim.Engine.t ->
+  eng:Desim.Engine.t ->
   inst_per_msg:float ->
   cpu_of:(Ids.node_ref -> Desim.Cpu.t) ->
-  unit ->
   t
 
 (** [send t ~src ~dst deliver] blocks the calling process for the

@@ -161,15 +161,8 @@ module Codec : sig
     deps : (int * int) list;  (** predecessor (tid, attempt) pairs *)
   }
 
-  val encode : dep_record -> string
-
   (** Concatenated frames, in order. *)
   val encode_log : dep_record list -> string
-
-  (** [decode s ~pos] parses one frame at [pos]; [Some (record, next)]
-      on a checksum-valid frame, [None] on a torn, corrupt or truncated
-      one. *)
-  val decode : string -> pos:int -> (dep_record * int) option
 
   (** Walk frames from the start; stop at the first invalid one.
       Returns the records of the valid prefix and the count of torn

@@ -138,7 +138,6 @@ let net_send () =
   let net =
     Net.create ~eng ~inst_per_msg:1000.
       ~cpu_of:(function Ids.Host -> cpus.(0) | Ids.Proc i -> cpus.(i))
-      ()
   in
   let delivered = ref 0 in
   let deliver () = incr delivered in

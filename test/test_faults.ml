@@ -34,16 +34,6 @@ let test_backoff_deadline_total_exhausted () =
 
 (* --- desim primitives ---------------------------------------------- *)
 
-let test_crashable () =
-  let c = Desim.Faults.Crashable.create () in
-  Alcotest.(check bool) "fresh is up" true (Desim.Faults.Crashable.up c);
-  Desim.Faults.Crashable.crash c;
-  Desim.Faults.Crashable.crash c;
-  Alcotest.(check bool) "down after crash" false (Desim.Faults.Crashable.up c);
-  Desim.Faults.Crashable.recover c;
-  Desim.Faults.Crashable.recover c;
-  Alcotest.(check bool) "up after recover" true (Desim.Faults.Crashable.up c)
-
 let test_link_zero_consumes_no_randomness () =
   let rng1 = Desim.Rng.create 7 and rng2 = Desim.Rng.create 7 in
   let link = Desim.Faults.Link.create rng1 ~loss:0. ~dup:0. ~delay:0. in
@@ -70,6 +60,28 @@ let test_link_lossy_is_deterministic () =
   Alcotest.(check bool) "some messages dropped" true (dropped > 0);
   Alcotest.(check bool) "some messages duplicated" true (dupped > 0);
   Alcotest.(check bool) "most messages delivered" true (dropped < 150)
+
+(* A judged copy with extra delay [d] reaches its destination exactly
+   [d] after an unjudged send of the same message would. *)
+let test_net_judged_delay () =
+  let delivered_at judge =
+    let eng = Desim.Engine.create () in
+    let cpus = [| Desim.Cpu.create eng ~rate:1e6; Desim.Cpu.create eng ~rate:1e6 |] in
+    let net =
+      Net.create ~eng ~inst_per_msg:1000.
+        ~cpu_of:(function Ids.Host -> cpus.(0) | Ids.Proc i -> cpus.(i))
+    in
+    Net.set_judge net judge;
+    let at = ref Float.nan in
+    Desim.Engine.spawn eng (fun () ->
+        Net.send ~faulty:true net ~src:(Ids.Proc 0) ~dst:(Ids.Proc 1) (fun () ->
+            at := Desim.Engine.now eng));
+    Desim.Engine.run eng;
+    !at
+  in
+  let plain = delivered_at None in
+  Alcotest.(check (float 1e-12)) "judged copy arrives d later" (plain +. 0.25)
+    (delivered_at (Some (fun ~src:_ ~dst:_ -> [ 0.25 ])))
 
 (* --- fault-plan codec ---------------------------------------------- *)
 
@@ -338,6 +350,46 @@ let test_proc_crash_mid_run_terminates () =
            events))
     [ Params.Twopl; Params.Opt; Params.No_dc ]
 
+(* Proc 1 is down over [1, 3) and the window opens at 2 (warm-up 2,
+   measure 20). The node stays down through the window reset, recovers
+   on schedule, and availability counts only the 1 s of downtime inside
+   the window, over 5 nodes (the host and 4 processing nodes). *)
+let warmup_spanning_crash_plan =
+  {
+    Fault_plan.zero with
+    Fault_plan.crashes =
+      [ { Fault_plan.target = Ids.Proc 1; at = 1.; duration = 2. } ];
+    timeout = 0.5;
+    timeout_cap = 2.;
+    max_retries = 4;
+    fault_seed = 31;
+  }
+
+let test_crash_spanning_warmup () =
+  let m =
+    Ddbm.Machine.create (faulty_params ~faults:warmup_spanning_crash_plan ())
+  in
+  let spells = ref [] in
+  Tracer.attach (Ddbm.Machine.enable_events m) (fun ~time ev ->
+      match ev with
+      | Event.Node_crashed { node = Ids.Proc 1 } ->
+          spells := ("down", time) :: !spells
+      | Event.Node_recovered { node = Ids.Proc 1 } ->
+          spells := ("up", time) :: !spells
+      | Event.Node_crashed _ | Event.Node_recovered _ ->
+          spells := ("other node", time) :: !spells
+      | _ -> ());
+  let r = Ddbm.Machine.execute m in
+  check_conforming "warm-up-spanning crash" r;
+  Alcotest.(check (list (pair string (float 0.))))
+    "one spell of proc 1, down at 1 and up at 3"
+    [ ("down", 1.); ("up", 3.) ]
+    (List.rev !spells);
+  Alcotest.(check int) "one crash" 1 r.Ddbm.Sim_result.node_crashes;
+  Alcotest.(check (float 1e-12)) "availability counts the in-window second"
+    (1. -. (1. /. (5. *. 20.)))
+    r.Ddbm.Sim_result.availability
+
 let test_fault_runs_are_deterministic () =
   List.iter
     (fun faults ->
@@ -372,11 +424,12 @@ let suite =
       test_backoff_delay;
     Alcotest.test_case "backoff deadline, total and budget" `Quick
       test_backoff_deadline_total_exhausted;
-    Alcotest.test_case "crashable up/down" `Quick test_crashable;
     Alcotest.test_case "zero link consumes no randomness" `Quick
       test_link_zero_consumes_no_randomness;
     Alcotest.test_case "lossy link deterministic per seed" `Quick
       test_link_lossy_is_deterministic;
+    Alcotest.test_case "judged net delay postpones delivery" `Quick
+      test_net_judged_delay;
     Alcotest.test_case "spec codec: zero" `Quick test_spec_zero_roundtrip;
     Alcotest.test_case "spec codec: full plan" `Quick test_spec_full_roundtrip;
     Alcotest.test_case "spec codec rejects garbage" `Quick
@@ -395,6 +448,8 @@ let suite =
       test_host_crash_mid_run_terminates;
     Alcotest.test_case "proc crash mid-run terminates 2PC" `Slow
       test_proc_crash_mid_run_terminates;
+    Alcotest.test_case "crash spanning warm-up counts in-window downtime" `Slow
+      test_crash_spanning_warmup;
     Alcotest.test_case "seeded fault runs replay exactly" `Slow
       test_fault_runs_are_deterministic;
     Alcotest.test_case "rate-driven crashes conform" `Slow

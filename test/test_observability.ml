@@ -363,6 +363,27 @@ let test_exporters_emit_valid_json () =
     (fun i line -> check_json (Printf.sprintf "jsonl line %d" (i + 1)) line)
     lines
 
+(* The exporters and the sampler are observers too: a run exported
+   through both sinks with the 1 s sampler on differs from the plain run
+   only by the sampler's own events, one tick per simulated second. *)
+let test_export_is_transparent () =
+  let params = mk_params () in
+  let plain = Ddbm.Machine.run params in
+  let exported, _, _ = run_exported params in
+  let ticks = Float.to_int exported.Ddbm.Sim_result.sim_end in
+  Alcotest.(check int) "one tick per simulated second" 20 ticks;
+  let unticked =
+    {
+      exported with
+      Ddbm.Sim_result.sim_events = exported.Ddbm.Sim_result.sim_events - ticks;
+    }
+  in
+  match Ddbm.Sim_result.diff plain unticked with
+  | [] -> ()
+  | diffs ->
+      Alcotest.failf "exporting changed the simulation:\n%s"
+        (String.concat "\n" diffs)
+
 (* Golden Chrome trace of a tiny deterministic run. The simulation is
    bit-for-bit reproducible and the exporter's float formatting is
    OCaml's own, so the bytes are stable. Regenerate with
@@ -427,6 +448,8 @@ let suite =
       test_busy_time_survives_window_reset;
     Alcotest.test_case "exporters emit valid JSON" `Slow
       test_exporters_emit_valid_json;
+    Alcotest.test_case "exporting is transparent" `Slow
+      test_export_is_transparent;
     Alcotest.test_case "golden chrome trace" `Slow test_golden_chrome_trace;
     Alcotest.test_case "csv header/row arity" `Slow test_csv_arity;
   ]

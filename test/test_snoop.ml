@@ -24,7 +24,7 @@ let mk ?(num_nodes = 3) ?(inst_per_msg = 1_000.) () =
     | Ids.Host -> host_cpu
     | Ids.Proc i -> cpus.(i)
   in
-  let net = Net.create ~inst_per_msg ~cpu_of () in
+  let net = Net.create ~eng ~inst_per_msg ~cpu_of in
   let node_edges = Array.make num_nodes [] in
   let victims = ref [] in
   let snoop =

@@ -157,7 +157,7 @@ let test_hdr_basic () =
   Alcotest.(check bool)
     (Printf.sprintf "median edge %.6f just above 4" q)
     true
-    (q > 4. && q <= 4. *. (1. +. Stats.Hdr.rel_error h));
+    (q > 4. && q <= 4. *. (1. +. Stats.Hdr.rel_error));
   Stats.Hdr.reset h;
   Alcotest.(check int) "count after reset" 0 (Stats.Hdr.count h)
 
@@ -166,11 +166,11 @@ let test_hdr_clamps () =
   (* below range, zero, nan, negative -> bucket 0; above range -> last *)
   List.iter (Stats.Hdr.add h) [ 1e-30; 0.; Float.nan; -3.; 1e30 ];
   Alcotest.(check int) "count" 5 (Stats.Hdr.count h);
-  Alcotest.(check int) "low clamp" 0 (Stats.Hdr.index h 1e-30);
-  Alcotest.(check int) "neg clamp" 0 (Stats.Hdr.index h (-3.));
-  let last = Stats.Hdr.index h 1e30 in
+  Alcotest.(check int) "low clamp" 0 (Stats.Hdr.index 1e-30);
+  Alcotest.(check int) "neg clamp" 0 (Stats.Hdr.index (-3.));
+  let last = Stats.Hdr.index 1e30 in
   Alcotest.(check bool) "high clamp is max index" true
-    (last = Stats.Hdr.index h 4000. || last > Stats.Hdr.index h 4000.);
+    (last = Stats.Hdr.index 4000. || last > Stats.Hdr.index 4000.);
   (* the quantile stays finite even for clamped-high samples *)
   Alcotest.(check bool) "q finite" true
     (Float.is_finite (Stats.Hdr.quantile h 0.99))
@@ -182,7 +182,7 @@ let prop_hdr_differential =
   QCheck.Test.make ~name:"hdr quantile vs exact sample quantile" ~count:300
     in_range_samples (fun xs ->
       let h = hdr_of xs in
-      let rel = Stats.Hdr.rel_error h in
+      let rel = Stats.Hdr.rel_error in
       List.for_all
         (fun q ->
           let e = exact_quantile xs q in
