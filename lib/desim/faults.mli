@@ -17,6 +17,8 @@ module Link : sig
 
   (** Judge one message: the result is one extra-delay value per copy to
       deliver ([0.] = deliver immediately), or [[]] when the message is
-      dropped. A duplicated message yields two copies. *)
+      dropped. A duplicated message yields two copies. On a link with
+      neither delay nor duplication a kept message's verdict is one
+      shared [[0.]], so judging allocates nothing. *)
   val judge : t -> float list
 end

@@ -2,7 +2,8 @@
    message to the oldest waiting cell and then wakes its receiver, so a
    handed message never shows in [msgs]. A timed receive's cell that times
    out is marked dead and skipped by senders, so an expired [recv_timeout]
-   can never steal a message from a later receiver. *)
+   can never steal a message from a later receiver; one that is served
+   cancels its timer. *)
 type 'a slot = Waiting | Got of 'a | Dead
 
 type 'a cell = { mutable slot : 'a slot; mutable wake : Engine.handle }
@@ -63,16 +64,23 @@ let recv_timeout t eng ~timeout =
   if not (Queue.is_empty t.msgs) then Some (Queue.pop t.msgs)
   else begin
     let c = { slot = Waiting; wake = Engine.idle } in
-    ignore
-      (Engine.schedule_after eng ~delay:timeout (fun () ->
-           match c.slot with
-           | Waiting ->
-               c.slot <- Dead;
-               Engine.wake c.wake
-           | Got _ | Dead -> ())
-        : Engine.handle);
+    let timer =
+      Engine.schedule_after eng ~delay:timeout (fun () ->
+          match c.slot with
+          | Waiting ->
+              c.slot <- Dead;
+              Engine.wake c.wake
+          (* handed a message due at the same instant, and not resumed
+             yet to cancel this timer *)
+          | Got _ | Dead -> ())
+    in
     block t c;
-    match c.slot with Got m -> Some m | Dead -> None | Waiting -> assert false
+    match c.slot with
+    | Got m ->
+        Engine.cancel eng timer;
+        Some m
+    | Dead -> None
+    | Waiting -> assert false
   end
 
 let try_recv t = if Queue.is_empty t.msgs then None else Some (Queue.pop t.msgs)

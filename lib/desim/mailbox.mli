@@ -17,7 +17,9 @@ val recv : 'a t -> 'a
     no message arrives within [timeout] simulated seconds. A timed-out
     receive consumes nothing: the next message goes to the next receiver
     (or the queue). The timer is armed only when the call actually
-    blocks, so a non-empty mailbox costs no engine event. *)
+    blocks, so a non-empty mailbox costs no engine event, and a receive
+    served before its deadline cancels the timer, leaving no event
+    behind. *)
 val recv_timeout : 'a t -> Engine.t -> timeout:float -> 'a option
 
 (** [try_recv t] is [Some m] without blocking, or [None] when empty. *)

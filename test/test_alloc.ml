@@ -314,6 +314,15 @@ let snoop_graph () =
         ignore (Sys.opaque_identity (Ddbm_cc.Wfg.break_all_cycles g))
       done)
 
+(* Judging messages on a link that loses some but neither delays nor
+   duplicates any: the link of every fault plan that sets [loss] alone. *)
+let link_judge () =
+  let link = Faults.Link.create (Rng.create 5) ~loss:0.1 ~dup:0. ~delay:0. in
+  words_per_op ~ops (fun () ->
+      for _ = 1 to ops do
+        ignore (Sys.opaque_identity (Faults.Link.judge link))
+      done)
+
 (* The source of the paper's contention regime (8 nodes, 8-way
    partitioning, FileSize 120, 64 terminals). *)
 let paper_workload () =
@@ -387,8 +396,8 @@ let budget name ~max measure () =
 
 (* name, measurement, budget in words per operation (per request, per
    search, per round, per plan, per commit for the machine runs);
-   measured 7, 8, 8, 6, 8, 14, 9, 9.6, 0, 60.5, 11, 1,099, 350.4, 131.1,
-   122, 4,894 and 8,616 *)
+   measured 7, 8, 8, 6, 8, 14, 9, 9.6, 0, 60.5, 11, 1,099, 0, 350.4,
+   131.1, 122, 4,894 and 8,616 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 7.7);
@@ -403,6 +412,7 @@ let cases =
     ("Lock_table blocked request, queued then granted", lock_blocked, 63.);
     ("Lock_table.find_cycle_through, a 3-cycle", lock_cycle_search, 12.);
     ("Wfg.of_edges + break_all_cycles, Snoop's 54 edges", snoop_graph, 1_200.);
+    ("Faults.Link.judge, no delay or duplication", link_judge, 0.);
     ("Workload.generate_plan", generate_plan, 385.);
     ("Plan retained words", plan_retained, 145.);
     ("Attempt runtime retained words, 8 cohorts", runtime_retained, 134.);

@@ -145,6 +145,20 @@ let test_message_and_timeout_tie () =
   check "message first" (run ~message_first:true) (Some 7, 0);
   check "timeout first" (run ~message_first:false) (None, 1)
 
+(* A timed receive served before its deadline cancels its timer: the run
+   ends at the message, and its events are the spawn, the send and the
+   resumption, with no timer among them. *)
+let test_served_receive_leaves_no_timer () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let got = ref None in
+  Engine.spawn eng (fun () -> got := Mailbox.recv_timeout mb eng ~timeout:100.);
+  ignore (Engine.schedule eng ~at:1. (fun () -> Mailbox.send mb 7));
+  Engine.run eng;
+  Alcotest.(check (option int)) "received" (Some 7) !got;
+  Alcotest.(check (float 0.)) "the run ends at the message" 1. (Engine.now eng);
+  Alcotest.(check int) "no timer fired" 3 (Engine.events_processed eng)
+
 (* Plain and timed receivers queue in one FIFO; a timed one that has
    expired is skipped, and the next message goes to the receiver after
    it. *)
@@ -199,6 +213,8 @@ let suite =
       test_interleaved_send_recv_conserves_messages;
     Alcotest.test_case "message and timeout at the same instant" `Quick
       test_message_and_timeout_tie;
+    Alcotest.test_case "a served timed receive leaves no timer queued" `Quick
+      test_served_receive_leaves_no_timer;
     Alcotest.test_case "plain and timed receivers served fifo" `Quick
       test_mixed_receivers_fifo;
   ]
