@@ -22,7 +22,8 @@ val gen_arrivals : Arrival.t QCheck.Gen.t
     region. *)
 val shrink : Params.t -> Params.t QCheck.Iter.t
 
-(** One-line round-trippable rendering ({!Replay.params_to_string}). *)
+(** Round-trippable rendering, one [key = value] line per key
+    ({!Replay.params_to_string}). *)
 val print : Params.t -> string
 
 (** QCheck arbitrary over valid configurations, with printing via the

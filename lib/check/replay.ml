@@ -21,77 +21,122 @@ type artifact = {
   detail : string;  (** human-readable description of the failure *)
 }
 
+(* --- the key table ------------------------------------------------- *)
+
+(* [within outer set_outer] lifts a key on one sub-record of [Params.t]. *)
+let within ?optional outer set_outer name kind get set =
+  Spec.one ?optional name kind
+    (fun p -> get (outer p))
+    (fun p v -> set_outer p (set (outer p) v))
+
+(* One entry per parameter, in printing order. The durability block,
+   [faults] and [arrivals] may be absent: artifacts written before they
+   existed read with the subsystem off, the paper's machine. *)
+let keys =
+  let open Params in
+  let database name kind =
+    within (fun p -> p.database) (fun p database -> { p with database }) name kind
+  and workload name kind =
+    within (fun p -> p.workload) (fun p workload -> { p with workload }) name kind
+  and resources name kind =
+    within (fun p -> p.resources)
+      (fun p resources -> { p with resources })
+      name kind
+  and cc name kind = within (fun p -> p.cc) (fun p cc -> { p with cc }) name kind
+  and run name kind =
+    within (fun p -> p.run) (fun p run -> { p with run }) name kind
+  and durability name kind =
+    within ~optional:true (fun p -> p.durability)
+      (fun p durability -> { p with durability })
+      name kind
+  in
+  Spec.
+    [
+      cc "algorithm" (Named (cc_algorithm_name, cc_algorithm_of_string))
+        (fun c -> c.algorithm) (fun c algorithm -> { c with algorithm });
+      database "num_proc_nodes" Int (fun d -> d.num_proc_nodes)
+        (fun d num_proc_nodes -> { d with num_proc_nodes });
+      database "num_relations" Int (fun d -> d.num_relations)
+        (fun d num_relations -> { d with num_relations });
+      database "partitions_per_relation" Int (fun d -> d.partitions_per_relation)
+        (fun d partitions_per_relation -> { d with partitions_per_relation });
+      database "file_size" Int (fun d -> d.file_size)
+        (fun d file_size -> { d with file_size });
+      database "partitioning_degree" Int (fun d -> d.partitioning_degree)
+        (fun d partitioning_degree -> { d with partitioning_degree });
+      database "replication" Int (fun d -> d.replication)
+        (fun d replication -> { d with replication });
+      workload "num_terminals" Int (fun w -> w.num_terminals)
+        (fun w num_terminals -> { w with num_terminals });
+      workload "think_time" Float (fun w -> w.think_time)
+        (fun w think_time -> { w with think_time });
+      workload "exec_pattern" (Named (exec_pattern_name, exec_pattern_of_string))
+        (fun w -> w.exec_pattern) (fun w exec_pattern -> { w with exec_pattern });
+      workload "pages_per_partition" Int (fun w -> w.pages_per_partition)
+        (fun w pages_per_partition -> { w with pages_per_partition });
+      workload "write_prob" Float (fun w -> w.write_prob)
+        (fun w write_prob -> { w with write_prob });
+      workload "inst_per_page" Float (fun w -> w.inst_per_page)
+        (fun w inst_per_page -> { w with inst_per_page });
+      resources "host_mips" Float (fun r -> r.host_mips)
+        (fun r host_mips -> { r with host_mips });
+      resources "node_mips" Float (fun r -> r.node_mips)
+        (fun r node_mips -> { r with node_mips });
+      resources "disks_per_node" Int (fun r -> r.disks_per_node)
+        (fun r disks_per_node -> { r with disks_per_node });
+      resources "min_disk_time" Float (fun r -> r.min_disk_time)
+        (fun r min_disk_time -> { r with min_disk_time });
+      resources "max_disk_time" Float (fun r -> r.max_disk_time)
+        (fun r max_disk_time -> { r with max_disk_time });
+      resources "inst_per_update" Float (fun r -> r.inst_per_update)
+        (fun r inst_per_update -> { r with inst_per_update });
+      resources "inst_per_startup" Float (fun r -> r.inst_per_startup)
+        (fun r inst_per_startup -> { r with inst_per_startup });
+      resources "inst_per_msg" Float (fun r -> r.inst_per_msg)
+        (fun r inst_per_msg -> { r with inst_per_msg });
+      resources "inst_per_cc_req" Float (fun r -> r.inst_per_cc_req)
+        (fun r inst_per_cc_req -> { r with inst_per_cc_req });
+      resources "model_logging" Bool (fun r -> r.model_logging)
+        (fun r model_logging -> { r with model_logging });
+      cc "detection_interval" Float (fun c -> c.detection_interval)
+        (fun c detection_interval -> { c with detection_interval });
+      durability "log_disk" Bool (fun d -> d.log_disk)
+        (fun d log_disk -> { d with log_disk });
+      durability "log_min_time" Float (fun d -> d.log_min_time)
+        (fun d log_min_time -> { d with log_min_time });
+      durability "log_max_time" Float (fun d -> d.log_max_time)
+        (fun d log_max_time -> { d with log_max_time });
+      durability "log_force" (Named (log_force_name, log_force_of_string))
+        (fun d -> d.log_force) (fun d log_force -> { d with log_force });
+      durability "replicas" Int (fun d -> d.replicas)
+        (fun d replicas -> { d with replicas });
+      durability "recovery_jobs" Int (fun d -> d.recovery_jobs)
+        (fun d recovery_jobs -> { d with recovery_jobs });
+      run "seed" Int (fun r -> r.seed) (fun r seed -> { r with seed });
+      run "warmup" Float (fun r -> r.warmup) (fun r warmup -> { r with warmup });
+      run "measure" Float (fun r -> r.measure)
+        (fun r measure -> { r with measure });
+      run "restart_delay_floor" Float (fun r -> r.restart_delay_floor)
+        (fun r restart_delay_floor -> { r with restart_delay_floor });
+      run "fresh_restart_plan" Bool (fun r -> r.fresh_restart_plan)
+        (fun r fresh_restart_plan -> { r with fresh_restart_plan });
+      (* a spec value may itself contain '='; split_kv cuts at the first
+         one, so the line round-trips *)
+      one ~optional:true "faults"
+        (Nested (Fault_plan.to_spec, Fault_plan.of_spec))
+        (fun p -> p.faults) (fun p faults -> { p with faults });
+      one ~optional:true "arrivals"
+        (Nested (Arrival.to_spec, Arrival.of_spec))
+        (fun p -> p.arrivals) (fun p arrivals -> { p with arrivals });
+    ]
+
 (* --- encoding ------------------------------------------------------ *)
-
-let exec_pattern_name = function
-  | Params.Sequential -> "sequential"
-  | Params.Parallel -> "parallel"
-
-let exec_pattern_of_string = function
-  | "sequential" -> Some Params.Sequential
-  | "parallel" -> Some Params.Parallel
-  | _ -> None
 
 (* newlines would break the line-oriented format *)
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
-let params_fields (p : Params.t) =
-  let d = p.Params.database
-  and w = p.Params.workload
-  and r = p.Params.resources
-  and c = p.Params.cc
-  and dur = p.Params.durability
-  and run = p.Params.run in
-  let f = Printf.sprintf "%.17g" in
-  [
-    ("algorithm", Params.cc_algorithm_name c.Params.algorithm);
-    ("num_proc_nodes", string_of_int d.Params.num_proc_nodes);
-    ("num_relations", string_of_int d.Params.num_relations);
-    ("partitions_per_relation", string_of_int d.Params.partitions_per_relation);
-    ("file_size", string_of_int d.Params.file_size);
-    ("partitioning_degree", string_of_int d.Params.partitioning_degree);
-    ("replication", string_of_int d.Params.replication);
-    ("num_terminals", string_of_int w.Params.num_terminals);
-    ("think_time", f w.Params.think_time);
-    ("exec_pattern", exec_pattern_name w.Params.exec_pattern);
-    ("pages_per_partition", string_of_int w.Params.pages_per_partition);
-    ("write_prob", f w.Params.write_prob);
-    ("inst_per_page", f w.Params.inst_per_page);
-    ("host_mips", f r.Params.host_mips);
-    ("node_mips", f r.Params.node_mips);
-    ("disks_per_node", string_of_int r.Params.disks_per_node);
-    ("min_disk_time", f r.Params.min_disk_time);
-    ("max_disk_time", f r.Params.max_disk_time);
-    ("inst_per_update", f r.Params.inst_per_update);
-    ("inst_per_startup", f r.Params.inst_per_startup);
-    ("inst_per_msg", f r.Params.inst_per_msg);
-    ("inst_per_cc_req", f r.Params.inst_per_cc_req);
-    ("model_logging", string_of_bool r.Params.model_logging);
-    ("detection_interval", f c.Params.detection_interval);
-    ("log_disk", string_of_bool dur.Params.log_disk);
-    ("log_min_time", f dur.Params.log_min_time);
-    ("log_max_time", f dur.Params.log_max_time);
-    ("log_force", Params.log_force_name dur.Params.log_force);
-    ("replicas", string_of_int dur.Params.replicas);
-    ("recovery_jobs", string_of_int dur.Params.recovery_jobs);
-    ("seed", string_of_int run.Params.seed);
-    ("warmup", f run.Params.warmup);
-    ("measure", f run.Params.measure);
-    ("restart_delay_floor", f run.Params.restart_delay_floor);
-    ("fresh_restart_plan", string_of_bool run.Params.fresh_restart_plan);
-    (* the spec value may itself contain '='; split_kv cuts at the first
-       one, so the line round-trips *)
-    ("faults", Fault_plan.to_spec p.Params.faults);
-    ("arrivals", Arrival.to_spec p.Params.arrivals);
-  ]
-
-(** The parameter record as `key = value` lines (no header); also used as
-    the QCheck counterexample printer. *)
-let params_to_string p =
-  params_fields p
-  |> List.map (fun (k, v) -> Printf.sprintf "%s = %s" k v)
-  |> String.concat "\n"
+let params_to_string p = Spec.to_lines keys p
 
 let artifact_to_string a =
   String.concat "\n"
@@ -105,174 +150,25 @@ let artifact_to_string a =
 
 (* --- decoding ------------------------------------------------------ *)
 
-let split_kv line =
-  match String.index_opt line '=' with
-  | None -> None
-  | Some i ->
-      let key = String.trim (String.sub line 0 i) in
-      let value =
-        String.trim (String.sub line (i + 1) (String.length line - i - 1))
-      in
-      Some (key, value)
-
 let ( let* ) = Result.bind
 
-let field assoc key conv =
-  match List.assoc_opt key assoc with
-  | None -> Error (Printf.sprintf "replay artifact: missing field %S" key)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None ->
-          Error (Printf.sprintf "replay artifact: bad value %S for %S" v key))
+(* [key = value] pairs; blank lines and '#' comments are skipped *)
+let pairs lines =
+  List.filter_map
+    (fun line ->
+      let line = String.trim line in
+      if line = "" || line.[0] = '#' then None else Spec.split_kv line)
+    lines
 
-let int_conv s = int_of_string_opt s
-let float_conv s = float_of_string_opt s
-let bool_conv s = bool_of_string_opt s
-
-let params_of_assoc assoc =
-  let* algorithm = field assoc "algorithm" Params.cc_algorithm_of_string in
-  let* num_proc_nodes = field assoc "num_proc_nodes" int_conv in
-  let* num_relations = field assoc "num_relations" int_conv in
-  let* partitions_per_relation =
-    field assoc "partitions_per_relation" int_conv
-  in
-  let* file_size = field assoc "file_size" int_conv in
-  let* partitioning_degree = field assoc "partitioning_degree" int_conv in
-  let* replication = field assoc "replication" int_conv in
-  let* num_terminals = field assoc "num_terminals" int_conv in
-  let* think_time = field assoc "think_time" float_conv in
-  let* exec_pattern = field assoc "exec_pattern" exec_pattern_of_string in
-  let* pages_per_partition = field assoc "pages_per_partition" int_conv in
-  let* write_prob = field assoc "write_prob" float_conv in
-  let* inst_per_page = field assoc "inst_per_page" float_conv in
-  let* host_mips = field assoc "host_mips" float_conv in
-  let* node_mips = field assoc "node_mips" float_conv in
-  let* disks_per_node = field assoc "disks_per_node" int_conv in
-  let* min_disk_time = field assoc "min_disk_time" float_conv in
-  let* max_disk_time = field assoc "max_disk_time" float_conv in
-  let* inst_per_update = field assoc "inst_per_update" float_conv in
-  let* inst_per_startup = field assoc "inst_per_startup" float_conv in
-  let* inst_per_msg = field assoc "inst_per_msg" float_conv in
-  let* inst_per_cc_req = field assoc "inst_per_cc_req" float_conv in
-  let* model_logging = field assoc "model_logging" bool_conv in
-  let* detection_interval = field assoc "detection_interval" float_conv in
-  (* the durability block is absent in artifacts written before the WAL
-     subsystem existed: default to durability-off, the paper's machine *)
-  let opt_field key conv default =
-    match List.assoc_opt key assoc with
-    | None -> Ok default
-    | Some v -> (
-        match conv v with
-        | Some x -> Ok x
-        | None ->
-            Error (Printf.sprintf "replay artifact: bad value %S for %S" v key))
-  in
-  let dd = Params.default_durability in
-  let* log_disk = opt_field "log_disk" bool_conv dd.Params.log_disk in
-  let* log_min_time = opt_field "log_min_time" float_conv dd.Params.log_min_time in
-  let* log_max_time = opt_field "log_max_time" float_conv dd.Params.log_max_time in
-  let* log_force = opt_field "log_force" Params.log_force_of_string dd.Params.log_force in
-  let* replicas = opt_field "replicas" int_conv dd.Params.replicas in
-  let* recovery_jobs =
-    opt_field "recovery_jobs" int_conv dd.Params.recovery_jobs
-  in
-  let* seed = field assoc "seed" int_conv in
-  let* warmup = field assoc "warmup" float_conv in
-  let* measure = field assoc "measure" float_conv in
-  let* restart_delay_floor = field assoc "restart_delay_floor" float_conv in
-  let* fresh_restart_plan = field assoc "fresh_restart_plan" bool_conv in
-  (* absent in artifacts written before fault plans existed: zero plan *)
-  let* faults =
-    match List.assoc_opt "faults" assoc with
-    | None -> Ok Fault_plan.zero
-    | Some spec -> Fault_plan.of_spec spec
-  in
-  (* absent in artifacts written before open-loop arrivals existed:
-     closed loop *)
-  let* arrivals =
-    match List.assoc_opt "arrivals" assoc with
-    | None -> Ok Arrival.zero
-    | Some spec -> Arrival.of_spec spec
-  in
-  (* legacy artifacts carried chaos switches as separate `fault = name`
-     lines; fold them into the plan *)
-  let faults =
-    let legacy =
-      List.filter_map (fun (k, v) -> if k = "fault" then Some v else None) assoc
-      |> List.filter (fun name -> not (List.mem name faults.Fault_plan.chaos))
-    in
-    { faults with Fault_plan.chaos = faults.Fault_plan.chaos @ legacy }
-  in
-  let params =
-    {
-      Params.database =
-        {
-          Params.num_proc_nodes;
-          num_relations;
-          partitions_per_relation;
-          file_size;
-          partitioning_degree;
-          replication;
-        };
-      workload =
-        {
-          Params.num_terminals;
-          think_time;
-          exec_pattern;
-          pages_per_partition;
-          write_prob;
-          inst_per_page;
-        };
-      resources =
-        {
-          Params.host_mips;
-          node_mips;
-          disks_per_node;
-          min_disk_time;
-          max_disk_time;
-          inst_per_update;
-          inst_per_startup;
-          inst_per_msg;
-          inst_per_cc_req;
-          model_logging;
-        };
-      cc = { Params.algorithm; detection_interval };
-      run =
-        {
-          Params.seed;
-          warmup;
-          measure;
-          restart_delay_floor;
-          fresh_restart_plan;
-        };
-      durability =
-        {
-          Params.log_disk;
-          log_min_time;
-          log_max_time;
-          log_force;
-          replicas;
-          recovery_jobs;
-        };
-      faults;
-      arrivals;
-    }
+let params_of_pairs pairs =
+  let* params =
+    Spec.of_lines ~prefix:"replay artifact:" keys ~zero:Params.default pairs
   in
   match Params.validate params with
   | Ok () -> Ok params
   | Error msg -> Error ("replay artifact: invalid parameters: " ^ msg)
 
-(** Parse `key = value` parameter lines (the body of an artifact or the
-    output of {!params_to_string}). *)
-let params_of_string s =
-  let assoc =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None else split_kv line)
-  in
-  params_of_assoc assoc
+let params_of_string s = params_of_pairs (pairs (String.split_on_char '\n' s))
 
 let artifact_of_string s =
   match String.split_on_char '\n' s with
@@ -283,15 +179,11 @@ let artifact_of_string s =
           (Printf.sprintf "replay artifact: bad header %S (want %S)"
              (String.trim first) magic)
       else
-        let lines =
-          List.filter_map
-            (fun line ->
-              let line = String.trim line in
-              if line = "" || line.[0] = '#' then None else split_kv line)
-            rest
+        let failure, params =
+          List.partition (fun (k, _) -> k = "kind" || k = "detail") (pairs rest)
         in
-        let* params = params_of_assoc lines in
-        let get key = Option.value ~default:"" (List.assoc_opt key lines) in
+        let* params = params_of_pairs params in
+        let get key = Option.value ~default:"" (List.assoc_opt key failure) in
         Ok { params; kind = get "kind"; detail = get "detail" }
 
 (* --- files --------------------------------------------------------- *)

@@ -19,13 +19,14 @@ type artifact = {
   detail : string;  (** human-readable description of the failure *)
 }
 
-(** One-line [key=value;...] rendering of a parameter record; total — every
-    valid record encodes. *)
+(** The parameter record as one [key = value] line per key, in a fixed
+    order; total — every record encodes. *)
 val params_to_string : Params.t -> string
 
-(** Inverse of {!params_to_string}. Unknown keys are rejected; optional
-    keys added by later schema versions default when absent, so old
-    artifacts stay readable. *)
+(** Inverse of {!params_to_string}. Unknown keys are rejected; the keys
+    added by later schema versions (the durability block, [faults],
+    [arrivals]) default to their off values when absent, so old artifacts
+    stay readable. *)
 val params_of_string : string -> (Params.t, string) result
 
 (** Write the artifact into [dir] (created if missing) as multi-line

@@ -62,10 +62,6 @@ let peek h = if h.len = 0 then None else Some h.data.(0)
 
 exception Empty
 
-let top h =
-  if h.len = 0 then raise Empty;
-  h.data.(0)
-
 let drop h =
   if h.len = 0 then raise Empty;
   h.len <- h.len - 1;
@@ -74,18 +70,7 @@ let drop h =
 let pop h =
   if h.len = 0 then None
   else begin
-    let x = top h in
+    let x = h.data.(0) in
     drop h;
     Some x
   end
-
-let clear h =
-  h.data <- [||];
-  h.len <- 0
-
-let fold h ~init ~f =
-  let acc = ref init in
-  for i = 0 to h.len - 1 do
-    acc := f !acc h.data.(i)
-  done;
-  !acc

@@ -27,21 +27,9 @@ val peek : 'a t -> 'a option
 
 exception Empty
 
-(** Smallest element without removing it. Unlike {!peek} this allocates
-    nothing — the CPU kernel inspects the head on every completion check,
-    and the [Some] wrappers were measurable churn. Raises {!Empty} when the
-    heap is empty. *)
-val top : 'a t -> 'a
-
-(** Remove the smallest element (the one {!top} returns). O(log n).
+(** Remove the smallest element (the one {!peek} returns). O(log n).
     Raises {!Empty} when the heap is empty. *)
 val drop : 'a t -> unit
 
 (** Remove and return the smallest element, or [None] when empty. *)
 val pop : 'a t -> 'a option
-
-(** Remove all elements. *)
-val clear : 'a t -> unit
-
-(** Fold over elements in arbitrary (heap) order. *)
-val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b

@@ -138,300 +138,163 @@ let next_arrival t rng ~now ~horizon =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
-let ( let* ) = Result.bind
-let check cond msg = if cond then Ok () else Error msg
+open Spec
 
-(* Same cap as Fault_plan: keeps the codec's "%.17g" exponent-free. *)
-let max_time = 1e9
+let ( let* ) = Result.bind
 let max_segments = 64
 let max_queue_cap = 1_000_000
-let finite_in ~lo ~hi v = Float.is_finite v && v >= lo && v <= hi
 
-let validate_segment seg =
-  let* () =
-    check
-      (finite_in ~lo:1e-9 ~hi:max_time (seg_duration seg))
-      "arrivals: segment duration must be positive"
+let segment_checks seg =
+  let rate what r =
+    (finite_in ~lo:0. ~hi:max_time r, "arrivals: " ^ what ^ " out of range")
   in
-  match seg with
-  | Hold { rate; _ } ->
-      check (finite_in ~lo:0. ~hi:max_time rate) "arrivals: hold rate out of range"
+  ( finite_in ~lo:1e-9 ~hi:max_time (seg_duration seg),
+    "arrivals: segment duration must be positive" )
+  ::
+  (match seg with
+  | Hold { rate = r; _ } -> [ rate "hold rate" r ]
   | Ramp { rate_from; rate_to; _ } ->
-      let* () =
-        check
-          (finite_in ~lo:0. ~hi:max_time rate_from)
-          "arrivals: ramp start rate out of range"
-      in
-      check
-        (finite_in ~lo:0. ~hi:max_time rate_to)
-        "arrivals: ramp end rate out of range"
+      [ rate "ramp start rate" rate_from; rate "ramp end rate" rate_to ]
   | Sine { mean; amplitude; period; _ } ->
-      let* () =
-        check
-          (finite_in ~lo:0. ~hi:max_time mean)
-          "arrivals: sine mean out of range"
-      in
-      let* () =
-        check
-          (finite_in ~lo:0. ~hi:max_time amplitude)
-          "arrivals: sine amplitude out of range"
-      in
-      check
-        (finite_in ~lo:1e-9 ~hi:max_time period)
-        "arrivals: sine period must be positive"
-  | Spike { base; peak; _ } ->
-      let* () =
-        check
-          (finite_in ~lo:0. ~hi:max_time base)
-          "arrivals: spike base out of range"
-      in
-      check
-        (finite_in ~lo:0. ~hi:max_time peak)
-        "arrivals: spike peak out of range"
+      [
+        rate "sine mean" mean;
+        rate "sine amplitude" amplitude;
+        ( finite_in ~lo:1e-9 ~hi:max_time period,
+          "arrivals: sine period must be positive" );
+      ]
+  | Spike { base; peak; _ } -> [ rate "spike base" base; rate "spike peak" peak ])
 
+(* every check, in reporting order: the rate process first *)
 let validate t =
-  let* () =
-    match t.process with
-    | Closed -> Ok ()
-    | Qps r ->
-        check
-          (finite_in ~lo:1e-9 ~hi:max_time r)
-          "arrivals: qps must be positive"
-    | Profile segs ->
-        let* () = check (segs <> []) "arrivals: profile needs a segment" in
-        let* () =
-          check
-            (List.length segs <= max_segments)
-            "arrivals: too many profile segments"
-        in
-        List.fold_left
-          (fun acc seg ->
-            let* () = acc in
-            validate_segment seg)
-          (Ok ()) segs
-  in
-  let* () =
-    check
-      (t.queue_cap >= 1 && t.queue_cap <= max_queue_cap)
-      "arrivals: cap must be in [1, 1000000]"
-  in
-  let* () =
-    check (finite_in ~lo:0. ~hi:max_time t.deadline)
-      "arrivals: deadline out of range"
-  in
-  let* () = check (t.mpl >= 0) "arrivals: mpl must be >= 0" in
-  let* () =
-    check
-      (finite_in ~lo:1e-9 ~hi:max_time t.retry_base)
-      "arrivals: retry-base must be positive"
-  in
-  check
-    (finite_in ~lo:t.retry_base ~hi:max_time t.retry_cap)
-    "arrivals: retry-cap must be >= retry-base"
+  checks
+    ((match t.process with
+     | Closed -> []
+     | Qps r ->
+         [ (finite_in ~lo:1e-9 ~hi:max_time r, "arrivals: qps must be positive") ]
+     | Profile segs ->
+         (segs <> [], "arrivals: profile needs a segment")
+         :: ( List.length segs <= max_segments,
+              "arrivals: too many profile segments" )
+         :: List.concat_map segment_checks segs)
+    @ [
+        ( t.queue_cap >= 1 && t.queue_cap <= max_queue_cap,
+          "arrivals: cap must be in [1, 1000000]" );
+        ( finite_in ~lo:0. ~hi:max_time t.deadline,
+          "arrivals: deadline out of range" );
+        (t.mpl >= 0, "arrivals: mpl must be >= 0");
+        ( finite_in ~lo:1e-9 ~hi:max_time t.retry_base,
+          "arrivals: retry-base must be positive" );
+        ( finite_in ~lo:t.retry_base ~hi:max_time t.retry_cap,
+          "arrivals: retry-cap must be >= retry-base" );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Spec codec                                                          *)
 
-let g = Printf.sprintf "%.17g"
+(* A segment prints as KIND:x0<s1>x1<s2>..., its numbers joined by the
+   separators of its kind. *)
+let segment_kinds =
+  [
+    ("hold", [ "/" ], fun x -> Hold { rate = x.(0); duration = x.(1) });
+    ( "ramp",
+      [ ".."; "/" ],
+      fun x -> Ramp { rate_from = x.(0); rate_to = x.(1); duration = x.(2) } );
+    ( "sine",
+      [ "~"; "/"; "/" ],
+      fun x ->
+        Sine { mean = x.(0); amplitude = x.(1); period = x.(2); duration = x.(3) }
+    );
+    ( "spike",
+      [ "^"; "/" ],
+      fun x -> Spike { base = x.(0); peak = x.(1); duration = x.(2) } );
+  ]
 
-let segment_to_string = function
-  | Hold { rate; duration } -> Printf.sprintf "hold:%s/%s" (g rate) (g duration)
-  | Ramp { rate_from; rate_to; duration } ->
-      Printf.sprintf "ramp:%s..%s/%s" (g rate_from) (g rate_to) (g duration)
-  | Sine { mean; amplitude; period; duration } ->
-      Printf.sprintf "sine:%s~%s/%s/%s" (g mean) (g amplitude) (g period)
-        (g duration)
-  | Spike { base; peak; duration } ->
-      Printf.sprintf "spike:%s^%s/%s" (g base) (g peak) (g duration)
+let segment_to_string seg =
+  let kind, xs =
+    match seg with
+    | Hold { rate; duration } -> ("hold", [ rate; duration ])
+    | Ramp { rate_from; rate_to; duration } ->
+        ("ramp", [ rate_from; rate_to; duration ])
+    | Sine { mean; amplitude; period; duration } ->
+        ("sine", [ mean; amplitude; period; duration ])
+    | Spike { base; peak; duration } -> ("spike", [ base; peak; duration ])
+  in
+  let _, seps, _ = List.find (fun (k, _, _) -> k = kind) segment_kinds in
+  kind ^ ":"
+  ^ String.concat "" (List.map2 (fun sep x -> sep ^ print Float x) ("" :: seps) xs)
 
-let to_spec t =
-  let items = ref [] in
-  let add s = items := s :: !items in
-  (* added in reverse display order: the last [add] prints first *)
-  if not (Float.equal t.retry_cap zero.retry_cap) then
-    add ("retry-cap=" ^ g t.retry_cap);
-  if not (Float.equal t.retry_base zero.retry_base) then
-    add ("retry-base=" ^ g t.retry_base);
-  if t.mpl <> zero.mpl then add (Printf.sprintf "mpl=%d" t.mpl);
-  if not (Float.equal t.deadline 0.) then add ("deadline=" ^ g t.deadline);
-  (match t.shed with
-  | Reject_newest -> ()
-  | Reject_oldest -> add "shed=oldest");
-  if t.queue_cap <> zero.queue_cap then add (Printf.sprintf "cap=%d" t.queue_cap);
-  (match t.process with
-  | Closed -> ()
-  | Qps r -> add ("qps=" ^ g r)
-  | Profile segs ->
-      (* tail segments as bare items, profile= on the head, so the head
-         prints first: profile=s1,s2,s3,... *)
-      let rec go = function
-        | [] -> ()
-        | [ first ] -> add ("profile=" ^ segment_to_string first)
-        | seg :: earlier ->
-            add (segment_to_string seg);
-            go earlier
-      in
-      go (List.rev segs));
-  String.concat "," !items
-
-let parse_float k v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "arrivals: bad number %S for %s" v k)
-
-let parse_int k v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "arrivals: bad integer %S for %s" v k)
-
-let split2 sep v =
-  match String.index_opt v sep with
-  | None -> None
-  | Some i ->
-      Some (String.sub v 0 i, String.sub v (i + 1) (String.length v - i - 1))
-
-let parse_segment v =
-  let bad () =
-    Error
+let segment_of_string v =
+  let ( let* ) = Option.bind in
+  let rec numbers body = function
+    | [] -> Option.map (fun x -> [ x ]) (float_of_string_opt body)
+    | sep :: seps ->
+        let* x, rest = cut sep body in
+        let* x = float_of_string_opt x in
+        let* xs = numbers rest seps in
+        Some (x :: xs)
+  in
+  let segment =
+    let* kind, body = cut ":" v in
+    let* _, seps, make = List.find_opt (fun (k, _, _) -> k = kind) segment_kinds in
+    let* xs = numbers body seps in
+    Some (make (Array.of_list xs))
+  in
+  Option.to_result segment
+    ~none:
       (Printf.sprintf
          "arrivals: bad segment %S (want hold:R/D, ramp:A..B/D, sine:M~A/P/D \
           or spike:B^P/D)"
          v)
-  in
-  match split2 ':' v with
-  | None -> bad ()
-  | Some (kind, body) -> (
-      match kind with
-      | "hold" -> (
-          match split2 '/' body with
-          | None -> bad ()
-          | Some (r, d) ->
-              let* rate = parse_float "hold" r in
-              let* duration = parse_float "hold" d in
-              Ok (Hold { rate; duration }))
-      | "ramp" -> (
-          match split2 '/' body with
-          | None -> bad ()
-          | Some (rates, d) -> (
-              (* A..B: cut at the ".." separator *)
-              let n = String.length rates in
-              let rec dotdot i =
-                if i + 1 >= n then None
-                else if rates.[i] = '.' && rates.[i + 1] = '.' then Some i
-                else dotdot (i + 1)
-              in
-              match dotdot 0 with
-              | None -> bad ()
-              | Some i ->
-                  let a = String.sub rates 0 i in
-                  let b = String.sub rates (i + 2) (n - i - 2) in
-                  let* rate_from = parse_float "ramp" a in
-                  let* rate_to = parse_float "ramp" b in
-                  let* duration = parse_float "ramp" d in
-                  Ok (Ramp { rate_from; rate_to; duration })))
-      | "sine" -> (
-          match split2 '~' body with
-          | None -> bad ()
-          | Some (m, rest) -> (
-              match split2 '/' rest with
-              | None -> bad ()
-              | Some (a, rest) -> (
-                  match split2 '/' rest with
-                  | None -> bad ()
-                  | Some (p, d) ->
-                      let* mean = parse_float "sine" m in
-                      let* amplitude = parse_float "sine" a in
-                      let* period = parse_float "sine" p in
-                      let* duration = parse_float "sine" d in
-                      Ok (Sine { mean; amplitude; period; duration }))))
-      | "spike" -> (
-          match split2 '^' body with
-          | None -> bad ()
-          | Some (b, rest) -> (
-              match split2 '/' rest with
-              | None -> bad ()
-              | Some (p, d) ->
-                  let* base = parse_float "spike" b in
-                  let* peak = parse_float "spike" p in
-                  let* duration = parse_float "spike" d in
-                  Ok (Spike { base; peak; duration })))
-      | _ -> bad ())
+
+let exclusive () = raise (Reject "arrivals: qps= and profile= are exclusive")
+
+(* in printing order; at most one of qps and profile is set *)
+let keys =
+  [
+    many "qps" Float
+      (fun t -> match t.process with Qps r -> [ r ] | Closed | Profile _ -> [])
+      (fun t r ->
+        match t.process with
+        | Profile _ -> exclusive ()
+        | Closed | Qps _ -> { t with process = Qps r });
+    many ~bare:true "profile"
+      (Nested (segment_to_string, segment_of_string))
+      (fun t -> match t.process with Profile segs -> segs | Closed | Qps _ -> [])
+      (fun t seg ->
+        match t.process with
+        | Qps _ -> exclusive ()
+        | Closed -> { t with process = Profile [ seg ] }
+        | Profile segs -> { t with process = Profile (segs @ [ seg ]) });
+    one "cap" Int (fun t -> t.queue_cap)
+      (fun t queue_cap -> { t with queue_cap });
+    one "shed"
+      (Named
+         ( (function Reject_newest -> "newest" | Reject_oldest -> "oldest"),
+           function
+           | "newest" -> Some Reject_newest
+           | "oldest" -> Some Reject_oldest
+           | _ -> None ))
+      (fun t -> t.shed)
+      (fun t shed -> { t with shed });
+    one "deadline" Float (fun t -> t.deadline)
+      (fun t deadline -> { t with deadline });
+    one "mpl" Int (fun t -> t.mpl) (fun t mpl -> { t with mpl });
+    one "retry-base" Float (fun t -> t.retry_base)
+      (fun t retry_base -> { t with retry_base });
+    one "retry-cap" Float (fun t -> t.retry_cap)
+      (fun t retry_cap -> { t with retry_cap });
+  ]
+
+let to_spec t = to_items keys ~zero t
 
 let of_spec s =
-  let items =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  (* (spec, profile segments in reverse, profile seen) accumulator: a bare
-     item (no '=') is a continuation segment of an open profile=, so the
-     ISSUE-style "profile=ramp:0..50/60,hold:50/120" parses whole. *)
-  let* t, segs_rev, in_profile =
-    List.fold_left
-      (fun acc item ->
-        let* t, segs_rev, in_profile = acc in
-        match String.index_opt item '=' with
-        | None ->
-            if in_profile then
-              let* seg = parse_segment item in
-              Ok (t, seg :: segs_rev, true)
-            else
-              Error
-                (Printf.sprintf
-                   "arrivals: bad item %S (want key=value, or a profile \
-                    segment after profile=)"
-                   item)
-        | Some i -> (
-            let k = String.trim (String.sub item 0 i) in
-            let v =
-              String.trim (String.sub item (i + 1) (String.length item - i - 1))
-            in
-            match k with
-            | "qps" ->
-                let* r = parse_float k v in
-                if in_profile then
-                  Error "arrivals: qps= and profile= are exclusive"
-                else Ok ({ t with process = Qps r }, segs_rev, false)
-            | "profile" -> (
-                let* seg = parse_segment v in
-                match t.process with
-                | Qps _ -> Error "arrivals: qps= and profile= are exclusive"
-                | Closed | Profile _ -> Ok (t, seg :: segs_rev, true))
-            | "cap" ->
-                let* n = parse_int k v in
-                Ok ({ t with queue_cap = n }, segs_rev, in_profile)
-            | "shed" -> (
-                match v with
-                | "newest" -> Ok ({ t with shed = Reject_newest }, segs_rev, in_profile)
-                | "oldest" -> Ok ({ t with shed = Reject_oldest }, segs_rev, in_profile)
-                | _ ->
-                    Error
-                      (Printf.sprintf
-                         "arrivals: shed must be newest or oldest, not %S" v))
-            | "deadline" ->
-                let* f = parse_float k v in
-                Ok ({ t with deadline = f }, segs_rev, in_profile)
-            | "mpl" ->
-                let* n = parse_int k v in
-                Ok ({ t with mpl = n }, segs_rev, in_profile)
-            | "retry-base" ->
-                let* f = parse_float k v in
-                Ok ({ t with retry_base = f }, segs_rev, in_profile)
-            | "retry-cap" ->
-                let* f = parse_float k v in
-                Ok ({ t with retry_cap = f }, segs_rev, in_profile)
-            | _ -> Error (Printf.sprintf "arrivals: unknown key %S" k)))
-      (Ok (zero, [], false))
-      items
-  in
-  let t =
-    if in_profile then { t with process = Profile (List.rev segs_rev) } else t
-  in
+  let* t = of_items ~prefix:"arrivals:" keys ~zero s in
   let* () =
     match t.process with
     | Closed ->
         (* admission knobs without a rate process have nothing to govern *)
-        check (to_spec t = "") "arrivals: admission keys need qps= or profile="
+        checks
+          [ (to_spec t = "", "arrivals: admission keys need qps= or profile=") ]
     | Qps _ | Profile _ -> Ok ()
   in
   let* () = validate t in

@@ -71,6 +71,9 @@ val to_spec : t -> string
 val of_spec : string -> (t, string) result
 (** Parse a spec such as ["qps=5000,cap=128,mpl=32"] or
     ["profile=ramp:0..50000/60,hold:50000/120"]. Bare (key-less) items
-    extend an open [profile=]. The result is validated. *)
+    extend an open [profile=]; [qps=] and [profile=] exclude each other,
+    and the admission keys ([cap], [shed], [deadline], [mpl],
+    [retry-base], [retry-cap]) need one of them. The result is
+    validated. *)
 
 val pp : Format.formatter -> t -> unit

@@ -44,226 +44,114 @@ let is_zero t = (not (active t)) && t.chaos = []
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
+open Spec
+
 let ( let* ) = Result.bind
-let check cond msg = if cond then Ok () else Error msg
 
-(* Time-like values are capped so the spec codec's "%.17g" never needs an
-   exponent with a '+' in it (which would collide with the crash-entry
-   separator). *)
-let max_time = 1e9
-
-let finite_in ~lo ~hi v = Float.is_finite v && v >= lo && v <= hi
-
-let validate_crash ~num_proc_nodes c =
-  let* () =
-    match c.target with
-    | Ids.Host -> Ok ()
-    | Ids.Proc i ->
-        check
-          (i >= 0 && i < num_proc_nodes)
-          (Printf.sprintf "faults: crash target proc %d out of range" i)
-  in
-  let* () =
-    check (finite_in ~lo:0. ~hi:max_time c.at) "faults: crash time out of range"
-  in
-  check
-    (finite_in ~lo:0. ~hi:max_time c.duration && c.duration > 0.)
-    "faults: crash duration must be positive"
-
+(* every check, in reporting order: crashes first *)
 let validate ~num_proc_nodes t =
-  let* () =
-    List.fold_left
-      (fun acc c ->
-        let* () = acc in
-        validate_crash ~num_proc_nodes c)
-      (Ok ()) t.crashes
+  let crash c =
+    [
+      (match c.target with
+      | Ids.Host -> (true, "")
+      | Ids.Proc i ->
+          ( i >= 0 && i < num_proc_nodes,
+            "faults: crash target proc " ^ string_of_int i ^ " out of range" ));
+      (finite_in ~lo:0. ~hi:max_time c.at, "faults: crash time out of range");
+      ( finite_in ~lo:0. ~hi:max_time c.duration && c.duration > 0.,
+        "faults: crash duration must be positive" );
+    ]
   in
-  let* () =
-    check
-      (finite_in ~lo:0. ~hi:max_time t.crash_rate)
-      "faults: crash-rate out of range"
-  in
-  let* () =
-    check
-      ((Float.equal t.crash_rate 0. && Float.equal t.recrash 0.)
-      || finite_in ~lo:1e-9 ~hi:max_time t.mean_repair)
-      "faults: mttr must be positive when crash-rate or recrash > 0"
-  in
-  let* () =
-    check
-      (finite_in ~lo:0. ~hi:1. t.msg_loss && t.msg_loss < 1.)
-      "faults: loss must be in [0, 1)"
-  in
-  let* () =
-    check (finite_in ~lo:0. ~hi:1. t.msg_dup) "faults: dup must be in [0, 1]"
-  in
-  let* () =
-    check
-      (finite_in ~lo:0. ~hi:max_time t.msg_delay)
-      "faults: delay out of range"
-  in
-  let* () =
-    check
-      (finite_in ~lo:0. ~hi:1. t.recrash)
-      "faults: recrash must be in [0, 1]"
-  in
-  let* () =
-    check
-      (finite_in ~lo:0. ~hi:1. t.torn_tail)
-      "faults: torn-tail must be in [0, 1]"
-  in
-  let* () =
-    check
-      (finite_in ~lo:1e-9 ~hi:max_time t.timeout)
-      "faults: timeout must be positive"
-  in
-  let* () =
-    check
-      (finite_in ~lo:t.timeout ~hi:max_time t.timeout_cap)
-      "faults: timeout-cap must be >= timeout"
-  in
-  let* () =
-    check
-      (finite_in ~lo:0. ~hi:1. t.timeout_jitter)
-      "faults: jitter must be in [0, 1]"
-  in
-  check (t.max_retries >= 1) "faults: retries must be >= 1"
+  checks
+    (List.concat_map crash t.crashes
+    @ [
+        ( finite_in ~lo:0. ~hi:max_time t.crash_rate,
+          "faults: crash-rate out of range" );
+        ( (Float.equal t.crash_rate 0. && Float.equal t.recrash 0.)
+          || finite_in ~lo:1e-9 ~hi:max_time t.mean_repair,
+          "faults: mttr must be positive when crash-rate or recrash > 0" );
+        ( finite_in ~lo:0. ~hi:1. t.msg_loss && t.msg_loss < 1.,
+          "faults: loss must be in [0, 1)" );
+        (finite_in ~lo:0. ~hi:1. t.msg_dup, "faults: dup must be in [0, 1]");
+        (finite_in ~lo:0. ~hi:max_time t.msg_delay, "faults: delay out of range");
+        (finite_in ~lo:0. ~hi:1. t.recrash, "faults: recrash must be in [0, 1]");
+        ( finite_in ~lo:0. ~hi:1. t.torn_tail,
+          "faults: torn-tail must be in [0, 1]" );
+        ( finite_in ~lo:1e-9 ~hi:max_time t.timeout,
+          "faults: timeout must be positive" );
+        ( finite_in ~lo:t.timeout ~hi:max_time t.timeout_cap,
+          "faults: timeout-cap must be >= timeout" );
+        ( finite_in ~lo:0. ~hi:1. t.timeout_jitter,
+          "faults: jitter must be in [0, 1]" );
+        (t.max_retries >= 1, "faults: retries must be >= 1");
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Spec codec                                                          *)
 
-let g = Printf.sprintf "%.17g"
+let crash_to_string c =
+  Printf.sprintf "%s@%s+%s"
+    (match c.target with Ids.Host -> "host" | Ids.Proc i -> string_of_int i)
+    (print Float c.at) (print Float c.duration)
 
-let target_to_string = function
-  | Ids.Host -> "host"
-  | Ids.Proc i -> string_of_int i
+let crash_of_string v =
+  let ( let* ) = Option.bind in
+  let crash =
+    let* tgt, rest = cut "@" v in
+    let* at, duration = cut "+" rest in
+    let* target =
+      if tgt = "host" then Some Ids.Host
+      else Option.map (fun i -> Ids.Proc i) (int_of_string_opt tgt)
+    in
+    let* at = float_of_string_opt at in
+    let* duration = float_of_string_opt duration in
+    Some { target; at; duration }
+  in
+  Option.to_result crash
+    ~none:(Printf.sprintf "faults: bad crash spec %S (want TGT@AT+DUR)" v)
 
-let to_spec t =
-  let items = ref [] in
-  let add s = items := s :: !items in
-  List.iter (fun n -> add ("chaos=" ^ n)) (List.rev t.chaos);
-  if t.fault_seed <> zero.fault_seed then
-    add (Printf.sprintf "fault-seed=%d" t.fault_seed);
-  if t.max_retries <> zero.max_retries then
-    add (Printf.sprintf "retries=%d" t.max_retries);
-  if not (Float.equal t.timeout_jitter 0.) then
-    add ("jitter=" ^ g t.timeout_jitter);
-  if not (Float.equal t.timeout_cap zero.timeout_cap) then
-    add ("timeout-cap=" ^ g t.timeout_cap);
-  if not (Float.equal t.timeout zero.timeout) then add ("timeout=" ^ g t.timeout);
-  if not (Float.equal t.torn_tail 0.) then add ("torn-tail=" ^ g t.torn_tail);
-  if not (Float.equal t.recrash 0.) then add ("recrash=" ^ g t.recrash);
-  if not (Float.equal t.mean_repair zero.mean_repair) then
-    add ("mttr=" ^ g t.mean_repair);
-  if not (Float.equal t.crash_rate 0.) then add ("crash-rate=" ^ g t.crash_rate);
-  List.iter
-    (fun c ->
-      add
-        (Printf.sprintf "crash=%s@%s+%s" (target_to_string c.target) (g c.at)
-           (g c.duration)))
-    (List.rev t.crashes);
-  if not (Float.equal t.msg_delay 0.) then add ("delay=" ^ g t.msg_delay);
-  if not (Float.equal t.msg_dup 0.) then add ("dup=" ^ g t.msg_dup);
-  if not (Float.equal t.msg_loss 0.) then add ("loss=" ^ g t.msg_loss);
-  String.concat "," !items
+(* in printing order *)
+let keys =
+  [
+    one "loss" Float (fun t -> t.msg_loss)
+      (fun t msg_loss -> { t with msg_loss });
+    one "dup" Float (fun t -> t.msg_dup) (fun t msg_dup -> { t with msg_dup });
+    one "delay" Float (fun t -> t.msg_delay)
+      (fun t msg_delay -> { t with msg_delay });
+    many "crash"
+      (Nested (crash_to_string, crash_of_string))
+      (fun t -> t.crashes)
+      (fun t c -> { t with crashes = t.crashes @ [ c ] });
+    one "crash-rate" Float (fun t -> t.crash_rate)
+      (fun t crash_rate -> { t with crash_rate });
+    one "mttr" Float (fun t -> t.mean_repair)
+      (fun t mean_repair -> { t with mean_repair });
+    one "recrash" Float (fun t -> t.recrash)
+      (fun t recrash -> { t with recrash });
+    one "torn-tail" Float (fun t -> t.torn_tail)
+      (fun t torn_tail -> { t with torn_tail });
+    one "timeout" Float (fun t -> t.timeout)
+      (fun t timeout -> { t with timeout });
+    one "timeout-cap" Float (fun t -> t.timeout_cap)
+      (fun t timeout_cap -> { t with timeout_cap });
+    one "jitter" Float (fun t -> t.timeout_jitter)
+      (fun t timeout_jitter -> { t with timeout_jitter });
+    one "retries" Int (fun t -> t.max_retries)
+      (fun t max_retries -> { t with max_retries });
+    one "fault-seed" Int (fun t -> t.fault_seed)
+      (fun t fault_seed -> { t with fault_seed });
+    many "chaos"
+      (Nested (Fun.id, Result.ok))
+      (fun t -> t.chaos)
+      (fun t name -> { t with chaos = t.chaos @ [ name ] });
+  ]
 
-let parse_float k v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "faults: bad number %S for %s" v k)
-
-let parse_int k v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "faults: bad integer %S for %s" v k)
-
-let parse_target v =
-  if v = "host" then Ok Ids.Host
-  else
-    match int_of_string_opt v with
-    | Some i -> Ok (Ids.Proc i)
-    | None -> Error (Printf.sprintf "faults: bad crash target %S" v)
-
-let parse_crash v =
-  match String.index_opt v '@' with
-  | None -> Error (Printf.sprintf "faults: bad crash spec %S (want TGT@AT+DUR)" v)
-  | Some i -> (
-      let tgt = String.sub v 0 i in
-      let rest = String.sub v (i + 1) (String.length v - i - 1) in
-      match String.index_opt rest '+' with
-      | None ->
-          Error (Printf.sprintf "faults: bad crash spec %S (want TGT@AT+DUR)" v)
-      | Some j ->
-          let at_s = String.sub rest 0 j in
-          let dur_s = String.sub rest (j + 1) (String.length rest - j - 1) in
-          let* target = parse_target tgt in
-          let* at = parse_float "crash" at_s in
-          let* duration = parse_float "crash" dur_s in
-          Ok { target; at; duration })
+let to_spec t = to_items keys ~zero t
 
 let of_spec s =
-  let items =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  List.fold_left
-    (fun acc item ->
-      let* t = acc in
-      match String.index_opt item '=' with
-      | None -> Error (Printf.sprintf "faults: bad item %S (want key=value)" item)
-      | Some i -> (
-          let k = String.trim (String.sub item 0 i) in
-          let v =
-            String.trim (String.sub item (i + 1) (String.length item - i - 1))
-          in
-          match k with
-          | "loss" ->
-              let* f = parse_float k v in
-              Ok { t with msg_loss = f }
-          | "dup" ->
-              let* f = parse_float k v in
-              Ok { t with msg_dup = f }
-          | "delay" ->
-              let* f = parse_float k v in
-              Ok { t with msg_delay = f }
-          | "crash" ->
-              let* c = parse_crash v in
-              Ok { t with crashes = t.crashes @ [ c ] }
-          | "crash-rate" ->
-              let* f = parse_float k v in
-              Ok { t with crash_rate = f }
-          | "mttr" ->
-              let* f = parse_float k v in
-              Ok { t with mean_repair = f }
-          | "recrash" ->
-              let* f = parse_float k v in
-              Ok { t with recrash = f }
-          | "torn-tail" ->
-              let* f = parse_float k v in
-              Ok { t with torn_tail = f }
-          | "timeout" ->
-              let* f = parse_float k v in
-              Ok { t with timeout = f }
-          | "timeout-cap" ->
-              let* f = parse_float k v in
-              Ok { t with timeout_cap = f }
-          | "jitter" ->
-              let* f = parse_float k v in
-              Ok { t with timeout_jitter = f }
-          | "retries" ->
-              let* i = parse_int k v in
-              Ok { t with max_retries = i }
-          | "fault-seed" ->
-              let* i = parse_int k v in
-              Ok { t with fault_seed = i }
-          | "chaos" -> Ok { t with chaos = t.chaos @ [ v ] }
-          | _ -> Error (Printf.sprintf "faults: unknown key %S" k)))
-    (Ok zero) items
-  |> fun parsed ->
+  let* t = of_items ~prefix:"faults:" keys ~zero s in
   (* range-check everything that does not need the machine size, so the
      CLI rejects a bad spec before a run starts *)
-  let* t = parsed in
   let* () = validate ~num_proc_nodes:Stdlib.max_int t in
   Ok t
 

@@ -78,11 +78,11 @@ val is_zero : t -> bool
 val validate : num_proc_nodes:int -> t -> (unit, string) result
 
 (** Compact one-line spec, the same grammar the CLI accepts:
-    comma-separated [key=value] items — [loss=P], [dup=P], [delay=MEAN],
-    [crash=TGT\@AT+DUR] (repeatable; TGT a proc index or [host]),
-    [crash-rate=R], [mttr=M], [recrash=P], [torn-tail=P], [timeout=T],
-    [timeout-cap=C], [jitter=J],
-    [retries=N], [fault-seed=S], [chaos=NAME] (repeatable). Defaults are omitted, so
+    comma-separated [key=value] items, printed in this order — [loss=P],
+    [dup=P], [delay=MEAN], [crash=TGT\@AT+DUR] (repeatable; TGT a proc
+    index or [host]), [crash-rate=R], [mttr=M], [recrash=P],
+    [torn-tail=P], [timeout=T], [timeout-cap=C], [jitter=J], [retries=N],
+    [fault-seed=S], [chaos=NAME] (repeatable). Defaults are omitted, so
     {!zero} prints as the empty string; floats round-trip exactly. *)
 val to_spec : t -> string
 

@@ -5,6 +5,15 @@
     Teradata). *)
 type exec_pattern = Sequential | Parallel
 
+let exec_pattern_name = function
+  | Sequential -> "sequential"
+  | Parallel -> "parallel"
+
+let exec_pattern_of_string = function
+  | "sequential" -> Some Sequential
+  | "parallel" -> Some Parallel
+  | _ -> None
+
 type cc_algorithm =
   | No_dc  (** "no data contention": every request granted, the NO_DC curve *)
   | Twopl  (** distributed two-phase locking with Snoop deadlock detection *)
@@ -226,74 +235,50 @@ let default =
 
 let validate t =
   let d = t.database and w = t.workload and r = t.resources in
-  let check cond msg = if not cond then Error msg else Ok () in
-  let ( let* ) = Result.bind in
-  let* () = check (d.num_proc_nodes > 0) "num_proc_nodes must be positive" in
-  let* () = check (d.num_relations > 0) "num_relations must be positive" in
-  let* () =
-    check
-      (d.partitions_per_relation > 0)
-      "partitions_per_relation must be positive"
-  in
-  let* () = check (d.file_size > 0) "file_size must be positive" in
-  let* () =
-    check
-      (d.partitioning_degree >= 1
-      && d.partitioning_degree <= d.num_proc_nodes)
-      "partitioning_degree must be in [1, num_proc_nodes]"
-  in
-  let* () =
-    check
-      (d.partitions_per_relation mod d.partitioning_degree = 0)
-      "partitioning_degree must divide partitions_per_relation"
-  in
-  let* () =
-    check
-      (d.replication >= 1 && d.replication <= d.num_proc_nodes)
-      "replication must be in [1, num_proc_nodes]"
-  in
-  let* () = check (w.num_terminals > 0) "num_terminals must be positive" in
-  let* () = check (w.think_time >= 0.) "think_time must be >= 0" in
-  let* () =
-    check (w.pages_per_partition >= 1) "pages_per_partition must be >= 1"
-  in
-  let* () =
-    check
-      ((3 * w.pages_per_partition + 1) / 2 <= d.file_size)
-      "file_size too small for the per-partition page demand"
-  in
-  let* () =
-    check
-      (w.write_prob >= 0. && w.write_prob <= 1.)
-      "write_prob must be a probability"
-  in
-  let* () = check (r.host_mips > 0. && r.node_mips > 0.) "MIPS must be > 0" in
-  let* () = check (r.disks_per_node > 0) "disks_per_node must be positive" in
-  let* () =
-    check
-      (0. <= r.min_disk_time && r.min_disk_time <= r.max_disk_time)
-      "disk times must satisfy 0 <= min <= max"
-  in
-  let* () =
-    check (t.cc.detection_interval > 0.) "detection_interval must be positive"
-  in
   let dur = t.durability in
+  let ( let* ) = Result.bind in
   let* () =
-    check
-      (0. <= dur.log_min_time && dur.log_min_time <= dur.log_max_time)
-      "log-disk times must satisfy 0 <= min <= max"
+    Spec.checks
+      [
+        (d.num_proc_nodes > 0, "num_proc_nodes must be positive");
+        (d.num_relations > 0, "num_relations must be positive");
+        ( d.partitions_per_relation > 0,
+          "partitions_per_relation must be positive" );
+        (d.file_size > 0, "file_size must be positive");
+        ( d.partitioning_degree >= 1 && d.partitioning_degree <= d.num_proc_nodes,
+          "partitioning_degree must be in [1, num_proc_nodes]" );
+        (* every condition is evaluated: guard the division *)
+        ( d.partitioning_degree < 1
+          || d.partitions_per_relation mod d.partitioning_degree = 0,
+          "partitioning_degree must divide partitions_per_relation" );
+        ( d.replication >= 1 && d.replication <= d.num_proc_nodes,
+          "replication must be in [1, num_proc_nodes]" );
+        (w.num_terminals > 0, "num_terminals must be positive");
+        (w.think_time >= 0., "think_time must be >= 0");
+        (w.pages_per_partition >= 1, "pages_per_partition must be >= 1");
+        ( (3 * w.pages_per_partition + 1) / 2 <= d.file_size,
+          "file_size too small for the per-partition page demand" );
+        ( w.write_prob >= 0. && w.write_prob <= 1.,
+          "write_prob must be a probability" );
+        (r.host_mips > 0. && r.node_mips > 0., "MIPS must be > 0");
+        (r.disks_per_node > 0, "disks_per_node must be positive");
+        ( 0. <= r.min_disk_time && r.min_disk_time <= r.max_disk_time,
+          "disk times must satisfy 0 <= min <= max" );
+        (t.cc.detection_interval > 0., "detection_interval must be positive");
+        ( 0. <= dur.log_min_time && dur.log_min_time <= dur.log_max_time,
+          "log-disk times must satisfy 0 <= min <= max" );
+        ( dur.replicas >= 0 && dur.replicas <= d.num_proc_nodes - 1,
+          "replicas must be in [0, num_proc_nodes - 1]" );
+        (dur.recovery_jobs >= 1, "recovery_jobs must be >= 1");
+      ]
   in
-  let* () =
-    check
-      (dur.replicas >= 0 && dur.replicas <= d.num_proc_nodes - 1)
-      "replicas must be in [0, num_proc_nodes - 1]"
-  in
-  let* () = check (dur.recovery_jobs >= 1) "recovery_jobs must be >= 1" in
   let* () = Fault_plan.validate ~num_proc_nodes:d.num_proc_nodes t.faults in
   let* () = Arrival.validate t.arrivals in
   (* Open-loop restarts rerun the same plan: a fresh draw at a CC-timed
      restart would interleave with the arrival pump's draws on the shared
      per-class streams and break cross-algorithm workload agreement. *)
-  check
-    (not (Arrival.open_loop t.arrivals && t.run.fresh_restart_plan))
-    "fresh_restart_plan is incompatible with open-loop arrivals"
+  Spec.checks
+    [
+      ( not (Arrival.open_loop t.arrivals && t.run.fresh_restart_plan),
+        "fresh_restart_plan is incompatible with open-loop arrivals" );
+    ]

@@ -5,6 +5,9 @@
     Teradata). *)
 type exec_pattern = Sequential | Parallel
 
+val exec_pattern_name : exec_pattern -> string
+val exec_pattern_of_string : string -> exec_pattern option
+
 type cc_algorithm =
   | No_dc  (** "no data contention": every request granted, the NO_DC curve *)
   | Twopl  (** distributed two-phase locking with Snoop deadlock detection *)

@@ -60,6 +60,33 @@ let test_codec_rejects_invalid () =
       "qps=10,retry-base=2,retry-cap=1";
     ]
 
+(* A four-segment profile with every admission key off its default: the
+   printed form is a file format, so it is pinned byte for byte. *)
+let test_codec_pinned () =
+  let a =
+    {
+      Arrival.process =
+        Arrival.Profile
+          [
+            Arrival.Hold { rate = 40.; duration = 5. };
+            Arrival.Ramp { rate_from = 0.; rate_to = 50.5; duration = 2.5 };
+            Arrival.Sine { mean = 60.; amplitude = 80.; period = 3.; duration = 8. };
+            Arrival.Spike { base = 20.; peak = 300.; duration = 0.1 };
+          ];
+      queue_cap = 128;
+      shed = Arrival.Reject_oldest;
+      deadline = 0.5;
+      mpl = 32;
+      retry_base = 0.2;
+      retry_cap = 3.;
+    }
+  in
+  Alcotest.(check string) "spec prints"
+    "profile=hold:40/5,ramp:0..50.5/2.5,sine:60~80/3/8,\
+     spike:20^300/0.10000000000000001,cap=128,shed=oldest,deadline=0.5,\
+     mpl=32,retry-base=0.20000000000000001,retry-cap=3"
+    (Arrival.to_spec a)
+
 let prop_spec_roundtrip =
   QCheck.Test.make ~name:"arrival spec codec round-trips" ~count:200
     (QCheck.make Ddbm_check.Config_gen.gen_arrivals ~print:Arrival.to_spec)
@@ -395,6 +422,7 @@ let suite =
       test_codec_roundtrip_handpicked;
     Alcotest.test_case "codec rejects invalid specs" `Quick
       test_codec_rejects_invalid;
+    Alcotest.test_case "codec prints as pinned" `Quick test_codec_pinned;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xA117 |] (* lint: allow ambient *))
       prop_spec_roundtrip;

@@ -175,6 +175,131 @@ let prop_codec_roundtrip =
       | Ok p -> p = params
       | Error msg -> QCheck.Test.fail_report msg)
 
+(* A record with the durability block, a fault plan and an arrival spec
+   all set: the artifact format is pinned byte for byte. *)
+let pinned_params =
+  {
+    hot_2pl_params with
+    Params.durability =
+      {
+        Params.log_disk = true;
+        log_min_time = 0.004;
+        log_max_time = 0.012;
+        log_force = Params.At_commit;
+        replicas = 1;
+        recovery_jobs = 2;
+      };
+    faults =
+      {
+        Fault_plan.zero with
+        Fault_plan.msg_loss = 0.1;
+        crashes = [ { Fault_plan.target = Ids.Proc 1; at = 2.5; duration = 1. } ];
+        timeout = 0.3;
+        fault_seed = 5;
+      };
+    arrivals =
+      { Arrival.zero with Arrival.process = Arrival.Qps 25.; queue_cap = 6; mpl = 6 };
+  }
+
+let test_params_pinned () =
+  Alcotest.(check string) "params print"
+    (String.concat "\n"
+       [
+         "algorithm = 2PL";
+         "num_proc_nodes = 2";
+         "num_relations = 2";
+         "partitions_per_relation = 2";
+         "file_size = 12";
+         "partitioning_degree = 2";
+         "replication = 1";
+         "num_terminals = 12";
+         "think_time = 0";
+         "exec_pattern = parallel";
+         "pages_per_partition = 8";
+         "write_prob = 0.5";
+         "inst_per_page = 4000";
+         "host_mips = 10";
+         "node_mips = 1";
+         "disks_per_node = 2";
+         "min_disk_time = 0.01";
+         "max_disk_time = 0.029999999999999999";
+         "inst_per_update = 2000";
+         "inst_per_startup = 2000";
+         "inst_per_msg = 1000";
+         "inst_per_cc_req = 0";
+         "model_logging = false";
+         "detection_interval = 1";
+         "log_disk = true";
+         "log_min_time = 0.0040000000000000001";
+         "log_max_time = 0.012";
+         "log_force = commit";
+         "replicas = 1";
+         "recovery_jobs = 2";
+         "seed = 7";
+         "warmup = 2";
+         "measure = 8";
+         "restart_delay_floor = 0.25";
+         "fresh_restart_plan = false";
+         "faults = loss=0.10000000000000001,crash=1@2.5+1,timeout=0.29999999999999999,fault-seed=5";
+         "arrivals = qps=25,cap=6,mpl=6";
+       ])
+    (Ddbm_check.Replay.params_to_string pinned_params)
+
+let write_artifact name body =
+  let path = Filename.concat (artifact_dir ()) name in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc ("ddbm-replay 1\nkind = audit\ndetail = hand-edited\n" ^ body));
+  path
+
+let test_absent_keys_default () =
+  (* artifacts written before the durability block, fault plans and
+     arrival specs existed lack those keys: each takes its off value *)
+  let optional =
+    [ "log_disk"; "log_min_time"; "log_max_time"; "log_force"; "replicas";
+      "recovery_jobs"; "faults"; "arrivals" ]
+  in
+  let body =
+    String.split_on_char '\n' (Ddbm_check.Replay.params_to_string pinned_params)
+    |> List.filter (fun line ->
+           not (List.exists (fun k -> String.starts_with ~prefix:(k ^ " =") line) optional))
+    |> String.concat "\n"
+  in
+  match Ddbm_check.Replay.load (write_artifact "ddbm-replay-old-keys.txt" body) with
+  | Error msg -> Alcotest.fail msg
+  | Ok a ->
+      let p = a.Ddbm_check.Replay.params in
+      Alcotest.(check bool) "durability off" true
+        (p.Params.durability = Params.default_durability);
+      Alcotest.(check bool) "no fault plan" true (p.Params.faults = Fault_plan.zero);
+      Alcotest.(check bool) "closed loop" true (p.Params.arrivals = Arrival.zero);
+      let expected =
+        {
+          pinned_params with
+          Params.durability = Params.default_durability;
+          faults = Fault_plan.zero;
+          arrivals = Arrival.zero;
+        }
+      in
+      Alcotest.(check bool) "every other key read" true (p = expected)
+
+let test_unknown_key_rejected () =
+  (* a misspelt key must not replay silently with its default, and a
+     repeated one must not silently pick one of its values *)
+  List.iter
+    (fun (name, extra, key) ->
+      let body = Ddbm_check.Replay.params_to_string hot_2pl_params ^ extra in
+      match Ddbm_check.Replay.load (write_artifact name body) with
+      | Ok _ -> Alcotest.fail ("loaded an artifact ending in" ^ extra)
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the key" msg)
+            true
+            (Astring_contains.contains msg (Printf.sprintf "%S" key)))
+    [
+      ("ddbm-replay-misspelt.txt", "\nreplica = 1\n", "replica");
+      ("ddbm-replay-repeated.txt", "\nseed = 8\n", "seed");
+    ]
+
 let test_artifact_roundtrip () =
   (* the fault plan — chaos fault and machine faults alike — rides in
      the params and must survive the artifact codec *)
@@ -258,6 +383,11 @@ let suite =
       test_replay_without_fault_is_clean;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "artifact round-trip" `Quick test_artifact_roundtrip;
+    Alcotest.test_case "params print as pinned" `Quick test_params_pinned;
+    Alcotest.test_case "absent optional keys take their defaults" `Quick
+      test_absent_keys_default;
+    Alcotest.test_case "unknown or repeated key rejected" `Quick
+      test_unknown_key_rejected;
     Alcotest.test_case "artifact parser rejects garbage" `Quick
       test_load_rejects_garbage;
     Alcotest.test_case "result equality and diff" `Slow

@@ -122,6 +122,16 @@ let test_spec_full_roundtrip () =
         true (p = full_plan)
   | Error e -> Alcotest.fail e
 
+(* The printed form is a file format (CLI flags, replay artifacts), so it
+   is pinned byte for byte, not only round-tripped. *)
+let test_spec_full_pinned () =
+  Alcotest.(check string) "full plan prints"
+    "loss=0.050000000000000003,dup=0.01,delay=0.002,crash=2@10+5,\
+     crash=host@30+1.5,crash-rate=0.01,mttr=2,recrash=0.10000000000000001,\
+     torn-tail=0.25,timeout=0.5,timeout-cap=4,jitter=0.25,retries=6,\
+     fault-seed=99,chaos=broken-lock-conversion"
+    (Fault_plan.to_spec full_plan)
+
 let test_spec_rejects_garbage () =
   List.iter
     (fun spec ->
@@ -432,6 +442,8 @@ let suite =
       test_net_judged_delay;
     Alcotest.test_case "spec codec: zero" `Quick test_spec_zero_roundtrip;
     Alcotest.test_case "spec codec: full plan" `Quick test_spec_full_roundtrip;
+    Alcotest.test_case "spec codec: full plan prints as pinned" `Quick
+      test_spec_full_pinned;
     Alcotest.test_case "spec codec rejects garbage" `Quick
       test_spec_rejects_garbage;
     Alcotest.test_case "validate rejects bad crash target" `Quick

@@ -26,18 +26,6 @@ let test_peek_does_not_remove () =
   Alcotest.(check (option int)) "peek" (Some 7) (Heap.peek h);
   Alcotest.(check int) "size" 1 (Heap.size h)
 
-let test_clear () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-let test_fold () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 1; 2; 3; 4 ];
-  let sum = Heap.fold h ~init:0 ~f:( + ) in
-  Alcotest.(check int) "sum" 10 sum
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list int)
@@ -63,8 +51,6 @@ let suite =
     Alcotest.test_case "push/pop sorted" `Quick test_push_pop_sorted;
     Alcotest.test_case "empty heap" `Quick test_empty;
     Alcotest.test_case "peek does not remove" `Quick test_peek_does_not_remove;
-    Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "fold" `Quick test_fold;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_size;
   ]
