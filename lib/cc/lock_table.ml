@@ -28,11 +28,17 @@
     request waits).
 
     A transaction holds its locks until it commits, for simulated
-    seconds, so its entries and footprints outlive minor collections and
-    are promoted: an uncontended lock costs an entry of 7 words and a
-    footprint slot. Arrays start small enough for the minor heap and
-    grow by copying, since [Array.make] of more than 256 words with a
-    young initial value (the spare) forces a minor collection.
+    seconds, so its entries and footprints outlive minor collections.
+    Rather than promote fresh ones for every attempt, the table recycles
+    them: an entry that leaves the index goes onto a free list chained
+    through its [next], and a released footprint onto a stack of idle
+    ones, keeping its grown [locks] array. Every entry is in the index
+    or on the free list, and every footprint in the attempt index or on
+    the stack, so both are bounded by the table's peak of live locks and
+    attempts, not by the pages ever locked. Arrays start small enough
+    for the minor heap and grow by copying, since [Array.make] of more
+    than 256 words with a young initial value (the spare) forces a minor
+    collection.
 
     The search pushes each entered attempt's blockers straight from its
     queued requests onto the search's reused stack and marks the attempt
@@ -43,12 +49,11 @@
     parker of its own. The parker and the search's state are built on
     the table's first block.
 
-    An entry that empties leaves the index and is not recycled. Keeping
-    it in its bucket for the page's next request saved minor words and
-    won host time on [paper-2pl-8n], but lost it on [wide-2pl-64n],
-    whose locks spread over ten times as many pages, and raised that
-    workload's peak heap from 12 to 23 MiB (EXPERIMENTS.md, "Per-
-    transaction state that dies young"). Requests, re-requests and
+    An emptied entry is not kept in its bucket for the page's next
+    request: that won host time on [paper-2pl-8n] but lost it on
+    [wide-2pl-64n], whose locks spread over ten times as many pages, and
+    raised that workload's peak heap from 12 to 23 MiB (EXPERIMENTS.md,
+    "Per-transaction state that dies young"). Requests, re-requests and
     releases walk their lists with top-level recursive functions or
     loops rather than closures, and a hold lookup returns a constant
     option, so the release of an uncontended attempt allocates
@@ -80,7 +85,7 @@ type waiting = {
 
 (** A page's holds, newest first, are [others] and then [first]. *)
 and lock_entry = {
-  page : Page.t;
+  mutable page : Page.t;
   mutable first : Txn.t;
       (** the oldest hold's attempt, or the table's [vacant] sentinel
           when the page has no hold older than [others] *)
@@ -88,7 +93,8 @@ and lock_entry = {
   mutable others : holder list;  (** the younger holds, newest first *)
   mutable queue : waiting list;  (** grant order: conversions first *)
   mutable next : lock_entry;
-      (** the next entry of its bucket, or the table's [spare] *)
+      (** the next entry of its bucket or of the free list, or the
+          table's [spare] *)
 }
 
 (** Everything one attempt holds or awaits at this node. Invariant: an
@@ -127,7 +133,12 @@ type t = {
   spare : lock_entry;  (** ends every bucket; holds nothing *)
   mutable buckets : lock_entry array;  (** a power of two of them *)
   mutable entries : int;  (** in the buckets *)
+  mutable free : lock_entry;
+      (** emptied entries, chained through [next], ended by [spare] *)
   attempts : footprint Txn.Table.t;
+  mutable idle : footprint array;
+      (** its first [n_idle] are released footprints, to be reused *)
+  mutable n_idle : int;
   mutable n_waiting : int;  (** queued requests, all attempts *)
   mutable contended : contended option;
 }
@@ -152,7 +163,10 @@ let create eng ~blocking =
     spare;
     buckets = Array.make 256 spare;
     entries = 0;
+    free = spare;
     attempts = Txn.Table.create 64;
+    idle = [||];
+    n_idle = 0;
     n_waiting = 0;
     contended = None;
   }
@@ -184,20 +198,31 @@ let grow t =
   Array.fill t.buckets 0 (Array.length t.buckets) t.spare;
   Array.iter (rechain t) old
 
+(* A free entry has no hold and no queue (it left the index unused), and
+   the mode of a [vacant] first hold is never read, so a reused entry
+   needs only its page and its chain. *)
 let entry_of t page =
   let b = bucket t page in
   let e = find_in t page t.buckets.(b) in
   if e != t.spare then e
   else begin
     let e =
-      {
-        page;
-        first = t.vacant;
-        first_mode = S;
-        others = [];
-        queue = [];
-        next = t.buckets.(b);
-      }
+      if t.free == t.spare then
+        {
+          page;
+          first = t.vacant;
+          first_mode = S;
+          others = [];
+          queue = [];
+          next = t.buckets.(b);
+        }
+      else begin
+        let e = t.free in
+        t.free <- e.next;
+        e.page <- page;
+        e.next <- t.buckets.(b);
+        e
+      end
     in
     t.buckets.(b) <- e;
     t.entries <- t.entries + 1;
@@ -215,16 +240,22 @@ let rec unlink t entry prev =
   end
   else unlink t entry prev.next
 
+let free_entry t entry =
+  t.entries <- t.entries - 1;
+  entry.next <- t.free;
+  t.free <- entry
+
 (* An attempt with two requests queued on one page lists its entry twice,
-   so an entry may already be gone when its release finds it unused. *)
+   so an entry may already be gone when its release finds it unused: only
+   an entry still chained in its bucket is freed. *)
 let remove_entry t entry =
   let b = bucket t entry.page in
   let head = t.buckets.(b) in
   if head == entry then begin
     t.buckets.(b) <- entry.next;
-    t.entries <- t.entries - 1
+    free_entry t entry
   end
-  else if unlink t entry head then t.entries <- t.entries - 1
+  else if unlink t entry head then free_entry t entry
 
 (* After an attempt's first request here the lookup hits, and [find]
    allocates nothing. A cohort locks a dozen pages or so at a node, so a
@@ -232,9 +263,25 @@ let remove_entry t entry =
 let footprint_of t txn =
   try Txn.Table.find t.attempts txn
   with Not_found ->
-    let f = { locks = Array.make 12 t.spare; n_locks = 0; waits = [] } in
+    let f =
+      if t.n_idle = 0 then
+        { locks = Array.make 12 t.spare; n_locks = 0; waits = [] }
+      else begin
+        t.n_idle <- t.n_idle - 1;
+        t.idle.(t.n_idle)
+      end
+    in
     Txn.Table.add t.attempts txn f;
     f
+
+(* Grows by copying, as the buckets do. *)
+let idle_footprint t f =
+  f.n_locks <- 0;
+  f.waits <- [];
+  if t.n_idle = Array.length t.idle then
+    t.idle <- Array.append t.idle (Array.make (t.n_idle + 4) f);
+  t.idle.(t.n_idle) <- f;
+  t.n_idle <- t.n_idle + 1
 
 (* Doubles by copying, as the buckets do. *)
 let add_lock f entry =
@@ -543,7 +590,8 @@ let release_all t txn ~reject =
   | f ->
       Txn.Table.remove t.attempts txn;
       t.n_waiting <- t.n_waiting - List.length f.waits;
-      release_entries t txn f reject
+      release_entries t txn f reject;
+      idle_footprint t f
 
 (** Waits-for edges of this node's lock table. *)
 let edges t =

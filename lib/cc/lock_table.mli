@@ -16,7 +16,9 @@
     through it never scan the page table. A page's oldest hold is kept
     inside its entry, so only a shared page's further holders cost a
     record each; a conversion upgrades a hold in place. The page index
-    holds only locked pages: an entry that empties leaves it. A blocked
+    holds only locked pages: an entry that empties leaves it, to be
+    reused for the next page locked, as a released attempt's footprint
+    is for the next attempt. A blocked
     request parks on the table's one parker, building no closure of its
     own, and the deadlock search is {!Wfg.Search} over the footprints,
     which allocates only the cycle it returns. *)

@@ -59,7 +59,13 @@
 
    Before an attempt's runtime kept one commit-protocol state per cohort
    in place of three flag arrays, it retained 142 words for a plan of
-   eight cohorts. *)
+   eight cohorts.
+
+   Before the lock table recycled its entries and footprints (each lock
+   of an unheld page built an entry, and each attempt a footprint), they
+   measured: an uncontended lock request with its share of the release
+   9.6, a blocked lock request 60.5, and, per commit, 4,891 untraced and
+   8,612 traced. *)
 
 open Desim
 open Ddbm_model
@@ -386,6 +392,35 @@ let runtime_retained () =
   in
   float_of_int words /. float_of_int (Array.length runtimes)
 
+(* The words an attempt's footprint of twelve pages keeps alive in a
+   lock table: the twelve entries, the footprint with its array and the
+   attempt index's cell. A cohort holds its locks until commit, so this
+   state outlives minor collections; the table recycles entries and
+   footprints, so only the cell is fresh once the table has warmed up.
+   The attempt itself is not counted. *)
+let footprint_retained () =
+  let h = Cc_harness.make () in
+  let locks =
+    Ddbm_cc.Lock_table.create h.Cc_harness.eng ~blocking:(Stats.Tally.create ())
+  in
+  let txn = Cc_harness.txn h ~time:0. () in
+  let words () = Obj.reachable_words (Obj.repr locks) in
+  let empty = words () in
+  let on_block _ = () in
+  for i = 0 to 11 do
+    Ddbm_cc.Lock_table.request locks txn (Cc_harness.page i)
+      (if i land 1 = 0 then Ddbm_cc.Lock_table.S else Ddbm_cc.Lock_table.X)
+      ~on_block
+  done;
+  float_of_int (words () - empty - Obj.reachable_words (Obj.repr txn))
+
+(* The words an empty mailbox keeps alive: each cohort has one for the
+   life of its attempt. *)
+let mailbox_retained () =
+  let boxes = Array.init (ops / 10) (fun _ -> Mailbox.create ()) in
+  let words = Obj.reachable_words (Obj.repr boxes) - (Array.length boxes + 1) in
+  float_of_int words /. float_of_int (Array.length boxes)
+
 (* The measured figure is printed either way; [--verbose] shows it. *)
 let budget name ~max measure () =
   let w = measure () in
@@ -396,8 +431,8 @@ let budget name ~max measure () =
 
 (* name, measurement, budget in words per operation (per request, per
    search, per round, per plan, per commit for the machine runs);
-   measured 7, 8, 8, 6, 8, 14, 9, 9.6, 0, 60.5, 11, 1,099, 0, 350.4,
-   131.1, 122, 4,894 and 8,616 *)
+   measured 7, 8, 8, 6, 8, 14, 9, 0.5, 0, 43.5, 11, 1,099, 0, 350.4,
+   131.1, 122, 105, 16, 4,268 and 7,989 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 7.7);
@@ -407,17 +442,19 @@ let cases =
     ("Disk.read", disk_read, 8.8);
     ("Mailbox send+recv", mailbox_send_recv, 16.);
     ("Net.send", net_send, 9.9);
-    ("Lock_table uncontended request+release", lock_uncontended, 10.6);
+    ("Lock_table uncontended request+release", lock_uncontended, 1.);
     ("Lock_table re-request of a held lock", lock_rerequest, 1.);
-    ("Lock_table blocked request, queued then granted", lock_blocked, 63.);
+    ("Lock_table blocked request, queued then granted", lock_blocked, 48.);
     ("Lock_table.find_cycle_through, a 3-cycle", lock_cycle_search, 12.);
     ("Wfg.of_edges + break_all_cycles, Snoop's 54 edges", snoop_graph, 1_200.);
     ("Faults.Link.judge, no delay or duplication", link_judge, 0.);
     ("Workload.generate_plan", generate_plan, 385.);
     ("Plan retained words", plan_retained, 145.);
     ("Attempt runtime retained words, 8 cohorts", runtime_retained, 134.);
-    ("Machine, untraced, per commit", machine_run ~traced:false, 5_400.);
-    ("Machine, traced, per commit", machine_run ~traced:true, 9_500.);
+    ("Lock footprint retained words, 12 pages", footprint_retained, 116.);
+    ("Mailbox retained words, empty", mailbox_retained, 18.);
+    ("Machine, untraced, per commit", machine_run ~traced:false, 4_700.);
+    ("Machine, traced, per commit", machine_run ~traced:true, 8_800.);
   ]
 
 let suite =

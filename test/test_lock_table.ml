@@ -339,6 +339,133 @@ let test_conversion_cycle_victim () =
       Alcotest.(check int) "younger is the victim" 1 (Wfg.youngest cycle).Txn.tid
   | None -> Alcotest.fail "conversion deadlock not found"
 
+(* The mode [txn] holds on [page], printed. *)
+let held_mode locks txn page =
+  match Lock_table.held locks txn page with
+  | None -> "none"
+  | Some Lock_table.S -> "S"
+  | Some Lock_table.X -> "X"
+
+(* An attempt holds S on a page and has an X request queued there too,
+   so its footprint lists the page's entry twice; its release frees that
+   entry once. Two fresh pages locked afterwards get entries of their
+   own, each empty. *)
+let test_twice_listed_entry_freed_once () =
+  let h, locks, _ = mk () in
+  let holder = Cc_harness.txn h ~tid:0 ~time:0. () in
+  let twice = Cc_harness.txn h ~tid:1 ~time:1. () in
+  let p = Cc_harness.page 1 in
+  ignore (async_request h locks holder p Lock_table.X);
+  Cc_harness.settle h;
+  let s = async_request h locks twice p Lock_table.S in
+  let x = async_request h locks twice p Lock_table.X in
+  Cc_harness.settle h;
+  Lock_table.release_all locks holder ~reject:Rejected;
+  Cc_harness.settle h;
+  Alcotest.(check bool) "S granted, X still queued" true
+    (!s = `Granted && !x = `Waiting);
+  Lock_table.release_all locks twice ~reject:(Txn.Aborted Txn.Peer_abort);
+  Cc_harness.settle h;
+  Alcotest.(check bool) "queued X rejected" true (!x = `Rejected);
+  let a = Cc_harness.txn h ~tid:2 ~time:2. () in
+  let b = Cc_harness.txn h ~tid:3 ~time:3. () in
+  let q = Cc_harness.page 2 and r = Cc_harness.page 3 in
+  ignore (async_request h locks a q Lock_table.X);
+  ignore (async_request h locks b r Lock_table.X);
+  Cc_harness.settle h;
+  Alcotest.(check string) "a holds q" "X" (held_mode locks a q);
+  Alcotest.(check string) "b holds r" "X" (held_mode locks b r);
+  Alcotest.(check string) "a holds no r" "none" (held_mode locks a r);
+  Alcotest.(check string) "b holds no q" "none" (held_mode locks b q);
+  Alcotest.(check string) "p is free" "none" (held_mode locks twice p);
+  Alcotest.(check int) "nothing waits" 0 (Lock_table.num_waiting locks);
+  let c = Cc_harness.txn h ~tid:4 ~time:4. () in
+  let d = Cc_harness.txn h ~tid:5 ~time:5. () in
+  ignore (async_request h locks c q Lock_table.S);
+  ignore (async_request h locks d r Lock_table.S);
+  Cc_harness.settle h;
+  Alcotest.(check int) "one wait on each page" 2 (Lock_table.num_waiting locks);
+  Alcotest.(check (list int)) "q's blocker" [ 2 ]
+    (List.map (fun t -> t.Txn.tid) (Lock_table.current_blockers locks c q));
+  Alcotest.(check (list int)) "r's blocker" [ 3 ]
+    (List.map (fun t -> t.Txn.tid) (Lock_table.current_blockers locks d r))
+
+(* An entry last held in X is reused for another page: it starts with no
+   holder and no queue, so two S requests there are both granted and an
+   X request queues behind both, newest first. *)
+let test_reused_entry_starts_empty () =
+  let h, locks, _ = mk () in
+  let old = Cc_harness.txn h ~tid:0 ~time:0. () in
+  let p = Cc_harness.page 1 and q = Cc_harness.page 2 in
+  ignore (async_request h locks old p Lock_table.X);
+  Cc_harness.settle h;
+  Lock_table.release_all locks old ~reject:Rejected;
+  let a = Cc_harness.txn h ~tid:1 ~time:1. () in
+  let b = Cc_harness.txn h ~tid:2 ~time:2. () in
+  let c = Cc_harness.txn h ~tid:3 ~time:3. () in
+  let sa = async_request h locks a q Lock_table.S in
+  let sb = async_request h locks b q Lock_table.S in
+  Cc_harness.settle h;
+  Alcotest.(check bool) "both readers granted" true
+    (!sa = `Granted && !sb = `Granted);
+  Alcotest.(check string) "a reads q" "S" (held_mode locks a q);
+  Alcotest.(check string)
+    "the old holder holds no q" "none" (held_mode locks old q);
+  Alcotest.(check string) "p is free" "none" (held_mode locks a p);
+  let xc = async_request h locks c q Lock_table.X in
+  Cc_harness.settle h;
+  Alcotest.(check bool) "writer waits" true (!xc = `Waiting);
+  Alcotest.(check (list int)) "writer's blockers" [ 2; 1 ]
+    (List.map (fun t -> t.Txn.tid) (Lock_table.current_blockers locks c q))
+
+(* A released attempt's footprint is reused by the next attempt: it
+   lists only that attempt's pages. *)
+let test_reused_footprint_starts_empty () =
+  let h, locks, _ = mk () in
+  let old = Cc_harness.txn h ~tid:0 ~time:0. () in
+  let on_block _ = Alcotest.fail "a request without conflict blocked" in
+  Lock_table.request locks old (Cc_harness.page 1) Lock_table.X ~on_block;
+  Lock_table.request locks old (Cc_harness.page 2) Lock_table.X ~on_block;
+  Lock_table.release_all locks old ~reject:Rejected;
+  let next = Cc_harness.txn h ~tid:1 ~time:1. () in
+  Lock_table.request locks next (Cc_harness.page 3) Lock_table.S ~on_block;
+  Alcotest.(check (list int)) "a reader has no exclusive page" []
+    (List.map Ids.Page.index (Lock_table.exclusive_pages locks next));
+  Lock_table.request locks next (Cc_harness.page 4) Lock_table.X ~on_block;
+  Alcotest.(check (list int)) "only its own exclusive page" [ 4 ]
+    (List.map Ids.Page.index (Lock_table.exclusive_pages locks next))
+
+(* The recycled entries and footprints are bounded by the peak of live
+   ones, not by the pages ever locked: 1,000 attempts, one after another,
+   each lock ten pages no attempt locked before and release them. The
+   table's reachable words after the last attempt are within [slack] of
+   those after the first. An index that kept every emptied entry would
+   grow by 7 words per page. *)
+let test_recycling_bounded () =
+  let h, locks, _ = mk () in
+  let on_block _ = Alcotest.fail "a request without conflict blocked" in
+  let attempt a =
+    let txn = Cc_harness.txn h ~tid:a ~time:(float_of_int a) () in
+    for k = 0 to 9 do
+      Lock_table.request locks txn
+        (Cc_harness.page ((a * 10) + k))
+        (if k land 1 = 0 then Lock_table.S else Lock_table.X)
+        ~on_block
+    done;
+    Lock_table.release_all locks txn ~reject:Rejected
+  in
+  let words () = Obj.reachable_words (Obj.repr locks) in
+  attempt 0;
+  let first = words () in
+  for a = 1 to 999 do
+    attempt a
+  done;
+  let slack = 64 in
+  let last = words () in
+  if last > first + slack then
+    Alcotest.failf "the table grew from %d to %d words over 10,000 pages"
+      first last
+
 type op = Req of int * int * bool | Release of int | Doom of int
 
 let pp_op = function
@@ -674,6 +801,13 @@ let suite =
     Alcotest.test_case "re-acquire held lock" `Quick test_reacquire_held;
     Alcotest.test_case "conversion cycle victim" `Quick
       test_conversion_cycle_victim;
+    Alcotest.test_case "twice-listed entry freed once" `Quick
+      test_twice_listed_entry_freed_once;
+    Alcotest.test_case "reused entry starts empty" `Quick
+      test_reused_entry_starts_empty;
+    Alcotest.test_case "reused footprint starts empty" `Quick
+      test_reused_footprint_starts_empty;
+    Alcotest.test_case "recycling stays bounded" `Quick test_recycling_bounded;
     QCheck_alcotest.to_alcotest prop_no_conflicting_holders;
     QCheck_alcotest.to_alcotest prop_index_matches_full_table;
     QCheck_alcotest.to_alcotest prop_matches_reference;
