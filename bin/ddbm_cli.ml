@@ -144,10 +144,10 @@ let params_term =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Deterministic fault plan, e.g. \
-             'loss=0.05,dup=0.01,delay=0.002,crash=0\\@10+5,crash=host\\@30+2,\\
-             crash-rate=0.01,mttr=2,timeout=1,timeout-cap=8,retries=4,\\
+             'loss=0.05,dup=0.01,delay=0.002,crash=0@10+5,crash=host@30+2,\
+             crash-rate=0.01,mttr=2,timeout=1,timeout-cap=8,retries=4,\
              fault-seed=7'. Message-loss/duplication/extra-delay \
-             probabilities apply to commit-protocol traffic; crash=TGT\\@AT+DUR \
+             probabilities apply to commit-protocol traffic; crash=TGT@AT+DUR \
              downs host or procN at time AT for DUR seconds; crash-rate \
              adds Poisson crashes with mean repair time mttr; torn-tail=P \
              tears the WAL's dropped volatile tail at a crash with \

@@ -47,8 +47,8 @@ type fault_rt = {
   recrash_rng : Rng.t;
       (** one draw per recovery start (plus the re-crash schedule when it
           hits); untouched when [recrash] is zero *)
-  decisions : (int * int, bool) Hashtbl.t;
-      (** 2PC decision log, (tid, attempt) -> commit; written before any
+  decisions : bool Txn.Key_table.t;
+      (** 2PC decision log, attempt -> commit; written before any
           phase-two message is sent and kept for the whole run so the
           termination protocol can answer late inquiries *)
   mutable host_down_until : float;
@@ -235,7 +235,7 @@ let install_faults t (plan : Fault_plan.t) =
       jitter_rng;
       tear_rng;
       recrash_rng;
-      decisions = Hashtbl.create 256;
+      decisions = Txn.Key_table.create 256;
       host_down_until = 0.;
       timeouts = 0;
       retries = 0;
@@ -368,12 +368,16 @@ let create ?(histograms = true) (params : Params.t) =
 (* A decision in the log means phase two has begun: the attempt's
    outcome is durable and survives any crash. *)
 let decision_of f (txn : Txn.t) =
-  Hashtbl.find_opt f.decisions (txn.Txn.tid, txn.Txn.attempt)
+  Txn.Key_table.find_opt f.decisions
+    (Txn.Key.make ~tid:txn.Txn.tid ~attempt:txn.Txn.attempt)
 
 let log_decision t (txn : Txn.t) commit =
   match t.faults with
   | None -> ()
-  | Some f -> Hashtbl.replace f.decisions (txn.Txn.tid, txn.Txn.attempt) commit
+  | Some f ->
+      Txn.Key_table.replace f.decisions
+        (Txn.Key.make ~tid:txn.Txn.tid ~attempt:txn.Txn.attempt)
+        commit
 
 let live_sorted t =
   Hashtbl.fold (fun tid rt acc -> (tid, rt) :: acc) t.live []
@@ -1010,7 +1014,11 @@ let resolve_in_doubt t f i wal =
                 | Some rt -> Int.equal rt.Messages.txn.Txn.attempt attempt
                 | None -> false
               in
-              (tid, attempt, live, Hashtbl.find_opt f.decisions (tid, attempt)))
+              ( tid,
+                attempt,
+                live,
+                Txn.Key_table.find_opt f.decisions (Txn.Key.make ~tid ~attempt)
+              ))
             doubts
         in
         Net.send_async t.net ~src:Host ~dst:(Proc i) (fun () ->
@@ -1858,7 +1866,9 @@ let lost_commits t =
         match t.faults with
         | None -> true
         | Some f -> (
-            match Hashtbl.find_opt f.decisions (tid, attempt) with
+            match
+              Txn.Key_table.find_opt f.decisions (Txn.Key.make ~tid ~attempt)
+            with
             | Some c -> c
             | None -> false)
       in

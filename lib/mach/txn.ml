@@ -77,6 +77,32 @@ let compare_attempt a b =
   | 0 -> Int.compare a.attempt b.attempt
   | n -> n
 
+module Key = struct
+  type t = int
+
+  (* The attempt below the tid: the integer order is the (tid, attempt)
+     order, and the top bit stays clear. *)
+  let attempt_bits = 24
+  let attempt_limit = 1 lsl attempt_bits
+  let tid_limit = 1 lsl (Sys.int_size - 1 - attempt_bits)
+
+  let make ~tid ~attempt =
+    if tid < 0 || tid >= tid_limit || attempt < 0 || attempt >= attempt_limit
+    then
+      invalid_arg
+        (Printf.sprintf "Txn.Key.make: tid %d, attempt %d out of range" tid
+           attempt);
+    (tid lsl attempt_bits) lor attempt
+
+  let tid k = k lsr attempt_bits
+  let attempt k = k land (attempt_limit - 1)
+  let equal = Int.equal
+  let compare = Int.compare
+  let hash k = (tid k * 65599) + attempt k
+end
+
+module Key_table = Hashtbl.Make (Key)
+
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 
