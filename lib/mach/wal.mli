@@ -10,6 +10,14 @@
     The model keeps a per-transaction digest rather than the record
     sequence itself: enough to answer the durability questions recovery
     and the no-lost-commit invariant ask, and to size the redo pass.
+    The digest is keyed by the attempt's {!Txn.Key}, one immediate int,
+    and an entry keeps its write-set pages and predecessors as one list
+    each, newest first, with a count of the prefix that volatile records
+    added: a force zeroes the counts and a crash drops the prefixes, so
+    appends, installs and forces allocate only what the log keeps (an
+    attempt's entry, the first record of each page and predecessor, and
+    the dirty-list cell). Tuples appear only at the boundary:
+    {!in_doubt}, {!redo_chains} and {!Chains}.
 
     Durability semantics follow ARIES-style redo logging restricted to
     what the simulation observes: a {!force} makes every record appended
