@@ -173,12 +173,21 @@ let classify ~fields expr =
 
 type entry = { e_key : Graph.key; e_kind : kind; e_file : string; e_line : int }
 
+let in_test path = String.starts_with ~prefix:"test/" path
+
 (** Every top-level binding of the graph that allocates mutable state,
-    in deterministic (module, value) order. *)
+    in deterministic (module, value) order. A field declared under
+    [test/] classifies only bindings under [test/]: the census is by
+    name, so a test record's [mutable log] would otherwise make every
+    record literal with a [log] field in the library look mutable. *)
 let census ~files graph =
-  let fields = mutable_fields files in
+  let all_fields = mutable_fields files in
+  let fields =
+    mutable_fields (List.filter (fun (path, _) -> not (in_test path)) files)
+  in
   List.filter_map
     (fun (b : Graph.binding) ->
+      let fields = if in_test b.Graph.b_file then all_fields else fields in
       Option.map
         (fun k ->
           { e_key = b.Graph.b_key; e_kind = k; e_file = b.Graph.b_file;

@@ -31,6 +31,7 @@ type entry = { e_key : Graph.key; e_kind : kind; e_file : string; e_line : int }
 
 val census : files:(string * Parsetree.structure) list -> Graph.t -> entry list
 (** Every top-level binding that allocates mutable state, in
-    deterministic (module, value) order. *)
+    deterministic (module, value) order. Fields declared under [test/]
+    classify only bindings under [test/]. *)
 
 val find : entry list -> Graph.key -> entry option

@@ -108,23 +108,30 @@ let of_items ~prefix keys ~zero s =
   |> List.filter (fun item -> item <> "")
   |> List.fold_left
        (fun acc item ->
-         let* t, open_key = acc in
+         let* t, open_key, seen = acc in
          match (split_kv item, open_key) with
          | Some (k, v), _ ->
              let* key = find ~prefix keys k in
+             let* () =
+               match key with
+               | One _ when List.mem k seen ->
+                   Error (Printf.sprintf "%s repeated key %S" prefix k)
+               | One _ | Many _ -> Ok ()
+             in
              let* t = set ~prefix key t v in
              Ok
                ( t,
-                 match key with
+                 (match key with
                  | Many { bare = true; _ } -> Some key
-                 | Many { bare = false; _ } | One _ -> open_key )
+                 | Many { bare = false; _ } | One _ -> open_key),
+                 k :: seen )
          | None, Some key ->
              let* t = set ~prefix key t item in
-             Ok (t, open_key)
+             Ok (t, open_key, seen)
          | None, None ->
              Error (Printf.sprintf "%s bad item %S (want key=value)" prefix item))
-       (Ok (zero, None))
-  |> Result.map fst
+       (Ok (zero, None, []))
+  |> Result.map (fun (t, _, _) -> t)
 
 let to_lines keys t =
   List.concat_map

@@ -38,7 +38,8 @@ exception Reject of string
 
 val to_items : 'r key list -> zero:'r -> 'r -> string
 
-(** Error messages start with [prefix]; an unknown key is an error. *)
+(** Error messages start with [prefix]; an unknown key, or a key of
+    {!one} given twice, is an error. *)
 val of_items :
   prefix:string -> 'r key list -> zero:'r -> string -> ('r, string) result
 

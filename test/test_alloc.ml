@@ -72,7 +72,17 @@
    each lookup built an option, each update built two closures, and each
    force copied the volatile page and predecessor lists), they measured:
    Wal.append 26.9 per call, and an attempt's digest entry retained
-   45 words. *)
+   45 words.
+
+   Before the kernels' queues were rings (the disks, the CPU's message
+   class and the mailboxes queued in Stdlib [Queue] cells, a queued
+   message-class job was a record, and a mailbox parked each blocked
+   receive in a cell of its own behind a queue of waiters, with a fresh
+   timer per timed receive), they measured: a read behind a busy disk
+   11, a message-class job behind one in service 14, Mailbox send+recv
+   14, a timed receive served 23 and expired 19, an attempt's runtime
+   retained 122 words and an empty mailbox 16, and, per commit, 4,268
+   untraced and 7,989 traced. *)
 
 open Desim
 open Ddbm_model
@@ -127,6 +137,42 @@ let disk_read () =
       done);
   words_per_op ~ops (fun () -> Engine.run eng)
 
+(* Four processes share one disk, or the high-priority class of one CPU,
+   so every request but one of each round queues behind the one in
+   service. *)
+let queued_procs = 4
+
+let disk_read_queued () =
+  let eng = Engine.create () in
+  let d = Disk.create eng (Rng.create 7) ~min_time:0.01 ~max_time:0.03 in
+  let per = ops / queued_procs in
+  let deepest = ref 0 in
+  for _ = 1 to queued_procs do
+    Engine.spawn eng (fun () ->
+        for _ = 1 to per do
+          deepest := max !deepest (Disk.queue_length d);
+          Disk.read d
+        done)
+  done;
+  let w = words_per_op ~ops:(per * queued_procs) (fun () -> Engine.run eng) in
+  Alcotest.(check int) "reads queue" (queued_procs - 1) !deepest;
+  w
+
+let cpu_priority_queued () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~rate:1e6 in
+  let per = ops / queued_procs in
+  for _ = 1 to queued_procs do
+    Engine.spawn eng (fun () ->
+        for _ = 1 to per do
+          Cpu.consume_priority cpu ~instructions:1000.
+        done)
+  done;
+  let w = words_per_op ~ops:(per * queued_procs) (fun () -> Engine.run eng) in
+  Alcotest.(check (float 1e-6))
+    "the class never idles" (float_of_int ops *. 1e-3) (Engine.now eng);
+  w
+
 (* Two processes ping-pong: every operation is one send that wakes a
    blocked receiver. *)
 let mailbox_send_recv () =
@@ -143,6 +189,41 @@ let mailbox_send_recv () =
         Mailbox.send pong (Mailbox.recv ping)
       done);
   words_per_op ~ops:(2 * rounds) (fun () -> Engine.run eng)
+
+(* The ping-pong with timed receives, each served before its deadline:
+   every operation also arms the mailbox's timer and cancels it, and
+   returns its message in an option. *)
+let mailbox_timed_served () =
+  let eng = Engine.create () in
+  let ping = Mailbox.create () and pong = Mailbox.create () in
+  let rounds = ops / 2 in
+  let recv mb =
+    match Mailbox.recv_timeout mb eng ~timeout:10. with
+    | Some v -> v
+    | None -> Alcotest.fail "a served receive timed out"
+  in
+  Engine.spawn eng (fun () ->
+      for i = 1 to rounds do
+        Mailbox.send ping i;
+        ignore (recv pong : int)
+      done);
+  Engine.spawn eng (fun () ->
+      for _ = 1 to rounds do
+        Mailbox.send pong (recv ping)
+      done);
+  words_per_op ~ops:(2 * rounds) (fun () -> Engine.run eng)
+
+(* Timed receives on a mailbox nobody sends to: each one expires. *)
+let mailbox_timed_expired () =
+  let eng = Engine.create () in
+  let mb : int Mailbox.t = Mailbox.create () in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to ops do
+        match Mailbox.recv_timeout mb eng ~timeout:1. with
+        | None -> ()
+        | Some _ -> Alcotest.fail "nothing was sent"
+      done);
+  words_per_op ~ops (fun () -> Engine.run eng)
 
 (* A process sends to another node; the delivery counts. *)
 let net_send () =
@@ -489,8 +570,8 @@ let budget name ~max measure () =
 
 (* name, measurement, budget in words per operation (per request, per
    search, per round, per plan, per commit for the machine runs);
-   measured 7, 8, 8, 6, 8, 14, 9, 0.5, 0, 43.5, 11, 1,099, 0, 7.9, 36,
-   350.4, 131.1, 122, 105, 16, 4,268 and 7,989 *)
+   measured 7, 8, 8, 6, 8, 8, 6, 6, 8, 6, 9, 0.5, 0, 43.5, 11, 1,099, 0,
+   7.9, 36, 350.4, 131.1, 115, 105, 9, 3,885 and 7,606 *)
 let cases =
   [
     ("Engine.wait", engine_wait, 7.7);
@@ -498,7 +579,11 @@ let cases =
     ("Cpu.consume, 8 processes", cpu_consume ~procs:8, 8.8);
     ("Cpu.consume_priority", cpu_consume_priority, 6.6);
     ("Disk.read", disk_read, 8.8);
-    ("Mailbox send+recv", mailbox_send_recv, 16.);
+    ("Disk.read, behind a busy disk", disk_read_queued, 8.8);
+    ("Cpu.consume_priority, behind a job in service", cpu_priority_queued, 6.6);
+    ("Mailbox send+recv", mailbox_send_recv, 6.6);
+    ("Mailbox timed receive, served", mailbox_timed_served, 8.8);
+    ("Mailbox timed receive, expired", mailbox_timed_expired, 6.6);
     ("Net.send", net_send, 9.9);
     ("Lock_table uncontended request+release", lock_uncontended, 1.);
     ("Lock_table re-request of a held lock", lock_rerequest, 1.);
@@ -510,11 +595,11 @@ let cases =
     ("Wal digest entry retained words, per attempt", wal_entry_retained, 40.);
     ("Workload.generate_plan", generate_plan, 385.);
     ("Plan retained words", plan_retained, 145.);
-    ("Attempt runtime retained words, 8 cohorts", runtime_retained, 134.);
+    ("Attempt runtime retained words, 8 cohorts", runtime_retained, 127.);
     ("Lock footprint retained words, 12 pages", footprint_retained, 116.);
-    ("Mailbox retained words, empty", mailbox_retained, 18.);
-    ("Machine, untraced, per commit", machine_run ~traced:false, 4_700.);
-    ("Machine, traced, per commit", machine_run ~traced:true, 8_800.);
+    ("Mailbox retained words, empty", mailbox_retained, 10.);
+    ("Machine, untraced, per commit", machine_run ~traced:false, 4_270.);
+    ("Machine, traced, per commit", machine_run ~traced:true, 8_370.);
   ]
 
 let suite =

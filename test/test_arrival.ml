@@ -60,6 +60,13 @@ let test_codec_rejects_invalid () =
       "qps=10,retry-base=2,retry-cap=1";
     ]
 
+(* A single-value key given twice is an error, not the last value
+   silently winning. *)
+let test_codec_rejects_repeated_key () =
+  Alcotest.(check (result reject string))
+    "cap twice" (Error "arrivals: repeated key \"cap\"")
+    (Result.map ignore (Arrival.of_spec "qps=5,cap=4,cap=8"))
+
 (* A four-segment profile with every admission key off its default: the
    printed form is a file format, so it is pinned byte for byte. *)
 let test_codec_pinned () =
@@ -422,6 +429,8 @@ let suite =
       test_codec_roundtrip_handpicked;
     Alcotest.test_case "codec rejects invalid specs" `Quick
       test_codec_rejects_invalid;
+    Alcotest.test_case "codec rejects a repeated key" `Quick
+      test_codec_rejects_repeated_key;
     Alcotest.test_case "codec prints as pinned" `Quick test_codec_pinned;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xA117 |] (* lint: allow ambient *))

@@ -140,6 +140,18 @@ let test_spec_rejects_garbage () =
       | Error _ -> ())
     [ "loss=2"; "loss=x"; "crash=bogus"; "wibble=1"; "retries=-3"; "crash=proc1@x+1" ]
 
+(* A single-value key given twice is an error, as in a replay artifact,
+   rather than the last value silently winning; a list key such as
+   [crash] may repeat. *)
+let test_spec_rejects_repeated_key () =
+  Alcotest.(check (result reject string))
+    "loss twice" (Error "faults: repeated key \"loss\"")
+    (Result.map ignore (Fault_plan.of_spec "loss=0.1,loss=0.2"));
+  match Fault_plan.of_spec "crash=1@1+1,crash=2@3+1" with
+  | Ok p ->
+      Alcotest.(check int) "both crashes" 2 (List.length p.Fault_plan.crashes)
+  | Error e -> Alcotest.fail e
+
 let test_validate_rejects_out_of_range_crash_target () =
   let plan =
     {
@@ -446,6 +458,8 @@ let suite =
       test_spec_full_pinned;
     Alcotest.test_case "spec codec rejects garbage" `Quick
       test_spec_rejects_garbage;
+    Alcotest.test_case "spec codec rejects a repeated key" `Quick
+      test_spec_rejects_repeated_key;
     Alcotest.test_case "validate rejects bad crash target" `Quick
       test_validate_rejects_out_of_range_crash_target;
     Alcotest.test_case "chaos registry never leaks between runs" `Quick

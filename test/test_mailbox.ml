@@ -1,8 +1,26 @@
-(* Dedicated mailbox suite: FIFO discipline under interleaving, waiter
-   queueing order, try_recv/length bookkeeping, and send-before-spawn
-   buffering. Complements the smoke tests in test_sync.ml. *)
+(* Dedicated mailbox suite: FIFO discipline under interleaving, the
+   single-reader contract, timed receives against messages due at the
+   same instant, and send-before-spawn buffering. Complements the smoke
+   tests in test_sync.ml. *)
 
 open Desim
+
+(* The messages still queued, in order: a process takes them with
+   zero-time receives, each of which times out at once on an empty
+   mailbox. Runs the engine to the end. *)
+let queued eng mb =
+  let left = ref [] in
+  Engine.spawn eng (fun () ->
+      let rec take () =
+        match Mailbox.recv_timeout mb eng ~timeout:0. with
+        | Some m ->
+            left := m :: !left;
+            take ()
+        | None -> ()
+      in
+      take ());
+  Engine.run eng;
+  List.rev !left
 
 let test_buffered_before_any_receiver () =
   let eng = Engine.create () in
@@ -10,14 +28,13 @@ let test_buffered_before_any_receiver () =
   (* sends happen outside any process, before a receiver exists *)
   Mailbox.send mb 1;
   Mailbox.send mb 2;
-  Alcotest.(check int) "buffered" 2 (Mailbox.length mb);
   let got = ref [] in
   Engine.spawn eng (fun () ->
       got := Mailbox.recv mb :: !got;
       got := Mailbox.recv mb :: !got);
   Engine.run eng;
   Alcotest.(check (list int)) "delivered in order" [ 1; 2 ] (List.rev !got);
-  Alcotest.(check int) "drained" 0 (Mailbox.length mb)
+  Alcotest.(check (list int)) "drained" [] (queued eng mb)
 
 let test_fifo_across_many_sends () =
   let eng = Engine.create () in
@@ -39,63 +56,19 @@ let test_fifo_across_many_sends () =
     (List.init n (fun i -> i + 1))
     (List.rev !got)
 
-let test_waiters_served_fifo () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let served = ref [] in
-  (* receivers 0..3 start waiting at times 0,1,2,3 *)
-  for i = 0 to 3 do
-    Engine.spawn eng (fun () ->
-        Engine.wait (float_of_int i);
-        let v = Mailbox.recv mb in
-        served := (i, v) :: !served)
-  done;
-  Engine.spawn eng (fun () ->
-      Engine.wait 10.;
-      for v = 0 to 3 do
-        Mailbox.send mb v
-      done);
-  Engine.run eng;
-  (* the longest-waiting receiver gets the first message *)
-  Alcotest.(check (list (pair int int)))
-    "longest waiter first"
-    [ (0, 0); (1, 1); (2, 2); (3, 3) ]
-    (List.sort
-       (fun (a, b) (c, d) ->
-         match Int.compare a c with 0 -> Int.compare b d | n -> n)
-       !served)
-
-let test_try_recv_does_not_steal_from_waiter () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let got = ref None in
-  let seen = ref (-1, Some 0) in
-  Engine.spawn eng (fun () -> got := Some (Mailbox.recv mb));
-  Engine.spawn eng (fun () ->
-      Engine.wait 1.;
-      Mailbox.send mb 42;
-      (* the woken receiver has not run yet, but the message is its *)
-      seen := (Mailbox.length mb, Mailbox.try_recv mb));
-  Engine.run eng;
-  Alcotest.(check (pair int (option int)))
-    "a handed message is not queued" (0, None) !seen;
-  Alcotest.(check (option int)) "waiter was woken" (Some 42) !got;
-  Alcotest.(check (option int)) "nothing left over" None (Mailbox.try_recv mb)
-
+(* A receive takes the oldest message and leaves the rest queued. *)
 let test_length_counts_only_undelivered () =
   let eng = Engine.create () in
   let mb = Mailbox.create () in
-  let lengths = ref [] in
+  let got = ref "" in
   Engine.spawn eng (fun () ->
       Mailbox.send mb "a";
-      lengths := Mailbox.length mb :: !lengths;
       Mailbox.send mb "b";
-      lengths := Mailbox.length mb :: !lengths;
-      ignore (Mailbox.recv mb);
-      lengths := Mailbox.length mb :: !lengths);
+      got := Mailbox.recv mb;
+      Mailbox.send mb "c");
   Engine.run eng;
-  Alcotest.(check (list int)) "length after each op" [ 1; 2; 1 ]
-    (List.rev !lengths)
+  Alcotest.(check string) "the oldest taken" "a" !got;
+  Alcotest.(check (list string)) "the rest queued" [ "b"; "c" ] (queued eng mb)
 
 let test_interleaved_send_recv_conserves_messages () =
   let eng = Engine.create () in
@@ -117,12 +90,12 @@ let test_interleaved_send_recv_conserves_messages () =
   Engine.run eng;
   Alcotest.(check int) "sent all" 30 !sent;
   Alcotest.(check int) "received all" 30 !received;
-  Alcotest.(check int) "queue empty" 0 (Mailbox.length mb)
+  Alcotest.(check (list int)) "queue empty" [] (queued eng mb)
 
 (* A message and a receive timeout due at the same instant: whichever was
    queued first fires first. A timeout first leaves the message queued
-   for the next receiver; a message first is delivered and the timer
-   finds the cell served. *)
+   for the next receive; a message first is delivered and the timer
+   finds the reader already woken. *)
 let test_message_and_timeout_tie () =
   let run ~message_first =
     let eng = Engine.create () in
@@ -135,7 +108,8 @@ let test_message_and_timeout_tie () =
     Engine.run ~until:0.5 eng;
     if not message_first then ignore (Engine.schedule eng ~at:1. send);
     Engine.run eng;
-    (!got, Mailbox.length mb, Engine.now eng)
+    let time = Engine.now eng in
+    (!got, List.length (queued eng mb), time)
   in
   let check name (got, len, time) (got', len') =
     Alcotest.(check (option int)) (name ^ ": received") got' got;
@@ -159,44 +133,122 @@ let test_served_receive_leaves_no_timer () =
   Alcotest.(check (float 0.)) "the run ends at the message" 1. (Engine.now eng);
   Alcotest.(check int) "no timer fired" 3 (Engine.events_processed eng)
 
-(* Plain and timed receivers queue in one FIFO; a timed one that has
-   expired is skipped, and the next message goes to the receiver after
-   it. *)
-let test_mixed_receivers_fifo () =
+(* One reader at a time: a second receive, plain or timed, while the
+   first is blocked, or woken and not yet resumed, raises. *)
+let test_second_receiver_raises () =
   let eng = Engine.create () in
   let mb = Mailbox.create () in
-  let served = ref [] in
-  let note name v = served := (name, v) :: !served in
-  let receiver name ~at recv =
+  let got = ref None in
+  let raised = ref [] in
+  let second name recv =
     Engine.spawn eng (fun () ->
-        Engine.wait at;
-        note name (recv ()))
+        match recv () with
+        | (_ : int option) -> ()
+        | exception Invalid_argument _ -> raised := name :: !raised)
   in
-  let plain () = Some (Mailbox.recv mb) in
-  let timed timeout () = Mailbox.recv_timeout mb eng ~timeout in
-  receiver "plain-a" ~at:0. plain;
-  receiver "timed-b" ~at:1. (timed 100.);
-  receiver "timed-c" ~at:2. (timed 0.5);
-  receiver "plain-d" ~at:3. plain;
-  receiver "timed-e" ~at:4. (timed 100.);
+  Engine.spawn eng (fun () -> got := Some (Mailbox.recv mb));
+  second "recv, blocked" (fun () -> Some (Mailbox.recv mb));
+  second "recv_timeout, blocked" (fun () ->
+      Mailbox.recv_timeout mb eng ~timeout:1.);
+  ignore (Engine.schedule eng ~at:2. (fun () -> Mailbox.send mb 5));
+  (* resumed at the send's instant after it and before the woken reader,
+     which joins the back of the same-time lane *)
+  second "recv, woken" (fun () ->
+      Engine.wait 2.;
+      Some (Mailbox.recv mb));
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "every second receive raised"
+    [ "recv, blocked"; "recv_timeout, blocked"; "recv, woken" ]
+    (List.rev !raised);
+  Alcotest.(check (option int)) "the reader got the message" (Some 5) !got
+
+(* Three timed receives in a row, each due at the instant of a message
+   queued before its timer: each send wakes the reader, the re-armed
+   timer fires before the reader resumes and does nothing, and every
+   receive gets its message. The events are the spawn and, per receive,
+   the send, the timer and the resumption. *)
+let test_tie_still_gives_message () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let got = ref [] in
+  for i = 1 to 3 do
+    ignore
+      (Engine.schedule eng ~at:(float_of_int i) (fun () -> Mailbox.send mb i)
+        : Engine.handle)
+  done;
   Engine.spawn eng (fun () ->
-      Engine.wait 10.;
-      for v = 1 to 5 do
-        Mailbox.send mb v
+      for _ = 1 to 3 do
+        got := Mailbox.recv_timeout mb eng ~timeout:1. :: !got
       done);
   Engine.run eng;
-  Alcotest.(check (list (pair string (option int))))
-    "served in arrival order, the expired one skipped"
-    [
-      ("timed-c", None);
-      ("plain-a", Some 1);
-      ("timed-b", Some 2);
-      ("plain-d", Some 3);
-      ("timed-e", Some 4);
-    ]
-    (List.rev !served);
-  Alcotest.(check int) "the last message queued" 1 (Mailbox.length mb);
-  Alcotest.(check (option int)) "and taken" (Some 5) (Mailbox.try_recv mb)
+  Alcotest.(check (list (option int)))
+    "every message" [ Some 1; Some 2; Some 3 ] (List.rev !got);
+  Alcotest.(check int) "each timer fired in between" 10
+    (Engine.events_processed eng);
+  Alcotest.(check (list int)) "nothing left" [] (queued eng mb)
+
+(* A timed-out receive consumes nothing: the next receive, plain or
+   timed, gets the next message. *)
+let test_receive_after_timeout () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let got = ref [] in
+  let note at v = got := (at, v) :: !got in
+  Engine.spawn eng (fun () ->
+      note (Engine.now eng) (Mailbox.recv_timeout mb eng ~timeout:1.);
+      note (Engine.now eng) (Some (Mailbox.recv mb));
+      note (Engine.now eng) (Mailbox.recv_timeout mb eng ~timeout:1.);
+      note (Engine.now eng) (Mailbox.recv_timeout mb eng ~timeout:5.));
+  ignore (Engine.schedule eng ~at:2. (fun () -> Mailbox.send mb 1));
+  ignore (Engine.schedule eng ~at:5. (fun () -> Mailbox.send mb 2));
+  Engine.run eng;
+  Alcotest.(check (list (pair (float 0.) (option int))))
+    "timed out, then each message in turn"
+    [ (1., None); (2., Some 1); (3., None); (5., Some 2) ]
+    (List.rev !got)
+
+(* 1,000 timed receives, each served before its deadline: the run ends
+   at the last message, so no timer is left queued, no timer fires, and
+   the receives allocate no more than as many plain ones do but for the
+   option of each result, so the one timer is re-armed rather than built
+   again. *)
+let test_timed_receives_reuse_one_timer () =
+  let n = 1_000 in
+  let run recv =
+    let eng = Engine.create () in
+    let mb = Mailbox.create () in
+    for i = 1 to n do
+      ignore
+        (Engine.schedule eng ~at:(float_of_int i) (fun () -> Mailbox.send mb i)
+          : Engine.handle)
+    done;
+    let sum = ref 0 in
+    Engine.spawn eng (fun () ->
+        for _ = 1 to n do
+          sum := !sum + recv eng mb
+        done);
+    let w0 = Gc.minor_words () in
+    Engine.run eng;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "every message received" (n * (n + 1) / 2) !sum;
+    Alcotest.(check (float 0.))
+      "the run ends at the last message" (float_of_int n) (Engine.now eng);
+    Alcotest.(check int) "no timer fired" ((2 * n) + 1)
+      (Engine.events_processed eng);
+    words
+  in
+  let timed =
+    run (fun eng mb ->
+        match Mailbox.recv_timeout mb eng ~timeout:10. with
+        | Some v -> v
+        | None -> Alcotest.fail "a served receive timed out")
+  in
+  let plain = run (fun _ mb -> Mailbox.recv mb) in
+  (* a timed receive returns its message in a [Some], 2 words *)
+  if timed > plain +. (2.5 *. float_of_int n) then
+    Alcotest.failf "timed receives allocate %.0f words, plain ones %.0f" timed
+      plain
 
 let suite =
   [
@@ -204,9 +256,6 @@ let suite =
       test_buffered_before_any_receiver;
     Alcotest.test_case "fifo across many sends" `Quick
       test_fifo_across_many_sends;
-    Alcotest.test_case "waiters served fifo" `Quick test_waiters_served_fifo;
-    Alcotest.test_case "try_recv does not steal from a waiter" `Quick
-      test_try_recv_does_not_steal_from_waiter;
     Alcotest.test_case "length counts only undelivered" `Quick
       test_length_counts_only_undelivered;
     Alcotest.test_case "interleaved senders conserve messages" `Quick
@@ -215,6 +264,12 @@ let suite =
       test_message_and_timeout_tie;
     Alcotest.test_case "a served timed receive leaves no timer queued" `Quick
       test_served_receive_leaves_no_timer;
-    Alcotest.test_case "plain and timed receivers served fifo" `Quick
-      test_mixed_receivers_fifo;
+    Alcotest.test_case "a second concurrent receive raises" `Quick
+      test_second_receiver_raises;
+    Alcotest.test_case "a message due with the timeout is still received"
+      `Quick test_tie_still_gives_message;
+    Alcotest.test_case "a receive after a timed-out receive gets the next"
+      `Quick test_receive_after_timeout;
+    Alcotest.test_case "1,000 served timed receives re-arm one timer" `Quick
+      test_timed_receives_reuse_one_timer;
   ]

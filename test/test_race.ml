@@ -90,6 +90,26 @@ let test_d7_safe_idioms () =
          );
        ])
 
+(* The census of mutable fields is by name. A test record's [mutable log]
+   once made the library's immutable [Decomp.zero] record, whose type has
+   a [log] field, count as shared mutable state; a field declared under
+   test/ now classifies only test bindings. The same field declared
+   mutable in the library still fires. *)
+let test_d7_test_fields () =
+  let decomp log =
+    ( "lib/foo/decomp.ml",
+      Printf.sprintf
+        "type t = { %slog : float }
+         let zero = { log = 0. }
+         let work pool xs = Par.Pool.map pool (fun x -> ignore zero.log; x) xs"
+        log )
+  in
+  let wal_ref = ("test/wal_ref.ml", "type t = { mutable log : int list }") in
+  check_codes "a test file's mutable field does not classify lib/" []
+    (scan [ decomp ""; wal_ref ]);
+  check_codes "the library's own mutable field does" [ "D7" ]
+    (scan [ decomp "mutable "; wal_ref ])
+
 (* --- D8: domain-unsafe stdlib in task scope ------------------------ *)
 
 let test_d8 () =
@@ -263,6 +283,8 @@ let suite =
     Alcotest.test_case "D7 cross-module reachability" `Quick
       test_d7_cross_module;
     Alcotest.test_case "D7 safe idioms stay clean" `Quick test_d7_safe_idioms;
+    Alcotest.test_case "D7 test-tree fields do not classify lib/" `Quick
+      test_d7_test_fields;
     Alcotest.test_case "D8 unsafe stdlib in task scope" `Quick test_d8;
     Alcotest.test_case "D9 shared lazy suspensions" `Quick test_d9;
     Alcotest.test_case "allow comments" `Quick test_allow;

@@ -44,35 +44,22 @@ let test_mailbox_blocking_recv () =
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "woke at send time" 3. !t_recv
 
-let test_mailbox_multiple_receivers () =
+(* A zero-time receive polls: it takes a queued message at once and
+   times out at once on an empty mailbox. *)
+let test_mailbox_try_recv () =
   let eng = Engine.create () in
   let mb = Mailbox.create () in
-  let got = ref [] in
-  for i = 1 to 2 do
-    Engine.spawn eng (fun () ->
-        let v = Mailbox.recv mb in
-        got := (i, v) :: !got)
-  done;
+  let polls = ref [] in
+  let poll () = polls := Mailbox.recv_timeout mb eng ~timeout:0. :: !polls in
   Engine.spawn eng (fun () ->
-      Mailbox.send mb "x";
-      Mailbox.send mb "y");
+      poll ();
+      Mailbox.send mb 9;
+      poll ();
+      poll ());
   Engine.run eng;
-  (* first-waiting receiver gets first message *)
-  Alcotest.(check (list (pair int string)))
-    "handed out in order"
-    [ (1, "x"); (2, "y") ]
-    (List.sort
-       (fun (a, x) (b, y) ->
-         match Int.compare a b with 0 -> String.compare x y | n -> n)
-       !got)
-
-let test_mailbox_try_recv () =
-  let mb = Mailbox.create () in
-  Alcotest.(check (option int)) "empty" None (Mailbox.try_recv mb);
-  Mailbox.send mb 9;
-  Alcotest.(check int) "length" 1 (Mailbox.length mb);
-  Alcotest.(check (option int)) "nonempty" (Some 9) (Mailbox.try_recv mb);
-  Alcotest.(check (option int)) "drained" None (Mailbox.try_recv mb)
+  Alcotest.(check (list (option int)))
+    "empty, nonempty, drained" [ None; Some 9; None ] (List.rev !polls);
+  Alcotest.(check (float 0.)) "no time passed" 0. (Engine.now eng)
 
 let suite =
   [
@@ -80,7 +67,5 @@ let suite =
     Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
     Alcotest.test_case "mailbox order" `Quick test_mailbox_order;
     Alcotest.test_case "mailbox blocking recv" `Quick test_mailbox_blocking_recv;
-    Alcotest.test_case "mailbox multiple receivers" `Quick
-      test_mailbox_multiple_receivers;
     Alcotest.test_case "mailbox try_recv" `Quick test_mailbox_try_recv;
   ]
