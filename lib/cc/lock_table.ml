@@ -127,6 +127,8 @@ type contended = {
 type t = {
   eng : Engine.t;
   blocking : Stats.Tally.t;
+  broken_lock_conversion : bool;
+      (** the chaos switch: grant every conversion at once *)
   vacant : Txn.t;
       (** an attempt that never requests a lock: the [first] of an entry
           whose oldest hold is gone *)
@@ -144,7 +146,7 @@ type t = {
 }
 
 (* The spare is young here: 256 buckets still fit the minor heap. *)
-let create eng ~blocking =
+let create ?(broken_lock_conversion = false) eng ~blocking =
   let vacant = Txn.placeholder () in
   let rec spare =
     {
@@ -159,6 +161,7 @@ let create eng ~blocking =
   {
     eng;
     blocking;
+    broken_lock_conversion;
     vacant;
     spare;
     buckets = Array.make 256 spare;
@@ -532,9 +535,9 @@ let request ?pre_block t txn page mode ~on_block =
   match held_mode txn entry with
   | Some S when mode = X ->
       (* X covers everything; S -> X is a conversion, which jumps the
-         queue and needs sole holdership only (unless the conformance
-         fault hook breaks the check) *)
-      if sole_holder t entry txn || Fault.broken_lock_conversion () then
+         queue and needs sole holdership only (unless the chaos switch
+         breaks the check) *)
+      if sole_holder t entry txn || t.broken_lock_conversion then
         set_exclusive txn entry
       else block ?pre_block t txn entry mode ~conversion:true ~on_block
   | Some (S | X) -> ()

@@ -32,8 +32,15 @@ type mode = S | X
 val mode_compatible : mode -> mode -> bool
 
 (** [create eng ~blocking] records per-request blocking times into
-    [blocking]. *)
-val create : Desim.Engine.t -> blocking:Desim.Stats.Tally.t -> t
+    [blocking]. With [broken_lock_conversion] (default [false]), the
+    chaos switch of {!Ddbm_model.Fault_plan.broken_lock_conversion},
+    the table grants every read-to-write conversion at once, even when
+    the converter is not the sole holder. *)
+val create :
+  ?broken_lock_conversion:bool ->
+  Desim.Engine.t ->
+  blocking:Desim.Stats.Tally.t ->
+  t
 
 (** [request ?pre_block t txn page mode ~on_block] acquires [mode] on
     [page] for [txn], blocking the calling cohort process until granted.

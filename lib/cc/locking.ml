@@ -63,9 +63,12 @@ let die_if_younger (requester : Txn.t) blockers =
   in
   if must_die then raise (Txn.Aborted Txn.Died)
 
-let make algorithm (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
+let make ?broken_lock_conversion algorithm (hooks : Cc_intf.hooks) :
+    Cc_intf.node_cc =
   let blocking = Desim.Stats.Tally.create () in
-  let locks = Lock_table.create hooks.Cc_intf.eng ~blocking in
+  let locks =
+    Lock_table.create ?broken_lock_conversion hooks.Cc_intf.eng ~blocking
+  in
   (* the attempt inside [Lock_table.request], which runs the policy
      callbacks before it returns or parks; they are built once, here *)
   let requester = ref (Txn.placeholder ()) in

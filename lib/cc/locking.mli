@@ -10,9 +10,11 @@
 val needs_snoop : Ddbm_model.Params.cc_algorithm -> bool
 
 (** [make algorithm hooks] builds a node's manager for a lock-based
-    [algorithm], choosing its blocking policy once. Raises
+    [algorithm], choosing its blocking policy once; its lock table gets
+    [broken_lock_conversion] ({!Lock_table.create}). Raises
     [Invalid_argument] for NO_DC, BTO and OPT. *)
 val make :
+  ?broken_lock_conversion:bool ->
   Ddbm_model.Params.cc_algorithm ->
   Ddbm_model.Cc_intf.hooks ->
   Ddbm_model.Cc_intf.node_cc

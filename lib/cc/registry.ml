@@ -2,15 +2,15 @@
 
 open Ddbm_model
 
-let make (algorithm : Params.cc_algorithm) (hooks : Cc_intf.hooks) :
-    Cc_intf.node_cc =
+let make ?broken_lock_conversion (algorithm : Params.cc_algorithm)
+    (hooks : Cc_intf.hooks) : Cc_intf.node_cc =
   match algorithm with
   | Params.No_dc -> No_dc.make hooks
   | Params.Bto -> Bto.make hooks
   | Params.Opt -> Opt_cert.make hooks
   | Params.Twopl | Params.Wound_wait | Params.Wait_die | Params.Twopl_defer
   | Params.O2pl ->
-      Locking.make algorithm hooks
+      Locking.make ?broken_lock_conversion algorithm hooks
 
 (** Every registered algorithm, in a stable order. The conformance
     harness runs each of these on every generated configuration. *)

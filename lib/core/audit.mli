@@ -1,9 +1,11 @@
 (** End-to-end serializability auditor.
 
-    The machine (with {!Machine.enable_audit}) records, for every
-    committed transaction, the version of each logical page it read (the
-    page's install counter at the instant the access permission was
-    granted) and the versions its commit installed. {!check} then builds
+    A sink on the machine's typed event stream ({!Machine.enable_audit}
+    attaches it). For every committed transaction it records the version
+    of each logical page the transaction read (the page's install count
+    when the access's [Page_read] event arrives) and the versions its
+    [Page_installed] events created, numbering versions in stream order;
+    [Committed] and [Aborted] settle each attempt. {!check} then builds
     the multiversion serialization graph — ww: writer of [v] precedes
     writer of [v+1]; wr: writer of [v] precedes readers of [v]; rw:
     readers of [v] precede the writer of [v+1] — and verifies acyclicity
@@ -17,18 +19,9 @@ type t
 
 val create : unit -> t
 
-(** The cohort's access permission for a page was granted; the version it
-    observes is captured. Must be called atomically with the grant (no
-    simulated time in between). *)
-val record_read : t -> Txn.t -> Ids.Page.t -> unit
-
-(** The cohort's commit installed its update of the page (primary copies
-    only under replication). Must be called atomically with the CC-level
-    install. *)
-val record_install : t -> Txn.t -> Ids.Page.t -> unit
-
-val record_commit : t -> Txn.t -> unit
-val record_abort : t -> Txn.t -> unit
+(** Feed one event of the stream; only [Page_read], [Page_installed],
+    [Committed] and [Aborted] are read. *)
+val sink : t -> Tracer.sink
 
 (** [Ok n]: the committed history over [n] transactions is (multiversion
     view-) serializable; [Error msg] describes a cycle. *)

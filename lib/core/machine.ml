@@ -125,7 +125,6 @@ type t = {
   arrivals : arrival_rt option;
   mutable faults : fault_rt option;
   mutable snoop : Ddbm_cc.Snoop.t option;
-  mutable audit : Audit.t option;
   mutable events : Tracer.t option;  (** typed lifecycle events *)
 }
 
@@ -174,6 +173,9 @@ let request_abort t ~from_node (txn : Txn.t) reason =
 let install_cc t =
   let resources = t.params.Params.resources in
   let algorithm = t.params.Params.cc.Params.algorithm in
+  let broken_lock_conversion =
+    Fault_plan.broken_lock_conversion t.params.Params.faults
+  in
   Array.iteri
     (fun i node ->
       let charge_cc_request =
@@ -190,7 +192,8 @@ let install_cc t =
             (fun txn reason -> request_abort t ~from_node:i txn reason);
         }
       in
-      Node.install_cc node (Ddbm_cc.Registry.make algorithm hooks))
+      Node.install_cc node
+        (Ddbm_cc.Registry.make ~broken_lock_conversion algorithm hooks))
     t.procs;
   if Ddbm_cc.Locking.needs_snoop algorithm then
     t.snoop <-
@@ -271,11 +274,6 @@ let create ?(histograms = true) (params : Params.t) =
   (match Params.validate params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Machine.create: " ^ msg));
-  (* The chaos registry is process-global; overwrite it wholesale from
-     the plan so no state leaks between runs. *)
-  (match Ddbm_cc.Fault.apply params.Params.faults.Fault_plan.chaos with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Machine.create: " ^ msg));
   let eng = Engine.create () in
   let rng = Rng.create params.Params.run.Params.seed in
   let resources = params.Params.resources in
@@ -353,7 +351,6 @@ let create ?(histograms = true) (params : Params.t) =
       arrivals;
       faults = None;
       snoop = None;
-      audit = None;
       events = None;
     }
   in
@@ -703,9 +700,9 @@ let work t c =
         acquire_replica_writes t txn ~from_node:c.node page
       end
     end;
-    (* permission fully granted: the auditor observes the version this
-       access sees, atomically with the grant *)
-    (match t.audit with Some a -> Audit.record_read a txn page | None -> ());
+    (* permission fully granted, replica write locks included: the read
+       sees the page's current version, atomically with the grant *)
+    if traced t then emit t (Event.Page_read { tid; attempt; page });
     check_doomed txn;
     let t0 = t.time.now in
     Disk.read (Node.random_disk c.exec);
@@ -825,19 +822,20 @@ let commit t c =
   let installed = c.cc.Cc_intf.cc_installed txn in
   c.cc.Cc_intf.cc_commit txn;
   note_release t c;
-  (match t.audit with
-  | Some a ->
-      (* replica installs are physical copies of the same logical page;
-         the auditor counts only primary installs *)
-      let primary page =
-        Array.exists
-          (fun op -> Ids.Page.equal (Plan.page op) page)
-          c.cplan.Plan.ops
-      in
-      List.iter
-        (fun page -> if primary page then Audit.record_install a txn page)
-        installed
-  | None -> ());
+  if traced t then begin
+    (* replica installs are physical copies of the same logical page;
+       only primary installs are reported *)
+    let primary page =
+      Array.exists
+        (fun op -> Ids.Page.equal (Plan.page op) page)
+        c.cplan.Plan.ops
+    in
+    List.iter
+      (fun page ->
+        if primary page then
+          emit t (Event.Page_installed { tid; attempt; page }))
+      installed
+  end;
   (match c.log with
   | Some w when c.updater ->
       Wal.append w (Wal.Commit { tid; attempt });
@@ -1636,9 +1634,6 @@ let run_transaction t ~terminal plan =
     Metrics.record_completion t.metrics;
     match outcome with
     | Committed decomp ->
-        (match t.audit with
-        | Some a -> Audit.record_commit a txn
-        | None -> ());
         if traced t then
           emit t
             (Event.Committed
@@ -1646,9 +1641,6 @@ let run_transaction t ~terminal plan =
         Metrics.record_commit t.metrics ~origin_time
           ~pages:(plan_pages txn.Txn.plan) ~decomp
     | Aborted reason ->
-        (match t.audit with
-        | Some a -> Audit.record_abort a txn
-        | None -> ());
         if traced t then
           emit t (Event.Aborted { tid; attempt = k; reason });
         Metrics.record_abort t.metrics ~reason;
@@ -2103,12 +2095,11 @@ let enable_fingerprints t = Workload.enable_fingerprints t.workload
     unless {!enable_fingerprints} was called). *)
 let workload_fingerprints t = Workload.fingerprints t.workload
 
-(** Attach a serializability auditor (before {!execute}); committed
-    transactions' reads and installs are then recorded for
-    {!Audit.check}. *)
+(** Attach a serializability auditor (before {!execute}) as a sink of
+    the typed event stream. Implies {!enable_events}. *)
 let enable_audit t =
   let audit = Audit.create () in
-  t.audit <- Some audit;
+  Tracer.attach (enable_events t) (Audit.sink audit);
   audit
 
 (** Run an assembled machine to the end of its measurement window and

@@ -17,7 +17,11 @@ type t
 val create : ?histograms:bool -> Ddbm_model.Params.t -> t
 
 (** Attach a serializability auditor to a freshly created machine; after
-    {!execute}, pass it to {!Audit.check}. *)
+    {!execute}, pass it to {!Audit.check}. The auditor is a sink of the
+    typed event stream, so this implies {!enable_events}; a traced run
+    also emits {!Ddbm_model.Event.Page_read} once per access and
+    {!Ddbm_model.Event.Page_installed} once per primary install, the
+    two events the auditor reads besides the outcomes. *)
 val enable_audit : t -> Audit.t
 
 (** Attach (or retrieve) the typed lifecycle-event tracer (before

@@ -196,8 +196,8 @@ let sink t : Tracer.sink =
       (* the submit time survives: restarts count from origination *)
       Hashtbl.remove t.inflight tid
   | Event.Cohort_load _ | Event.Cohort_start _ | Event.Lock_request _
-  | Event.Lock_release _ | Event.Msg_send _ | Event.Msg_recv _
-  | Event.Wound _ | Event.Restart_wait _
+  | Event.Lock_release _ | Event.Page_read _ | Event.Page_installed _
+  | Event.Msg_send _ | Event.Msg_recv _ | Event.Wound _ | Event.Restart_wait _
   | Event.Snoop_round _ | Event.Node_crashed _ | Event.Node_recovered _
   | Event.Msg_dropped _ | Event.Timeout_fired _ | Event.Txn_orphaned _
   | Event.Cohort_resurrected _ | Event.Recovery_started _

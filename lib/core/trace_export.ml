@@ -276,6 +276,7 @@ module Chrome = struct
           ()
     | Event.Submit _ | Event.Setup_done _ | Event.Cohort_load _
     | Event.Cohort_start _ | Event.Lock_request _ | Event.Lock_release _
+    | Event.Page_read _ | Event.Page_installed _
     | Event.Msg_send _ | Event.Msg_recv _ | Event.Work_done _ | Event.Vote _
     | Event.Decision _ | Event.Msg_dropped _ | Event.Timeout_fired _
     | Event.Recovery_chain_started _ ->

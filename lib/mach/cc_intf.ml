@@ -34,8 +34,9 @@ type node_cc = {
   cc_installed : Txn.t -> Ids.Page.t list;
       (** pages whose updates this node will actually install if the
           transaction commits now — excludes e.g. BTO's Thomas-rule
-          dropped writes. Used by the serializability auditor; must be
-          called immediately before [cc_commit]. *)
+          dropped writes. The machine reports them as [Page_installed]
+          events for the serializability auditor; must be called
+          immediately before [cc_commit]. *)
   cc_commit : Txn.t -> unit;
       (** commit point at this node: install pending writes, release locks,
           wake waiters *)

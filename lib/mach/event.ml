@@ -54,6 +54,12 @@ type t =
     }
   | Lock_release of { tid : int; attempt : int; node : int }
       (** all CC footprint at [node] released (commit or abort) *)
+  | Page_read of { tid : int; attempt : int; page : Page.t }
+      (** the access to [page] holds every permission it needs, replica
+          write locks included: it reads the page's current version *)
+  | Page_installed of { tid : int; attempt : int; page : Page.t }
+      (** the commit installed the attempt's update of [page]; primary
+          copies only, replica installs are not reported *)
   | Disk_access of {
       tid : int;
       attempt : int;
@@ -124,6 +130,8 @@ let name = function
   | Lock_request _ -> "lock-request"
   | Lock_grant _ -> "lock-grant"
   | Lock_release _ -> "lock-release"
+  | Page_read _ -> "page-read"
+  | Page_installed _ -> "page-installed"
   | Disk_access _ -> "disk"
   | Cpu_slice _ -> "cpu"
   | Msg_send _ -> "msg-send"
@@ -175,6 +183,9 @@ let fields ev : (string * field) list =
         ("page", page p);
         ("mode", S (lock_mode_name mode));
       ]
+  | Page_read { tid; attempt; page = p }
+  | Page_installed { tid; attempt; page = p } ->
+      [ ("tid", I tid); ("attempt", I attempt); ("page", page p) ]
   | Lock_grant { tid; attempt; node; page = p; mode; waited } ->
       [
         ("tid", I tid);

@@ -52,6 +52,12 @@ type t =
     }
   | Lock_release of { tid : int; attempt : int; node : int }
       (** all CC footprint at [node] released (commit or abort) *)
+  | Page_read of { tid : int; attempt : int; page : Ids.Page.t }
+      (** the access to [page] holds every permission it needs, replica
+          write locks included: it reads the page's current version *)
+  | Page_installed of { tid : int; attempt : int; page : Ids.Page.t }
+      (** the commit installed the attempt's update of [page]; primary
+          copies only, replica installs are not reported *)
   | Disk_access of {
       tid : int;
       attempt : int;

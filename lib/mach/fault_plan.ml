@@ -41,6 +41,10 @@ let active t =
 
 let is_zero t = (not (active t)) && t.chaos = []
 
+(* every chaos switch the CC layer implements *)
+let chaos_names = [ "broken-lock-conversion" ]
+let broken_lock_conversion t = List.mem "broken-lock-conversion" t.chaos
+
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
@@ -84,7 +88,13 @@ let validate ~num_proc_nodes t =
         ( finite_in ~lo:0. ~hi:1. t.timeout_jitter,
           "faults: jitter must be in [0, 1]" );
         (t.max_retries >= 1, "faults: retries must be >= 1");
-      ])
+      ]
+    @ List.map
+        (fun name ->
+          ( List.mem name chaos_names,
+            Printf.sprintf "faults: unknown chaos fault %S (known: %s)" name
+              (String.concat ", " chaos_names) ))
+        t.chaos)
 
 (* ------------------------------------------------------------------ *)
 (* Spec codec                                                          *)

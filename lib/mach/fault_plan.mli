@@ -13,7 +13,8 @@
       mean exponential extra delay, judged by a dedicated RNG stream
       seeded from [fault_seed];
     - {b chaos switches}: named behavioral faults implemented by the CC
-      layer (e.g. ["broken-lock-conversion"]), applied per run;
+      layer (only ["broken-lock-conversion"] so far), armed in the
+      machine built from the plan and in no other;
     - {b reaction}: 2PC timeout base/cap (capped exponential backoff,
       see {!Backoff}) and the retry budget.
 
@@ -73,8 +74,15 @@ val active : t -> bool
     switches either. *)
 val is_zero : t -> bool
 
-(** Unknown chaos names are accepted here and rejected by the machine,
-    which owns the chaos registry. *)
+(** True when the plan arms ["broken-lock-conversion"]: the machine's
+    lock tables then grant a read-to-write conversion even when the
+    converter is not the sole holder, so two readers of a page can both
+    upgrade and write, producing lost updates under 2PL/WW/2PL-D that
+    the serializability audit must flag. The conformance harness uses
+    it to prove that the audit catches real concurrency control bugs. *)
+val broken_lock_conversion : t -> bool
+
+(** Rejects, among the rest, a chaos name no switch answers to. *)
 val validate : num_proc_nodes:int -> t -> (unit, string) result
 
 (** Compact one-line spec, the same grammar the CLI accepts:

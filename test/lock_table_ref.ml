@@ -3,7 +3,8 @@
    [Test_lock_table]. Holders are immutable [(txn, mode)] pairs, a
    footprint lists [(page, entry)] pairs, and an entry that empties is
    dropped. The code is kept verbatim; only this comment, which replaces
-   its header, the [Ddbm_cc] open and the [Wfg] module below are new, so
+   its header, the [Wfg] module below and the chaos switch taken at
+   construction, as the lean table takes it, are new, so
    the test checks the lean table against the code it replaced.
 
    [Wfg] is the waits-for graph as it stood before the stamp-marked
@@ -13,7 +14,6 @@
    victim. It is the reference for [Test_wfg]'s victim-identity property
    and the search the table below uses. *)
 
-open Ddbm_cc
 open Desim
 open Ddbm_model
 open Ids
@@ -156,15 +156,17 @@ and footprint = {
 type t = {
   eng : Engine.t;
   blocking : Stats.Tally.t;
+  broken_lock_conversion : bool;
   table : lock_entry Page_table.t;
   attempts : footprint Txn.Table.t;
   mutable n_waiting : int;  (** queued requests, all attempts *)
 }
 
-let create eng ~blocking =
+let create ?(broken_lock_conversion = false) eng ~blocking =
   {
     eng;
     blocking;
+    broken_lock_conversion;
     table = Page_table.create 512;
     attempts = Txn.Table.create 64;
     n_waiting = 0;
@@ -269,14 +271,14 @@ let rec grant_pass t entry =
     in its footprint), [Granted] for a new holder. *)
 type attempt = Held | Granted | Conflict of { conversion : bool }
 
-let try_acquire entry txn mode =
+let try_acquire t entry txn mode =
   match held_mode entry txn with
   | Some X -> Held (* X covers everything *)
   | Some S when mode = S -> Held
   | Some S ->
       (* conversion S -> X: jumps the queue, needs sole holdership only
-         (unless the conformance fault hook breaks the check) *)
-      if sole_holder entry txn || Fault.broken_lock_conversion () then begin
+         (unless the chaos switch breaks the check) *)
+      if sole_holder entry txn || t.broken_lock_conversion then begin
         entry.holders <-
           List.map
             (fun (h, m) -> if Txn.same_attempt h txn then (h, X) else (h, m))
@@ -329,7 +331,7 @@ let prospective_blockers entry txn mode conversion =
     with when the transaction is aborted while blocked. *)
 let request ?pre_block t txn page mode ~on_block =
   let entry = entry_of t page in
-  match try_acquire entry txn mode with
+  match try_acquire t entry txn mode with
   | Held -> ()
   | Granted ->
       let f = footprint_of t txn in

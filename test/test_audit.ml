@@ -9,80 +9,80 @@ let page i = Ids.Page.make ~file:0 ~index:i
 
 (* --- checker unit tests ------------------------------------------- *)
 
-let mk_txns h n =
-  Array.init n (fun i -> Cc_harness.txn h ~tid:i ~time:(float_of_int i) ())
+(* Hand-built histories fed to the sink as the machine's events: the
+   attempt is always 1, and the sink ignores the time. *)
+let feed a ev = Ddbm.Audit.sink a ~time:0. ev
+let read a tid i = feed a (Event.Page_read { tid; attempt = 1; page = page i })
+
+let install a tid i =
+  feed a (Event.Page_installed { tid; attempt = 1; page = page i })
+
+let commit a tid =
+  feed a (Event.Committed { tid; attempt = 1; response = 0. })
+
+let abort a tid =
+  feed a (Event.Aborted { tid; attempt = 1; reason = Txn.Peer_abort })
 
 let test_serial_history_ok () =
-  let h = Cc_harness.make () in
-  let t = mk_txns h 2 in
   let a = Ddbm.Audit.create () in
   (* T0: read p(v0), install p(v1); then T1: read p(v1), install p(v2) *)
-  Ddbm.Audit.record_read a t.(0) (page 0);
-  Ddbm.Audit.record_install a t.(0) (page 0);
-  Ddbm.Audit.record_commit a t.(0);
-  Ddbm.Audit.record_read a t.(1) (page 0);
-  Ddbm.Audit.record_install a t.(1) (page 0);
-  Ddbm.Audit.record_commit a t.(1);
+  read a 0 0;
+  install a 0 0;
+  commit a 0;
+  read a 1 0;
+  install a 1 0;
+  commit a 1;
   match Ddbm.Audit.check a with
   | Ok n -> Alcotest.(check int) "2 committed" 2 n
   | Error msg -> Alcotest.fail msg
 
 let test_lost_update_detected () =
-  let h = Cc_harness.make () in
-  let t = mk_txns h 2 in
   let a = Ddbm.Audit.create () in
   (* classic lost update: both read version 0 of p, both install *)
-  Ddbm.Audit.record_read a t.(0) (page 0);
-  Ddbm.Audit.record_read a t.(1) (page 0);
-  Ddbm.Audit.record_install a t.(0) (page 0);
-  Ddbm.Audit.record_commit a t.(0);
-  Ddbm.Audit.record_install a t.(1) (page 0);
-  Ddbm.Audit.record_commit a t.(1);
+  read a 0 0;
+  read a 1 0;
+  install a 0 0;
+  commit a 0;
+  install a 1 0;
+  commit a 1;
   (* T0 -> T1 (ww, wr chain) and T1 -> T0 (rw: T1 read v0, T0 wrote v1) *)
   match Ddbm.Audit.check a with
   | Ok _ -> Alcotest.fail "lost update not detected"
   | Error _ -> ()
 
 let test_write_skew_detected () =
-  let h = Cc_harness.make () in
-  let t = mk_txns h 2 in
   let a = Ddbm.Audit.create () in
   (* write skew: T0 reads q and writes p; T1 reads p and writes q,
      both reading version 0 *)
-  Ddbm.Audit.record_read a t.(0) (page 1);
-  Ddbm.Audit.record_read a t.(1) (page 0);
-  Ddbm.Audit.record_install a t.(0) (page 0);
-  Ddbm.Audit.record_install a t.(1) (page 1);
-  Ddbm.Audit.record_commit a t.(0);
-  Ddbm.Audit.record_commit a t.(1);
+  read a 0 1;
+  read a 1 0;
+  install a 0 0;
+  install a 1 1;
+  commit a 0;
+  commit a 1;
   match Ddbm.Audit.check a with
   | Ok _ -> Alcotest.fail "write skew not detected"
   | Error _ -> ()
 
 let test_aborted_txn_ignored () =
-  let h = Cc_harness.make () in
-  let t = mk_txns h 2 in
   let a = Ddbm.Audit.create () in
   (* the conflicting reader aborts: history is serializable *)
-  Ddbm.Audit.record_read a t.(0) (page 0);
-  Ddbm.Audit.record_read a t.(1) (page 0);
-  Ddbm.Audit.record_abort a t.(1);
-  Ddbm.Audit.record_install a t.(0) (page 0);
-  Ddbm.Audit.record_commit a t.(0);
+  read a 0 0;
+  read a 1 0;
+  abort a 1;
+  install a 0 0;
+  commit a 0;
   match Ddbm.Audit.check a with
   | Ok n -> Alcotest.(check int) "1 committed" 1 n
   | Error msg -> Alcotest.fail msg
 
 let test_disjoint_pages_ok () =
-  let h = Cc_harness.make () in
-  let t = mk_txns h 3 in
   let a = Ddbm.Audit.create () in
-  Array.iteri
-    (fun i txn ->
-      Ddbm.Audit.record_read a txn (page i);
-      Ddbm.Audit.record_install a txn (page i);
-      Ddbm.Audit.record_commit a txn)
-    t;
+  for i = 0 to 2 do
+    read a i i;
+    install a i i;
+    commit a i
+  done;
   match Ddbm.Audit.check a with
   | Ok n -> Alcotest.(check int) "3 committed" 3 n
   | Error msg -> Alcotest.fail msg

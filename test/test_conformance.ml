@@ -89,8 +89,8 @@ let test_clean_machine_conforms () =
       Alcotest.fail (Ddbm_check.Conformance.failure_to_string f)
 
 let test_injected_fault_caught_and_replayed () =
-  (* the chaos fault travels in the parameters: Machine.create applies
-     it, so the replay artifact alone reproduces the failure *)
+  (* the chaos fault travels in the parameters: the machine built from
+     them arms it, so the replay artifact alone reproduces the failure *)
   let broken_params =
     {
       hot_2pl_params with
@@ -101,41 +101,36 @@ let test_injected_fault_caught_and_replayed () =
         };
     }
   in
-  Fun.protect ~finally:Ddbm_cc.Fault.reset (fun () ->
-      match
-        Ddbm_check.Conformance.check ~algorithms:[ Params.Twopl ]
-          ~artifact_dir:(artifact_dir ()) broken_params
-      with
-      | Ok () ->
-          Alcotest.fail
-            "broken lock conversion produced a serializable history"
-      | Error (_, None) -> Alcotest.fail "no replay artifact written"
-      | Error (f, Some path) -> (
-          Alcotest.(check string) "caught by the audit" "audit" f.Ddbm_check.Conformance.kind;
-          Alcotest.(check bool) "artifact exists" true (Sys.file_exists path);
-          (* the artifact alone must reproduce the failure: reset the
-             fault and let the replay re-activate it from the file *)
-          Ddbm_cc.Fault.reset ();
-          match Ddbm_check.Conformance.replay_file path with
-          | Error msg -> Alcotest.fail msg
-          | Ok outcome -> (
-              match outcome.Ddbm_check.Conformance.reproduced with
-              | None -> Alcotest.fail "replay did not reproduce the failure"
-              | Some rf ->
-                  Alcotest.(check string)
-                    "same failure kind" f.Ddbm_check.Conformance.kind
-                    rf.Ddbm_check.Conformance.kind;
-                  let tail = outcome.Ddbm_check.Conformance.trace_tail in
-                  Alcotest.(check bool)
-                    "replay leaves a trace for the post-mortem" true
-                    (tail <> []);
-                  Alcotest.(check bool)
-                    "the trace shows transaction outcomes" true
-                    (List.exists
-                       (fun line ->
-                         Astring_contains.contains line " committed "
-                         || Astring_contains.contains line " aborted ")
-                       tail))))
+  match
+    Ddbm_check.Conformance.check ~algorithms:[ Params.Twopl ]
+      ~artifact_dir:(artifact_dir ()) broken_params
+  with
+  | Ok () ->
+      Alcotest.fail "broken lock conversion produced a serializable history"
+  | Error (_, None) -> Alcotest.fail "no replay artifact written"
+  | Error (f, Some path) -> (
+      Alcotest.(check string) "caught by the audit" "audit" f.Ddbm_check.Conformance.kind;
+      Alcotest.(check bool) "artifact exists" true (Sys.file_exists path);
+      (* the artifact alone must reproduce the failure *)
+      match Ddbm_check.Conformance.replay_file path with
+      | Error msg -> Alcotest.fail msg
+      | Ok outcome -> (
+          match outcome.Ddbm_check.Conformance.reproduced with
+          | None -> Alcotest.fail "replay did not reproduce the failure"
+          | Some rf ->
+              Alcotest.(check string)
+                "same failure kind" f.Ddbm_check.Conformance.kind
+                rf.Ddbm_check.Conformance.kind;
+              let tail = outcome.Ddbm_check.Conformance.trace_tail in
+              Alcotest.(check bool)
+                "replay leaves a trace for the post-mortem" true (tail <> []);
+              Alcotest.(check bool)
+                "the trace shows transaction outcomes" true
+                (List.exists
+                   (fun line ->
+                     Astring_contains.contains line " committed "
+                     || Astring_contains.contains line " aborted ")
+                   tail)))
 
 let test_replay_without_fault_is_clean () =
   (* an artifact recording no fault replays to a conforming run *)

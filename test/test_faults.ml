@@ -1,5 +1,5 @@
 (* Fault-injection subsystem: backoff arithmetic, fault-plan codec,
-   message-variant coverage, chaos-registry hygiene, the faults-off
+   message-variant coverage, chaos switches kept per machine, the faults-off
    bit-identity pin, and end-to-end crash / lossy-network runs that must
    stay serializable, conserving and deterministic. *)
 
@@ -138,7 +138,15 @@ let test_spec_rejects_garbage () =
       match Fault_plan.of_spec spec with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" spec)
       | Error _ -> ())
-    [ "loss=2"; "loss=x"; "crash=bogus"; "wibble=1"; "retries=-3"; "crash=proc1@x+1" ]
+    [
+      "loss=2";
+      "loss=x";
+      "crash=bogus";
+      "wibble=1";
+      "retries=-3";
+      "crash=proc1@x+1";
+      "chaos=bogus";
+    ]
 
 (* A single-value key given twice is an error, as in a replay artifact,
    rather than the last value silently winning; a list key such as
@@ -184,35 +192,54 @@ let faulty_params ?(algorithm = Params.Twopl) ?(seed = 42)
     faults;
   }
 
-(* --- chaos-registry hygiene ---------------------------------------- *)
+(* --- chaos switches ------------------------------------------------- *)
 
-let test_chaos_registry_no_leak () =
-  Fun.protect ~finally:Ddbm_cc.Fault.reset (fun () ->
-      let chaotic =
-        { Fault_plan.zero with Fault_plan.chaos = [ "broken-lock-conversion" ] }
-      in
-      ignore
-        (Ddbm.Machine.create (faulty_params ~faults:chaotic ())
-          : Ddbm.Machine.t);
-      Alcotest.(check (list string))
-        "chaos plan arms exactly its faults"
-        [ "broken-lock-conversion" ] (Ddbm_cc.Fault.active ());
-      (* the next machine's zero plan must clear the registry: plans
-         cannot leak between runs *)
-      ignore (Ddbm.Machine.create (faulty_params ()) : Ddbm.Machine.t);
-      Alcotest.(check (list string))
-        "zero plan disarms everything" [] (Ddbm_cc.Fault.active ()))
+(* The switch is armed in the lock tables of the machine built from the
+   plan, so creating another machine first or in between cannot arm or
+   disarm it. The configuration is the conformance suite's hot one, whose
+   armed run commits a lost update. *)
+let test_chaos_stays_with_its_machine () =
+  let clean = Test_conformance.hot_2pl_params in
+  let armed =
+    {
+      clean with
+      Params.faults =
+        { Fault_plan.zero with Fault_plan.chaos = [ "broken-lock-conversion" ] };
+    }
+  in
+  let audited m =
+    let audit = Ddbm.Machine.enable_audit m in
+    ignore (Ddbm.Machine.execute m : Ddbm.Sim_result.t);
+    Ddbm.Audit.check audit
+  in
+  let expect order ~armed_m ~clean_m =
+    (match audited armed_m with
+    | Ok n ->
+        Alcotest.fail
+          (Printf.sprintf "%s: the armed run is serializable (%d commits)" order n)
+    | Error _ -> ());
+    match audited clean_m with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail (order ^ ": the clean run: " ^ msg)
+  in
+  let armed_m = Ddbm.Machine.create armed in
+  let clean_m = Ddbm.Machine.create clean in
+  expect "armed, then clean" ~armed_m ~clean_m;
+  let clean_m = Ddbm.Machine.create clean in
+  let armed_m = Ddbm.Machine.create armed in
+  expect "clean, then armed" ~armed_m ~clean_m
 
 let test_unknown_chaos_rejected () =
-  Fun.protect ~finally:Ddbm_cc.Fault.reset (fun () ->
-      let bogus =
-        { Fault_plan.zero with Fault_plan.chaos = [ "no-such-fault" ] }
-      in
-      (match Ddbm.Machine.create (faulty_params ~faults:bogus ()) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "machine accepted an unknown chaos fault");
-      Alcotest.(check (list string))
-        "rejection leaves the registry clear" [] (Ddbm_cc.Fault.active ()))
+  let bogus = { Fault_plan.zero with Fault_plan.chaos = [ "no-such-fault" ] } in
+  Alcotest.(check (result reject string))
+    "the plan rejects the name"
+    (Error
+       "faults: unknown chaos fault \"no-such-fault\" (known: \
+        broken-lock-conversion)")
+    (Fault_plan.validate ~num_proc_nodes:4 bogus);
+  match Ddbm.Machine.create (faulty_params ~faults:bogus ()) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "machine accepted an unknown chaos fault"
 
 (* --- faults-off bit-identity pin ----------------------------------- *)
 
@@ -462,8 +489,10 @@ let suite =
       test_spec_rejects_repeated_key;
     Alcotest.test_case "validate rejects bad crash target" `Quick
       test_validate_rejects_out_of_range_crash_target;
-    Alcotest.test_case "chaos registry never leaks between runs" `Quick
-      test_chaos_registry_no_leak;
+    Alcotest.test_case
+      "a chaos-armed machine stays armed when another machine is created \
+       before it runs"
+      `Quick test_chaos_stays_with_its_machine;
     Alcotest.test_case "unknown chaos fault rejected" `Quick
       test_unknown_chaos_rejected;
     Alcotest.test_case "faults-off runs are bit-identical" `Slow

@@ -606,7 +606,8 @@ module type LOCKS = sig
   type t
   type mode = S | X
 
-  val create : Engine.t -> blocking:Stats.Tally.t -> t
+  val create :
+    ?broken_lock_conversion:bool -> Engine.t -> blocking:Stats.Tally.t -> t
 
   val request :
     ?pre_block:(Txn.t list -> unit) ->
@@ -631,11 +632,13 @@ end
 module Side (L : LOCKS) = struct
   type t = { h : Cc_harness.t; locks : L.t; log : string list ref }
 
-  let create () =
+  let create ~broken_lock_conversion =
     let h = Cc_harness.make () in
     {
       h;
-      locks = L.create h.Cc_harness.eng ~blocking:(Stats.Tally.create ());
+      locks =
+        L.create ~broken_lock_conversion h.Cc_harness.eng
+          ~blocking:(Stats.Tally.create ());
       log = ref [];
     }
 
@@ -726,7 +729,8 @@ let reference_cases () =
 (* The lock table against the reference model: random requests,
    conversions, wait-die raises, releases of attempts with queued
    waiters, and dooms, over a few pages, so released pages are locked
-   again and recycled entries are reused. Each transaction has at most
+   again and recycled entries are reused; a fifth of the cases arm the
+   chaos switch that grants every conversion at once. Each transaction has at most
    one outstanding request, as a cohort does; a released transaction
    restarts as its next attempt. At every quiescent point both tables
    must have logged the same blockers, grants, rejections and deaths in
@@ -737,10 +741,14 @@ let prop_matches_reference =
   QCheck.Test.make ~name:"lock table matches the reference model"
     ~count:(reference_cases ())
     (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map pp_dop ops))
-       QCheck.Gen.(list_size (int_range 1 60) gen_dop))
-    (fun ops ->
-      let lean = Lean.create () and reference = Reference.create () in
+       ~print:(fun (broken, ops) ->
+         Printf.sprintf "broken conversion %b: %s" broken
+           (String.concat "; " (List.map pp_dop ops)))
+       QCheck.Gen.(pair (frequency [ (1, return true); (4, return false) ])
+                     (list_size (int_range 1 60) gen_dop)))
+    (fun (broken_lock_conversion, ops) ->
+      let lean = Lean.create ~broken_lock_conversion
+      and reference = Reference.create ~broken_lock_conversion in
       let h = Cc_harness.make () in
       let txns =
         Array.init n_txns (fun i ->
