@@ -7,77 +7,20 @@
     short (a few simulated seconds) so a conformance sweep of hundreds of
     runs finishes in seconds of wall time.
 
-    The shrinker moves toward *simpler* machines (fewer terminals, fewer
-    nodes, no replication, no logging, parallel execution, zero think
-    time) while preserving validity, so a failing configuration minimizes
-    to something a human can replay and read. *)
+    The shrinker works on the replay codec's text form, one
+    [key = value] line per key. Each line that differs from the same
+    line of the simplest record (one node, two terminals, one page, no
+    subsystem switched on; the seed and every other key kept) proposes
+    that line's value, for integers the midpoint and the points between
+    it and the current value, and for an item-form spec (fault plan,
+    arrival spec) the spec with one item dropped. A proposal survives
+    only if {!Replay.params_of_string} reads it back, which validates,
+    so a failing configuration minimizes to something a human can replay
+    and read, and a key added to the codec's table needs no code here. *)
 
 open Ddbm_model
 
 let powers_of_two = [ 1; 2; 4; 8 ]
-
-(* Largest valid partitioning degree <= [limit] for the given
-   partitions-per-relation count. *)
-let clamp_degree ~partitions ~limit degree =
-  let candidates =
-    List.filter
-      (fun d -> d <= limit && partitions mod d = 0)
-      (List.sort_uniq Int.compare (1 :: degree :: powers_of_two))
-  in
-  List.fold_left Stdlib.max 1
-    (List.filter (fun d -> d <= degree) candidates)
-
-let build ~nodes ~relations ~partitions ~degree ~file_size ~replication
-    ~terminals ~think ~exec_pattern ~pages ~write_prob ~inst_per_page
-    ~inst_per_startup ~inst_per_msg ~inst_per_cc_req ~disks ~logging
-    ~detection_interval ~seed ~measure ~fresh_restart_plan ~durability ~faults
-    ~arrivals =
-  let d = Params.default in
-  (* open-loop arrivals reject fresh restart plans (see Params.validate) *)
-  let fresh_restart_plan =
-    fresh_restart_plan && not (Arrival.open_loop arrivals)
-  in
-  {
-    Params.database =
-      {
-        Params.num_proc_nodes = nodes;
-        num_relations = relations;
-        partitions_per_relation = partitions;
-        file_size;
-        partitioning_degree = degree;
-        replication;
-      };
-    workload =
-      {
-        Params.num_terminals = terminals;
-        think_time = think;
-        exec_pattern;
-        pages_per_partition = pages;
-        write_prob;
-        inst_per_page;
-      };
-    resources =
-      {
-        d.Params.resources with
-        Params.disks_per_node = disks;
-        inst_per_startup;
-        inst_per_msg;
-        inst_per_cc_req;
-        model_logging = logging;
-      };
-    cc = { Params.algorithm = Params.Twopl; detection_interval };
-    run =
-      {
-        Params.seed;
-        warmup = 2.;
-        measure;
-        restart_delay_floor = 0.25;
-        fresh_restart_plan;
-      };
-    durability;
-    faults;
-    arrivals;
-  }
 
 (* Fault plans for the conformance sweep: mostly zero (the paper's
    failure-free machine), sometimes message faults and/or crashes. The
@@ -204,22 +147,26 @@ let gen_arrivals : Arrival.t QCheck.Gen.t =
 
 let gen : Params.t QCheck.Gen.t =
   let open QCheck.Gen in
-  let* nodes = oneofl powers_of_two in
-  let* relations = oneofl [ 1; 2; 4; 8 ] in
-  let* partitions = oneofl [ 2; 4; 8 ] in
-  let* degree =
+  let* num_proc_nodes = oneofl powers_of_two in
+  let* num_relations = oneofl [ 1; 2; 4; 8 ] in
+  let* partitions_per_relation = oneofl [ 2; 4; 8 ] in
+  let* partitioning_degree =
     oneofl
       (List.filter
-         (fun d -> d <= nodes && partitions mod d = 0)
+         (fun d -> d <= num_proc_nodes && partitions_per_relation mod d = 0)
          powers_of_two)
   in
-  let* pages = int_range 2 8 in
+  let* pages_per_partition = int_range 2 8 in
   (* the validator demands (3*pages+1)/2 <= file_size; small files give
      the contention that actually exercises the algorithms *)
-  let* file_size = int_range (Stdlib.max 12 ((3 * pages + 1) / 2)) 120 in
-  let* replication = if nodes = 1 then return 1 else oneofl [ 1; 1; 1; 2 ] in
-  let* terminals = int_range 4 24 in
-  let* think = oneofl [ 0.; 0.; 0.5; 1. ] in
+  let* file_size =
+    int_range (Stdlib.max 12 (((3 * pages_per_partition) + 1) / 2)) 120
+  in
+  let* replication =
+    if num_proc_nodes = 1 then return 1 else oneofl [ 1; 1; 1; 2 ]
+  in
+  let* num_terminals = int_range 4 24 in
+  let* think_time = oneofl [ 0.; 0.; 0.5; 1. ] in
   let* exec_pattern =
     oneofl [ Params.Parallel; Params.Parallel; Params.Sequential ]
   in
@@ -228,222 +175,153 @@ let gen : Params.t QCheck.Gen.t =
   let* inst_per_startup = oneofl [ 0.; 2_000.; 20_000. ] in
   let* inst_per_msg = oneofl [ 0.; 1_000.; 4_000. ] in
   let* inst_per_cc_req = oneofl [ 0.; 500. ] in
-  let* disks = int_range 1 2 in
-  let* logging = bool in
+  let* disks_per_node = int_range 1 2 in
+  let* model_logging = bool in
   let* detection_interval = oneofl [ 0.25; 1. ] in
   let* seed = int_range 1 1_000_000 in
   let* measure = oneofl [ 5.; 8. ] in
   let* fresh_restart_plan = bool in
-  let* durability = gen_durability ~nodes in
-  let* faults = gen_faults ~nodes in
+  let* durability = gen_durability ~nodes:num_proc_nodes in
+  let* faults = gen_faults ~nodes:num_proc_nodes in
   let* arrivals = gen_arrivals in
   return
-    (build ~nodes ~relations ~partitions ~degree ~file_size ~replication
-       ~terminals ~think ~exec_pattern ~pages ~write_prob ~inst_per_page
-       ~inst_per_startup ~inst_per_msg ~inst_per_cc_req ~disks ~logging
-       ~detection_interval ~seed ~measure ~fresh_restart_plan ~durability
-       ~faults ~arrivals)
+    {
+      Params.database =
+        {
+          Params.num_proc_nodes;
+          num_relations;
+          partitions_per_relation;
+          file_size;
+          partitioning_degree;
+          replication;
+        };
+      workload =
+        {
+          Params.num_terminals;
+          think_time;
+          exec_pattern;
+          pages_per_partition;
+          write_prob;
+          inst_per_page;
+        };
+      resources =
+        {
+          Params.default.Params.resources with
+          Params.disks_per_node;
+          inst_per_startup;
+          inst_per_msg;
+          inst_per_cc_req;
+          model_logging;
+        };
+      cc = { Params.algorithm = Params.Twopl; detection_interval };
+      run =
+        {
+          Params.seed;
+          warmup = 2.;
+          measure;
+          restart_delay_floor = 0.25;
+          (* open-loop arrivals reject fresh restart plans (see
+             Params.validate) *)
+          fresh_restart_plan =
+            fresh_restart_plan && not (Arrival.open_loop arrivals);
+        };
+      durability;
+      faults;
+      arrivals;
+    }
 
-(* Candidate simplifications, each kept only if still valid. *)
-let shrink (p : Params.t) : Params.t QCheck.Iter.t =
-  let d = p.Params.database
-  and w = p.Params.workload
-  and r = p.Params.resources
-  and run = p.Params.run in
-  let candidates =
-    List.concat
-      [
-        (if w.Params.num_terminals > 2 then
-           [
-             {
-               p with
-               Params.workload =
-                 {
-                   w with
-                   Params.num_terminals = Stdlib.max 2 (w.Params.num_terminals / 2);
-                 };
-             };
-           ]
-         else []);
-        (if d.Params.num_proc_nodes > 1 then
-           let nodes = d.Params.num_proc_nodes / 2 in
-           [
-             {
-               p with
-               Params.database =
-                 {
-                   d with
-                   Params.num_proc_nodes = nodes;
-                   partitioning_degree =
-                     clamp_degree
-                       ~partitions:d.Params.partitions_per_relation
-                       ~limit:nodes d.Params.partitioning_degree;
-                   replication = Stdlib.min d.Params.replication nodes;
-                 };
-               (* replica count must stay in range on the smaller machine *)
-               durability =
-                 {
-                   p.Params.durability with
-                   Params.replicas =
-                     Stdlib.min p.Params.durability.Params.replicas (nodes - 1);
-                 };
-               (* crash targets must stay in range on the smaller machine *)
-               faults =
-                 {
-                   p.Params.faults with
-                   Fault_plan.crashes =
-                     List.filter
-                       (fun (c : Fault_plan.crash) ->
-                         match c.Fault_plan.target with
-                         | Ids.Host -> true
-                         | Ids.Proc i -> i < nodes)
-                       p.Params.faults.Fault_plan.crashes;
-                 };
-             };
-           ]
-         else []);
-        (if d.Params.replication > 1 then
-           [ { p with Params.database = { d with Params.replication = 1 } } ]
-         else []);
-        (if w.Params.think_time > 0. then
-           [ { p with Params.workload = { w with Params.think_time = 0. } } ]
-         else []);
-        (if w.Params.exec_pattern = Params.Sequential then
-           [
-             {
-               p with
-               Params.workload = { w with Params.exec_pattern = Params.Parallel };
-             };
-           ]
-         else []);
-        (if r.Params.model_logging then
-           [ { p with Params.resources = { r with Params.model_logging = false } } ]
-         else []);
-        (if run.Params.fresh_restart_plan then
-           [ { p with Params.run = { run with Params.fresh_restart_plan = false } } ]
-         else []);
-        (* durability simplifications: all off first, then one knob at a
-           time *)
-        (let dur = p.Params.durability in
-         (if dur <> Params.default_durability then
-            [ { p with Params.durability = Params.default_durability } ]
-          else [])
-         @ (if dur.Params.replicas > 0 then
-              [ { p with Params.durability = { dur with Params.replicas = 0 } } ]
-            else [])
-         @ (if dur.Params.recovery_jobs > 1 then
-              [
-                {
-                  p with
-                  Params.durability = { dur with Params.recovery_jobs = 1 };
-                };
-              ]
-            else [])
-         @
-         if dur.Params.log_disk then
-           [ { p with Params.durability = { dur with Params.log_disk = false } } ]
-         else []);
-        (if run.Params.measure > 5. then
-           [ { p with Params.run = { run with Params.measure = 5. } } ]
-         else []);
-        (* fault-plan simplifications: all the way to zero first, then
-           one fault family at a time *)
-        (let fp = p.Params.faults in
-         (if Fault_plan.is_zero fp then []
-          else [ { p with Params.faults = Fault_plan.zero } ])
-         @ (if fp.Fault_plan.crashes <> [] then
-              [
-                {
-                  p with
-                  Params.faults = { fp with Fault_plan.crashes = [] };
-                };
-              ]
-            else [])
-         @ (if fp.Fault_plan.crash_rate > 0. then
-              [
-                {
-                  p with
-                  Params.faults = { fp with Fault_plan.crash_rate = 0. };
-                };
-              ]
-            else [])
-         @ (if fp.Fault_plan.torn_tail > 0. then
-              [
-                {
-                  p with
-                  Params.faults = { fp with Fault_plan.torn_tail = 0. };
-                };
-              ]
-            else [])
-         @ (if fp.Fault_plan.recrash > 0. then
-              [
-                {
-                  p with
-                  Params.faults = { fp with Fault_plan.recrash = 0. };
-                };
-              ]
-            else [])
-         @
-         if
-           fp.Fault_plan.msg_loss > 0. || fp.Fault_plan.msg_dup > 0.
-           || fp.Fault_plan.msg_delay > 0.
-         then
-           [
-             {
-               p with
-               Params.faults =
-                 {
-                   fp with
-                   Fault_plan.msg_loss = 0.;
-                   msg_dup = 0.;
-                   msg_delay = 0.;
-                 };
-             };
-           ]
-         else []);
-        (* arrival-spec simplifications: back to the closed loop first,
-           then one admission knob at a time *)
-        (let a = p.Params.arrivals in
-         if not (Arrival.open_loop a) then []
-         else
-           [ { p with Params.arrivals = Arrival.zero } ]
-           @ (if a.Arrival.deadline > 0. then
-                [ { p with Params.arrivals = { a with Arrival.deadline = 0. } } ]
-              else [])
-           @ (match a.Arrival.shed with
-             | Arrival.Reject_oldest ->
-                 [
-                   {
-                     p with
-                     Params.arrivals = { a with Arrival.shed = Arrival.Reject_newest };
-                   };
-                 ]
-             | Arrival.Reject_newest -> [])
-           @
-           match a.Arrival.process with
-           | Arrival.Profile (first :: _ :: _) ->
-               [
-                 {
-                   p with
-                   Params.arrivals =
-                     { a with Arrival.process = Arrival.Profile [ first ] };
-                 };
-               ]
-           | Arrival.Profile [ Arrival.Hold { rate; _ } ] when rate > 0. ->
-               [
-                 {
-                   p with
-                   Params.arrivals = { a with Arrival.process = Arrival.Qps rate };
-                 };
-               ]
-           | Arrival.Closed | Arrival.Qps _ | Arrival.Profile _ -> []);
-      ]
+(* Where each shrinkable key goes: one node, no replication, the fewest
+   terminals and pages, no think time, no subsystem switched on, and a
+   window of at most 5 s. Every other key, the seed included, keeps
+   [p]'s value. *)
+let simplest (p : Params.t) =
+  let open Params in
+  {
+    p with
+    database =
+      {
+        p.database with
+        num_proc_nodes = 1;
+        partitioning_degree = 1;
+        replication = 1;
+      };
+    workload =
+      {
+        p.workload with
+        num_terminals = Int.min 2 p.workload.num_terminals;
+        think_time = 0.;
+        exec_pattern = Parallel;
+        pages_per_partition = 1;
+      };
+    resources = { p.resources with model_logging = false };
+    run =
+      {
+        p.run with
+        measure = Float.min 5. p.run.measure;
+        fresh_restart_plan = false;
+      };
+    durability = default_durability;
+    faults = Fault_plan.zero;
+    arrivals = Arrival.zero;
+  }
+
+(* The values a line holding [v] may move to on its way to [goal]: the
+   goal; for integers, the midpoint and then ever closer to [v] by
+   halving steps (so a threshold is found exactly); and [v] with one item
+   dropped when it is a ["k=v,k=v"] spec. *)
+let proposals v goal =
+  let steps =
+    match (int_of_string_opt v, int_of_string_opt goal) with
+    | Some a, Some b ->
+        let rec from d = if d = 0 then [] else string_of_int (a - d) :: from (d / 2) in
+        from ((a - b) / 2)
+    | _ -> []
   in
-  let valid = List.filter (fun c -> Result.is_ok (Params.validate c)) candidates in
-  fun yield -> List.iter yield valid
+  (* a bare item (a profile segment after the first) continues the key
+     before it, so dropping a ["key=..."] item hands the key on *)
+  let rec drop i = function
+    | [] -> []
+    | x :: rest when i > 0 -> x :: drop (i - 1) rest
+    | x :: rest -> (
+        match (Spec.split_kv x, rest) with
+        | Some (k, _), next :: rest when Spec.split_kv next = None ->
+            (k ^ "=" ^ next) :: rest
+        | _ -> rest)
+  in
+  let drops =
+    if not (String.contains v '=') then []
+    else
+      let items = String.split_on_char ',' v in
+      List.mapi (fun i _ -> String.concat "," (drop i items)) items
+      |> List.filter (fun d -> d <> goal)
+  in
+  (goal :: steps) @ drops
+
+(* One line at a time, each proposal kept only if the codec reads it
+   back: [Replay.params_of_string] validates, so no invalid record is
+   ever yielded. *)
+let shrink (p : Params.t) : Params.t QCheck.Iter.t =
+ fun yield ->
+  let lines = String.split_on_char '\n' (Replay.params_to_string p)
+  and goals = String.split_on_char '\n' (Replay.params_to_string (simplest p)) in
+  let with_line i line =
+    String.concat "\n" (List.mapi (fun j l -> if j = i then line else l) lines)
+  in
+  List.iteri
+    (fun i (line, goal) ->
+      match (Spec.split_kv line, Spec.split_kv goal) with
+      | Some (key, v), Some (_, g) when v <> g ->
+          List.iter
+            (fun v' ->
+              match Replay.params_of_string (with_line i (key ^ " = " ^ v')) with
+              | Ok c -> yield c
+              | Error _ -> ())
+            (proposals v g)
+      | _ -> ())
+    (List.combine lines goals)
 
 let print (p : Params.t) = Replay.params_to_string p
 
 (** QCheck arbitrary over valid configurations, with printing via the
-    replay-artifact codec and validity-preserving shrinking. *)
+    replay-artifact codec and shrinking through it. *)
 let arbitrary : Params.t QCheck.arbitrary = QCheck.make ~print ~shrink gen

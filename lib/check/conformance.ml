@@ -15,9 +15,9 @@
       concurrency control must not influence — are prefix-identical
       across all algorithms (common random numbers).
 
-    Any failure shrinks (via {!Config_gen}) at the QCheck layer and is
-    written as a self-contained replay artifact that
-    [ddbm_cli replay <file>] re-executes. *)
+    Any failure shrinks (via {!Config_gen.shrink}, through the replay
+    codec) at the QCheck layer and is written as a self-contained replay
+    artifact that [ddbm_cli replay <file>] re-executes. *)
 
 open Ddbm_model
 

@@ -6,7 +6,11 @@
     serializable, the {!Invariants} hold, and the run is bit-for-bit
     deterministic; and across algorithms, that the per-terminal plan
     streams agree (common random numbers). Failures shrink at the QCheck
-    layer and are written as replay artifacts ({!Replay}). *)
+    layer through {!Config_gen.shrink}, which moves one line of the
+    replay codec at a time and never the seed. Every failing run, a
+    shrunk one included, is written as a replay artifact ({!Replay})
+    named by algorithm, seed and failure kind, so the minimum overwrites
+    the first failure's artifact. *)
 
 open Ddbm_model
 

@@ -818,8 +818,9 @@ let commit t c =
     (* replica copies installed at this node *)
     List.iter (fun (_ : Ids.Page.t) -> write_one ()) c.cplan.Plan.apply_ops
   end;
-  (* snapshot the installs and perform them in the same event *)
-  let installed = c.cc.Cc_intf.cc_installed txn in
+  (* snapshot the installs and perform them in the same event; only a
+     traced run reads the snapshot *)
+  let installed = if traced t then c.cc.Cc_intf.cc_installed txn else [] in
   c.cc.Cc_intf.cc_commit txn;
   note_release t c;
   if traced t then begin
@@ -1790,13 +1791,19 @@ let reset_observation_windows t =
     (fun node -> Stats.Tally.reset (Node.cc node).Cc_intf.cc_blocking)
     t.procs;
   (* availability is measured over the observation window: discard
-     warm-up downtime and clip any open down-spell to the window start *)
+     warm-up downtime and clip any open down-spell to the window start,
+     first banking the clipped part in the unwindowed total *)
   Option.iter
     (fun f ->
       let now = t.time.now in
       Array.fill f.downtime 0 (Array.length f.downtime) 0.;
       Array.iteri
-        (fun s since -> if since <> None then f.down_since.(s) <- Some now)
+        (fun s since ->
+          Option.iter
+            (fun since ->
+              f.total_downtime <- f.total_downtime +. (now -. since);
+              f.down_since.(s) <- Some now)
+            since)
         f.down_since)
     t.faults
 
@@ -1828,19 +1835,22 @@ let availability t =
    (i.e. the termination protocol failed): the full retry envelope, a
    generous allowance for repeated inquiry loss, and any downtime — a
    cohort at a crashed node legitimately stays in doubt until repair. *)
-let indoubt_grace t f =
-  let p = f.plan in
-  let open_downtime =
-    let now = t.time.now in
-    let open_since = function Some s -> now -. s | None -> 0. in
-    Array.fold_left (fun acc s -> acc +. open_since s) 0. f.down_since
-  in
-  (* jittered timeouts stretch each round by up to the jitter fraction *)
-  Backoff.total ~base:p.Fault_plan.timeout ~cap:p.Fault_plan.timeout_cap
-    ~max_retries:p.Fault_plan.max_retries
-  *. (1. +. p.Fault_plan.timeout_jitter)
-  +. (20. *. p.Fault_plan.timeout_cap)
-  +. f.total_downtime +. open_downtime
+let indoubt_grace t =
+  match t.faults with
+  | None -> Float.infinity
+  | Some f ->
+      let p = f.plan in
+      let open_downtime =
+        let now = t.time.now in
+        let open_since = function Some s -> now -. s | None -> 0. in
+        Array.fold_left (fun acc s -> acc +. open_since s) 0. f.down_since
+      in
+      (* jittered timeouts stretch each round by up to the jitter fraction *)
+      Backoff.total ~base:p.Fault_plan.timeout ~cap:p.Fault_plan.timeout_cap
+        ~max_retries:p.Fault_plan.max_retries
+      *. (1. +. p.Fault_plan.timeout_jitter)
+      +. (20. *. p.Fault_plan.timeout_cap)
+      +. f.total_downtime +. open_downtime
 
 (* The capstone durability check: a committed transaction is covered at
    an updating cohort's node when that node's WAL digest shows the
@@ -1940,9 +1950,7 @@ let collect_result t ~wall_seconds =
     indoubt_mean = Metrics.indoubt_mean t.metrics;
     indoubt_open_at_end = Metrics.indoubt_open t.metrics;
     indoubt_overdue_at_end =
-      (match t.faults with
-      | None -> 0
-      | Some f -> Metrics.indoubt_overdue t.metrics ~grace:(indoubt_grace t f));
+      Metrics.indoubt_overdue t.metrics ~grace:(indoubt_grace t);
     decomp = Metrics.decomp_mean t.metrics;
     offered = Metrics.offered t.metrics;
     admitted = Metrics.admitted t.metrics;

@@ -54,6 +54,13 @@ val workload_fingerprints : t -> int list array
     {!Ddbm_model.Metric.to_prometheus} / {!Ddbm_model.Metric.to_json}. *)
 val registry : t -> Ddbm_model.Metric.t
 
+(** Seconds after which an in-doubt interval still open counts as
+    overdue ({!Sim_result.t.indoubt_overdue_at_end}): the fault plan's
+    retry envelope, an allowance for inquiry loss, and every
+    node-second of downtime so far, warm-up included; [infinity]
+    without a fault plan. Exposed for tests. *)
+val indoubt_grace : t -> float
+
 (** Run an assembled machine and collect the measured result. *)
 val execute : t -> Sim_result.t
 

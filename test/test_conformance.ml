@@ -163,12 +163,18 @@ let prop_codec_roundtrip =
       let params =
         { params with Params.cc = { params.Params.cc with Params.algorithm } }
       in
-      match
-        Ddbm_check.Replay.params_of_string
-          (Ddbm_check.Replay.params_to_string params)
-      with
-      | Ok p -> p = params
-      | Error msg -> QCheck.Test.fail_report msg)
+      (* the shrinker's candidates are configurations too *)
+      let shrunk = ref [] in
+      Ddbm_check.Config_gen.shrink params (fun c -> shrunk := c :: !shrunk);
+      List.for_all
+        (fun params ->
+          match
+            Ddbm_check.Replay.params_of_string
+              (Ddbm_check.Replay.params_to_string params)
+          with
+          | Ok p -> p = params
+          | Error msg -> QCheck.Test.fail_report msg)
+        (params :: !shrunk))
 
 (* A record with the durability block, a fault plan and an arrival spec
    all set: the artifact format is pinned byte for byte. *)

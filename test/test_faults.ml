@@ -439,6 +439,21 @@ let test_crash_spanning_warmup () =
     (1. -. (1. /. (5. *. 20.)))
     r.Ddbm.Sim_result.availability
 
+(* The same spell feeds the in-doubt grace with all of its 2 s, the
+   warm-up second included: the grace is an unwindowed allowance. *)
+let test_crash_spanning_warmup_grace () =
+  let m =
+    Ddbm.Machine.create (faulty_params ~faults:warmup_spanning_crash_plan ())
+  in
+  let _ : Ddbm.Sim_result.t = Ddbm.Machine.execute m in
+  let p = warmup_spanning_crash_plan in
+  Alcotest.(check (float 1e-9)) "the grace counts 2 s of downtime"
+    (Backoff.total ~base:p.Fault_plan.timeout ~cap:p.Fault_plan.timeout_cap
+       ~max_retries:p.Fault_plan.max_retries
+    +. (20. *. p.Fault_plan.timeout_cap)
+    +. 2.)
+    (Ddbm.Machine.indoubt_grace m)
+
 let test_fault_runs_are_deterministic () =
   List.iter
     (fun faults ->
@@ -505,6 +520,8 @@ let suite =
       test_proc_crash_mid_run_terminates;
     Alcotest.test_case "crash spanning warm-up counts in-window downtime" `Slow
       test_crash_spanning_warmup;
+    Alcotest.test_case "crash spanning warm-up counts whole in the grace" `Slow
+      test_crash_spanning_warmup_grace;
     Alcotest.test_case "seeded fault runs replay exactly" `Slow
       test_fault_runs_are_deterministic;
     Alcotest.test_case "rate-driven crashes conform" `Slow
